@@ -1,4 +1,10 @@
-"""Downward closure, tree closure, anchors, and orbits inside an expansion."""
+"""Downward closure, tree closure, anchors, and orbits inside an expansion.
+
+Expansions are homogeneous, so the orbit of a node over parameters B is
+fixed by two things: its anchor (the largest node of ``tcl(B)`` below it)
+and its plan path.  Orbits are therefore read off the closure, at a cost
+that depends on the closure and the plan but not on the size ``n``.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +12,7 @@ from typing import Iterable
 
 from .errors import DomainError
 from .plan import Expansion
-from .trees import Node, ROOT, qftp
+from .trees import STAR, Node, PlanPath, ROOT, qftp
 
 NodeSet = frozenset[Node]
 
@@ -71,15 +77,49 @@ def orbit(e: Expansion, a: Node, members: Iterable[Node]) -> NodeSet:
     given parameters.
 
     By finite homogeneity this is exactly the orbit of ``a`` under the
-    automorphisms fixing the parameters pointwise.
+    automorphisms fixing the parameters pointwise: the nodes with the plan
+    path and the anchor of ``a``.
     """
     e.tree.require(a)
-    params = tuple(sorted(set(members)))
-    e.tree.require(*params)
-    target = tuple_code(e, (a,) + params)
+    closed = tcl(e, members)
+    target = anchor_in(closed, a)
+    sigma = a.plan_path
     return frozenset(
-        x for x in e.nodes() if tuple_code(e, (x,) + params) == target
+        x
+        for x in e.nodes()
+        if x.plan_path == sigma and anchor_in(closed, x) == target
     )
+
+
+def orbit_reps(e: Expansion, members: Iterable[Node]) -> list[Node]:
+    """The least member of each orbit over the parameters, in node order.
+
+    Every closure node is its own orbit.  Every other orbit is a pair
+    (anchor c, plan path): its least member leaves c on an inf branch by
+    the least tag whose node is outside the closure, then takes tag 0 or
+    ``*`` at every step above that.
+    """
+    closed = tcl(e, members)
+    reps = set(closed)
+    for c in closed:
+        for tau in e.plan.children(c.plan_path):
+            if tau not in e.plan.inf_nodes:
+                continue
+            branch = tau[-1]
+            tag = 0
+            while tag < e.n and c.child(branch, tag) in closed:
+                tag += 1
+            if tag < e.n:
+                _add_least_above(e, c.child(branch, tag), tau, reps)
+    return sorted(reps, key=Node.sort_key)
+
+
+def _add_least_above(e: Expansion, v: Node, sigma: PlanPath, out: set[Node]) -> None:
+    # ``v`` and, for every plan node above ``sigma``, its least realization above ``v``.
+    out.add(v)
+    for tau in e.plan.children(sigma):
+        tag = 0 if tau in e.plan.inf_nodes else STAR
+        _add_least_above(e, v.child(tau[-1], tag), tau, out)
 
 
 def tuple_code(e: Expansion, tup: tuple[Node, ...]) -> str:

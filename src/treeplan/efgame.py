@@ -5,8 +5,10 @@ of its picks: answers inside the closure are read off the embedding, and
 fresh picks are answered by a fresh realization of the same
 quantifier-free type over the anchor, lexicographically least for
 determinism.  The exhaustive spoiler is a memoized minimax search over
-move orbits; past its node budget it degrades to a seeded random player
-and says so.
+move orbits, one least representative per orbit over the picks so far,
+read off their tree closure (:func:`~treeplan.closure.orbit_reps`) at a
+cost independent of the expansion size; past its position budget it
+degrades to a seeded random player and says so.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .closure import tuple_code
+from .closure import orbit_reps, tuple_code
 from .errors import BudgetError, DomainError
 from .plan import Expansion, plan_canonical
 from .trees import Node, ROOT, STAR, format_node, meet_nodes
@@ -34,21 +36,33 @@ def partial_isomorphism(
     picks_left: tuple[Node, ...], picks_right: tuple[Node, ...]
 ) -> bool:
     """Does the pick correspondence (extended by root |-> root) preserve
-    equality, the order, pred- and meet-relations, and plan labels?"""
+    equality, the order, pred- and meet-relations, and plan labels?
+
+    Each side maps a node to the index of its first pick (the root is
+    index 0).  Once both sides agree on those indices, a meet equals the
+    same picks on both sides exactly when it has the same first index, so
+    every pair of picks is checked once.
+    """
     pairs = [(ROOT, ROOT)] + list(zip(picks_left, picks_right))
-    for a, b in pairs:
+    where_l: dict[Node, int] = {}
+    where_r: dict[Node, int] = {}
+    for i, (a, b) in enumerate(pairs):
         if a.plan_path != b.plan_path:
             return False
+        where_l.setdefault(a, i)
+        where_r.setdefault(b, i)
+    for a, b in pairs:
+        if where_l[a] != where_r[b]:
+            return False
+    for a, b in pairs:
+        pa, pb = a.parent(), b.parent()
         for a2, b2 in pairs:
-            if (a == a2) != (b == b2):
-                return False
             if a.is_prefix_of(a2) != b.is_prefix_of(b2):
                 return False
-            if (a.parent() == a2) != (b.parent() == b2):
+            if (pa == a2) != (pb == b2):
                 return False
-            for a3, b3 in pairs:
-                if (meet_nodes(a, a2) == a3) != (meet_nodes(b, b2) == b3):
-                    return False
+            if where_l.get(meet_nodes(a, a2)) != where_r.get(meet_nodes(b, b2)):
+                return False
     return True
 
 
@@ -117,6 +131,12 @@ def _rebuild_embedding(state: GameState) -> tuple[dict[Node, Node], set[Node], b
         ok = True
         for d in range(1, k + 1):
             u, v = a.prefix(pa.depth + d), b.prefix(pb.depth + d)
+            if u in f:
+                # Pulled in by the singleton closure of an earlier step.
+                if f[u] != v:
+                    ok = False
+                    break
+                continue
             if u.plan_path != v.plan_path or v in img:
                 ok = False
                 break
@@ -179,17 +199,6 @@ class ClosureDuplicator:
 # Spoilers
 
 
-def _orbit_reps(e: Expansion, picks: tuple[Node, ...]) -> list[Node]:
-    seen: set[str] = set()
-    reps: list[Node] = []
-    for x in e.nodes():
-        code = tuple_code(e, picks + (x,))
-        if code not in seen:
-            seen.add(code)
-            reps.append(x)
-    return reps
-
-
 class _Search:
     """Memoized minimax over pick-orbit representatives."""
 
@@ -230,12 +239,12 @@ class _Search:
     def candidate_moves(self, state: GameState, side: str) -> list[Node]:
         e = state.left if side == "L" else state.right
         picks = state.picks_left if side == "L" else state.picks_right
-        return _orbit_reps(e, picks)
+        return orbit_reps(e, picks)
 
     def move_wins(self, state: GameState, side: str, move: Node) -> bool:
         other = state.right if side == "L" else state.left
         their_picks = state.picks_right if side == "L" else state.picks_left
-        for reply in _orbit_reps(other, their_picks):
+        for reply in orbit_reps(other, their_picks):
             if side == "L":
                 child = replace(
                     state,
@@ -256,7 +265,12 @@ class _Search:
 
 
 class ExhaustiveSpoiler:
-    """Optimal spoiler by minimax; falls back to seeded random over budget."""
+    """Optimal spoiler by minimax; falls back to seeded random over budget.
+
+    ``budget`` bounds the minimax positions visited for one pick: the count
+    restarts at every pick, while the memo of solved positions is kept
+    across picks.
+    """
 
     def __init__(self, budget: int = 100_000, seed: int = 0):
         self.budget = budget

@@ -5,11 +5,13 @@ are equality, the prefix order, and one fiber predicate per plan node.
 Quantifiers scope to the end of the enclosing formula (or closing paren).
 
 Evaluation is Tarskian recursion.  Quantifiers can optionally range over
-one representative per quantifier-free-type class instead of the whole
-universe (``fast=True``): two candidates with the same type over the
-current environment are exchanged by an automorphism fixing it, so the
-truth value is unchanged.  The fast path is cross-checked against the
-plain one in the test suite.
+one representative per orbit over the current environment instead of the
+whole universe (``fast=True``): two candidates in one orbit are exchanged
+by an automorphism fixing the environment, so the truth value is
+unchanged.  The representatives are read off the tree closure of the
+environment (:func:`~treeplan.closure.orbit_reps`), so their number and
+cost do not grow with the expansion size.  The fast path is cross-checked
+against the plain one in the test suite.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
-from .closure import anchor_in, tcl, tuple_code
+from .closure import anchor_in, orbit_reps, tcl
 from .counting import DimMeasure, dim_measure, poly_P, poly_Q_rel
 from .errors import (
     DomainError,
@@ -416,22 +418,6 @@ def _term_value(e: Expansion, t: Term, env: Mapping[str, Node]) -> Node:
     return value
 
 
-def _quantifier_candidates(
-    e: Expansion, env: Mapping[str, Node], fast: bool
-) -> list[Node]:
-    if not fast:
-        return e.nodes()
-    base = tuple(env[k] for k in sorted(env))
-    seen: set[str] = set()
-    reps: list[Node] = []
-    for x in e.nodes():
-        code = tuple_code(e, base + (x,))
-        if code not in seen:
-            seen.add(code)
-            reps.append(x)
-    return reps
-
-
 def evaluate(
     e: Expansion,
     f: Formula,
@@ -440,9 +426,10 @@ def evaluate(
 ) -> bool:
     """Truth value of ``f`` in ``e`` under ``env``.
 
-    ``fast`` restricts quantifier ranges to one representative per
-    quantifier-free-type class over the current environment; sound because
-    type-equal candidates are automorphic over it.
+    ``fast`` restricts quantifier ranges to one representative per orbit
+    over the current environment, listed from its tree closure; sound
+    because members of one orbit are automorphic over it.  A quantifier
+    restores the outer binding of its variable on exit.
     """
     env = dict(env or {})
     for v in env.values():
@@ -467,22 +454,21 @@ def evaluate(
             return rec(g.left, scope) or rec(g.right, scope)
         if isinstance(g, Implies):
             return (not rec(g.left, scope)) or rec(g.right, scope)
-        candidates = _quantifier_candidates(e, scope, fast)
-        if isinstance(g, Exists):
-            for x in candidates:
-                scope[g.var] = x
-                if rec(g.body, scope):
-                    del scope[g.var]
-                    return True
-            scope.pop(g.var, None)
-            return False
+        candidates = orbit_reps(e, scope.values()) if fast else e.nodes()
+        # Exists stops at the first true body, Forall at the first false one.
+        stop = isinstance(g, Exists)
+        outer = scope.get(g.var)
+        result = not stop
         for x in candidates:
             scope[g.var] = x
-            if not rec(g.body, scope):
-                del scope[g.var]
-                return False
-        scope.pop(g.var, None)
-        return True
+            if rec(g.body, scope) == stop:
+                result = stop
+                break
+        if outer is None:
+            scope.pop(g.var, None)
+        else:
+            scope[g.var] = outer
+        return result
 
     return rec(f, env)
 

@@ -21,6 +21,8 @@ from treeplan import (
     TreePlan,
     parse_plan,
 )
+from treeplan.closure import tuple_code
+from treeplan.trees import meet_nodes
 
 PLAN_TEXTS = {
     "A": "(1 (inf))",
@@ -163,3 +165,43 @@ def random_embedding(rng: random.Random, em, en) -> dict[Node, Node]:
 def random_subset(rng: random.Random, pool, max_size: int):
     size = rng.randint(0, min(max_size, len(pool)))
     return frozenset(rng.sample(list(pool), size))
+
+
+def orbit_reps_bruteforce(e, picks) -> list[Node]:
+    """Orbit representatives by scanning the universe: the first node of each
+    labeled quantifier-free type over the picks, in node order."""
+    picks = tuple(picks)
+    seen: set[str] = set()
+    reps: list[Node] = []
+    for x in e.nodes():
+        code = tuple_code(e, picks + (x,))
+        if code not in seen:
+            seen.add(code)
+            reps.append(x)
+    return reps
+
+
+def orbit_bruteforce(e, a: Node, members) -> frozenset[Node]:
+    """The nodes whose labeled quantifier-free type over the members is that of ``a``."""
+    params = tuple(sorted(set(members)))
+    target = tuple_code(e, (a,) + params)
+    return frozenset(x for x in e.nodes() if tuple_code(e, (x,) + params) == target)
+
+
+def partial_isomorphism_cubic(picks_left, picks_right) -> bool:
+    """The pick correspondence test, checking every meet against every pick."""
+    pairs = [(ROOT, ROOT)] + list(zip(picks_left, picks_right))
+    for a, b in pairs:
+        if a.plan_path != b.plan_path:
+            return False
+        for a2, b2 in pairs:
+            if (a == a2) != (b == b2):
+                return False
+            if a.is_prefix_of(a2) != b.is_prefix_of(b2):
+                return False
+            if (a.parent() == a2) != (b.parent() == b2):
+                return False
+            for a3, b3 in pairs:
+                if (meet_nodes(a, a2) == a3) != (meet_nodes(b, b2) == b3):
+                    return False
+    return True

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from treeplan import (
+    DomainError,
     ROOT,
     anchor,
     downset,
@@ -13,6 +14,8 @@ from treeplan import (
     parse_node,
     tcl,
 )
+
+from treeplan.closure import orbit_reps
 
 from conftest import PLANS, random_subset
 
@@ -136,3 +139,34 @@ class TestOrbit:
             else:
                 assert sizes[0] >= 2
                 assert sizes[0] < sizes[1] < sizes[2]
+
+
+class TestOrbitReps:
+    def test_least_free_tag(self):
+        e = expand(PLANS["B"], 3)
+        reps = orbit_reps(e, [node("0:1/0:0")])
+        expected = ["eps", "0:0", "0:0/0:0", "0:1", "0:1/0:0", "0:1/0:1"]
+        assert reps == [node(t) for t in expected]
+
+    def test_full_fiber_has_no_free_orbit(self):
+        e = expand(PLANS["A"], 2)
+        assert orbit_reps(e, [node("0:0"), node("0:1")]) == [
+            node("eps"), node("0:0"), node("0:1")
+        ]
+
+    def test_singleton_descendants_follow(self):
+        e = expand(PLANS["inf_one_inf"], 3)
+        assert orbit_reps(e, []) == [
+            node("eps"), node("0:0"), node("0:0/0:*"), node("0:0/0:*/0:0")
+        ]
+
+    def test_independent_of_size(self):
+        members = [node("0:0/0:1"), node("0:2")]
+        small = orbit_reps(expand(PLANS["B"], 4), members)
+        large = orbit_reps(expand(PLANS["B"], 30), members)
+        assert small == large
+
+    def test_unknown_member(self):
+        e = expand(PLANS["A"], 2)
+        with pytest.raises(DomainError):
+            orbit_reps(e, [node("0:5")])

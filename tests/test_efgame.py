@@ -63,6 +63,14 @@ class TestGameWon:
         )
         assert not partial_isomorphism(state.picks_left, state.picks_right)
 
+    def test_meets_off_the_picks_may_differ_in_depth(self):
+        # Only meets that land on a pick (or the root) are compared, so a
+        # meet at depth 1 may answer a meet at depth 2.
+        left = (node("0:0/0:0/0:0"), node("0:0/0:1/0:0"))
+        right = (node("0:0/0:0/0:0"), node("0:0/0:0/0:1"))
+        assert partial_isomorphism(left, right)
+        assert not partial_isomorphism(left + (node("0:0"),), right + (node("0:0"),))
+
 
 class TestDuplicator:
     def test_answers_root_with_root(self):
@@ -89,7 +97,25 @@ class TestDuplicator:
         assert first.parent() == second.parent() == node("eps")
 
 
+class ScriptedSpoiler:
+    def __init__(self, moves):
+        self.moves = [(side, node(text)) for side, text in moves]
+
+    def pick(self, state):
+        return self.moves[len(state.picks_left)]
+
+
 class TestPlay:
+    def test_pick_below_singleton_child_is_replayed(self):
+        # The first pick pulls 0:0/0:* into the embedding as the singleton
+        # child of 0:0; the replay must still map the pick above it, so the
+        # second pick gets a fresh answer.
+        p = PLANS["inf_one_inf"]
+        n0 = size_threshold(p, 2)
+        spoiler = ScriptedSpoiler([("R", "0:0/0:*/0:0"), ("R", "0:0/0:*/0:1")])
+        out = play(expand(p, n0), expand(p, n0 + 1), 2, spoiler, ClosureDuplicator())
+        assert out.transcript.endswith("winner=D\n")
+
     def test_zero_rounds(self):
         out = play(
             expand(PLANS["A"], 1),

@@ -140,6 +140,27 @@ class TestEvaluate:
         assert evaluate(e, parse_formula("meet(u, v) = pred(u)"), env)
         assert evaluate(e, parse_formula("pred^2(u) = eps"), env)
 
+    @pytest.mark.parametrize("fast", [False, True])
+    def test_inner_quantifier_restores_outer_binding(self, fast):
+        e = expand(PLANS["A"], 2)
+        f = parse_formula("exists x. (exists x. P[0](x)) & x = eps")
+        assert evaluate(e, f, fast=fast)
+
+    @pytest.mark.parametrize("fast", [False, True])
+    def test_quantifier_over_env_variable(self, fast):
+        e = expand(PLANS["A"], 2)
+        env = {"x": ROOT}
+        assert evaluate(e, parse_formula("(exists x. P[0](x)) & x = eps"), env, fast=fast)
+        assert not evaluate(e, parse_formula("(forall x. P[0](x)) | !(x = eps)"), env, fast=fast)
+        assert env == {"x": ROOT}
+
+    def test_fast_ranges_over_every_env_orbit(self):
+        e = expand(PLANS["A"], 3)
+        env = {"x": node("0:1"), "y": node("0:2")}
+        f = parse_formula("exists x. x = y")
+        assert evaluate(e, f, env, fast=True)
+        assert evaluate(e, f, {"y": node("0:2")}, fast=True)
+
     @pytest.mark.parametrize("name", ["A", "C", "D", "inf_one"])
     def test_fast_matches_plain(self, name):
         e = expand(PLANS[name], 3)

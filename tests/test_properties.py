@@ -7,6 +7,7 @@ from treeplan import (
     STAR,
     anchor,
     canonical,
+    evaluate,
     expand,
     formula_text,
     format_node,
@@ -17,14 +18,25 @@ from treeplan import (
     parse_formula,
     parse_node,
     parse_plan,
+    partial_isomorphism,
     plan_text,
     poly_P,
     tcl,
 )
+from treeplan.closure import orbit_reps
 from treeplan.counting import Polynomial
+from treeplan.logic import free_vars
 from treeplan.trees import FiniteTree
 
-from conftest import brute_force_isomorphic, lcp_oracle
+from conftest import (
+    PLANS,
+    brute_force_isomorphic,
+    lcp_oracle,
+    orbit_bruteforce,
+    orbit_reps_bruteforce,
+    partial_isomorphism_cubic,
+    random_embedding,
+)
 
 
 @st.composite
@@ -200,3 +212,109 @@ def test_plan_text_roundtrip(p):
 def test_formula_render_parse_roundtrip(text):
     f = parse_formula(text)
     assert parse_formula(formula_text(f)) == f
+
+
+# --------------------------------------------------------------------------
+# Fast paths against their brute-force oracles
+
+
+@st.composite
+def corpus_expansions(draw, max_n=4):
+    p = PLANS[draw(st.sampled_from(sorted(PLANS)))]
+    return expand(p, draw(st.integers(min_value=1, max_value=max_n)))
+
+
+@st.composite
+def pick_tuples(draw, e, max_size=3):
+    """Up to ``max_size`` picks; the root and repeats come up often."""
+    nodes = e.nodes()
+    picks = draw(st.lists(st.sampled_from(nodes), max_size=max_size))
+    if picks and draw(st.booleans()):
+        picks[-1] = draw(st.sampled_from([ROOT, picks[0]]))
+    return tuple(picks)
+
+
+@given(corpus_expansions(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_orbit_reps_match_the_scan(e, data):
+    picks = data.draw(pick_tuples(e))
+    assert orbit_reps(e, picks) == orbit_reps_bruteforce(e, picks)
+
+
+@given(corpus_expansions(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_orbit_matches_the_type_filter(e, data):
+    members = data.draw(pick_tuples(e))
+    a = data.draw(st.sampled_from(e.nodes()))
+    assert orbit(e, a, members) == orbit_bruteforce(e, a, members)
+
+
+@given(corpus_expansions(max_n=3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_partial_isomorphism_matches_the_cubic_check(left, data):
+    right = expand(left.plan, data.draw(st.integers(left.n, left.n + 1)))
+    picks_left = data.draw(pick_tuples(left, max_size=4))
+    mode = data.draw(st.sampled_from(["embedding", "fiber", "any"]))
+    if mode == "embedding":
+        # Images under an embedding: isomorphic, unless perturbed.
+        f = random_embedding(data.draw(st.randoms(use_true_random=False)), left, right)
+        picks_right = [f[a] for a in picks_left]
+        if picks_right and data.draw(st.booleans()):
+            i = data.draw(st.integers(0, len(picks_right) - 1))
+            picks_right[i] = data.draw(st.sampled_from(right.nodes()))
+    elif mode == "fiber":
+        # Same labels, tags redrawn: meets move while labels still agree.
+        picks_right = [
+            data.draw(st.sampled_from(right.fiber(a.plan_path))) for a in picks_left
+        ]
+    else:
+        picks_right = list(data.draw(pick_tuples(right, max_size=4)))
+    expected = partial_isomorphism_cubic(picks_left, picks_right)
+    assert partial_isomorphism(picks_left, tuple(picks_right)) == expected
+
+
+@st.composite
+def shadowing_formulas(draw, p, quantifiers=2):
+    """Formula texts over ``x`` and ``y`` only, so inner quantifiers often
+    re-bind a variable that is bound outside."""
+    labels = [".".join(map(str, sigma)) for sigma in p.sorted_nodes()]
+
+    def term(depth=1):
+        kind = draw(st.integers(0, 3 if depth else 1))
+        if kind == 0:
+            return draw(st.sampled_from(["x", "y"]))
+        if kind == 1:
+            return "eps"
+        if kind == 2:
+            return f"pred({term(depth - 1)})"
+        return f"meet({term(depth - 1)}, {term(depth - 1)})"
+
+    def formula(depth, left):
+        kind = draw(st.integers(0, 6 if depth else 2))
+        if kind == 0:
+            return f"{term()} = {term()}"
+        if kind == 1:
+            return f"{term()} <= {term()}"
+        if kind == 2:
+            return f"P[{draw(st.sampled_from(labels))}]({term()})"
+        if kind == 3:
+            return f"!({formula(depth - 1, left)})"
+        if kind == 4:
+            return f"({formula(depth - 1, left)}) & ({formula(depth - 1, left)})"
+        if kind == 5 or not left:
+            return f"({formula(depth - 1, left)}) | ({formula(depth - 1, left)})"
+        q = draw(st.sampled_from(["exists", "forall"]))
+        v = draw(st.sampled_from(["x", "y"]))
+        return f"{q} {v}. {formula(depth - 1, left - 1)}"
+
+    return parse_formula(formula(3, quantifiers))
+
+
+@given(corpus_expansions(max_n=3), st.data())
+@settings(max_examples=100, deadline=None)
+def test_fast_evaluation_matches_plain(e, data):
+    f = data.draw(shadowing_formulas(e.plan))
+    # Bind the free variables, and sometimes a bound one as well.
+    names = sorted(free_vars(f) | data.draw(st.sets(st.sampled_from(["x", "y"]))))
+    env = {v: data.draw(st.sampled_from(e.nodes())) for v in names}
+    assert evaluate(e, f, env, fast=True) == evaluate(e, f, env)
