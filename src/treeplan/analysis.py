@@ -7,9 +7,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .closure import NodeSet, anchor_in, orbit, tcl, tuple_code
+from .closure import NodeSet, anchor_in, close_pair, least_free_child, orbit, tcl, tuple_code
 from .errors import CapacityError, DomainError, InferenceError
-from .plan import Expansion, TreePlan, expand, make_plan
+from .plan import Expansion, TreePlan, expand, make_plan, parse_plan
 from .trees import (
     FiniteTree,
     Node,
@@ -51,19 +51,6 @@ def _check_partial_embedding(dst: Expansion, f: dict[Node, Node]) -> None:
                 raise DomainError(f"map breaks pred at {a}")
 
 
-def _one_close_pairs(dst: Expansion, f: dict[Node, Node], u: Node, v: Node):
-    stack = [(u, v)]
-    while stack:
-        cu, cv = stack.pop()
-        for tau in dst.plan.children(cu.plan_path):
-            if tau in dst.plan.inf_nodes:
-                continue
-            nu, nv = cu.child(tau[-1], STAR), cv.child(tau[-1], STAR)
-            if nu not in f:
-                f[nu] = nv
-                stack.append((nu, nv))
-
-
 def extend_embedding(
     src: Expansion,
     closed: NodeSet,
@@ -95,20 +82,13 @@ def extend_embedding(
         # Mark-1 nodes above the base already belong to its closure.
         return dict(f)
     d = f[c.parent()]
-    used = set(f.values())
-    fresh = None
-    for t in range(dst.n):
-        cand = d.child(branch, t)
-        if cand not in used:
-            fresh = cand
-            break
+    fresh = least_free_child(dst, d, branch, set(f.values()))
     if fresh is None:
         raise CapacityError(
             f"no fresh sibling under {format_node(d)} for branch {branch}"
         )
     out = dict(f)
-    out[c] = fresh
-    _one_close_pairs(dst, out, c, fresh)
+    close_pair(dst.plan, out, c, fresh)
     return out
 
 
@@ -178,7 +158,7 @@ def automorphism_over(
                 return None
             f[u] = v
     for u, v in list(f.items()):
-        _one_close_pairs(e, f, u, v)
+        close_pair(e.plan, f, u, v)
     if len(set(f.values())) != len(f):
         return None
     return extend_to_automorphism(e, f)
@@ -204,12 +184,6 @@ class Amalgam:
         common = set(self.j1.values()) & set(self.j2.values())
         base_image = {self.j1[f1[a]] for a in self.base.nodes()}
         return common == base_image
-
-
-def _retag(node: Node, tag_map) -> Node:
-    return Node(
-        tuple((br, STAR if t is STAR else tag_map(t)) for br, t in node.segs)
-    )
 
 
 def amalgamate(
@@ -239,7 +213,7 @@ def amalgamate(
         return t if t < n0 else t + n1
 
     j1 = {a: g1[a] for a in left.nodes()}
-    j2 = {a: _retag(g2[a], shift) for a in right.nodes()}
+    j2 = {a: g2[a].retag(shift) for a in right.nodes()}
     return Amalgam(base, left, right, target, j1, j2)
 
 
@@ -295,9 +269,9 @@ def _infer_known(t1: FiniteTree, t2: FiniteTree, n: int) -> TreePlan:
                 sub = _infer_known(rep1, rep2, n)
             except InferenceError:
                 continue
-            if canonical(_expand_tree(sub, n)).code != code1:
+            if canonical(expand(sub, n).tree).code != code1:
                 continue
-            if canonical(_expand_tree(sub, n + 1)).code != code2:
+            if canonical(expand(sub, n + 1).tree).code != code2:
                 continue
             edges[(i, j)] = (sub, k, m)
 
@@ -325,10 +299,6 @@ def _infer_known(t1: FiniteTree, t2: FiniteTree, n: int) -> TreePlan:
     return _assemble([edges[(i, assignment[i])] for i in range(len(classes1))])
 
 
-def _expand_tree(p: TreePlan, n: int) -> FiniteTree:
-    return expand(p, n).tree
-
-
 def infer_plan(t1: FiniteTree, t2: FiniteTree) -> TreePlan:
     """Reconstruct a plan from samples presumed built at consecutive sizes.
 
@@ -346,8 +316,8 @@ def infer_plan(t1: FiniteTree, t2: FiniteTree) -> TreePlan:
         except InferenceError as err:
             errors.append(f"n={n}: {err}")
             continue
-        if canonical(_expand_tree(p, n)).code == shape1 and (
-            canonical(_expand_tree(p, n + 1)).code == shape2
+        if canonical(expand(p, n).tree).code == shape1 and (
+            canonical(expand(p, n + 1).tree).code == shape2
         ):
             return p
         errors.append(f"n={n}: reconstruction does not reproduce the samples")
@@ -405,9 +375,10 @@ def check_dividing(
     """Decide whether the type of ``a`` over B divides over C.
 
     It does exactly when ``a`` is outside the closure of C and some
-    replicated node of the closure of B, itself outside the closure of C,
-    sits on the path between the C-anchor of ``a`` (exclusive) and ``a``
-    (inclusive).  The witness comes with its conjugate family over C and a
+    replicated node of the closure of B, itself outside the closure of C
+    and with a conjugate over C other than itself, sits on the path
+    between the C-anchor of ``a`` (exclusive) and ``a`` (inclusive).  The
+    witness comes with its conjugate family over C and a
     pairwise-disjointness check of the corresponding instance sets.
     """
     set_b = frozenset(members_b)
@@ -420,15 +391,14 @@ def check_dividing(
         return DividingVerdict(False)
     closed_b = tcl(e, set_b)
     anchor_c = anchor_in(closed_c, a)
-    witness = None
     for i in range(anchor_c.depth + 1, a.depth + 1):
-        cand = a.prefix(i)
-        if cand in closed_b and cand not in closed_c and e.mark_is_inf(cand):
-            witness = cand
-            break
-    if witness is None:
+        witness = a.prefix(i)
+        if witness in closed_b and witness not in closed_c and e.mark_is_inf(witness):
+            family = orbit(e, witness, set_c)
+            if len(family) >= 2:
+                break
+    else:
         return DividingVerdict(False)
-    family = orbit(e, witness, set_c)
     k = a.depth - witness.depth
     sets = [instance_solutions(e, w, k) for w in sorted(family)]
     disjoint = all(
@@ -444,8 +414,11 @@ def check_dividing(
 
 
 def parse_tree_text(text: str) -> FiniteTree:
-    """Parse either the parenthesized grammar (marks ignored) or a
-    node-per-line parent-index list."""
+    """Parse either the plan grammar or a node-per-line parent-index list.
+
+    Marks in the plan grammar are checked, then ignored: every node becomes
+    a star-tagged node on its branch path.
+    """
     body = []
     for line in text.splitlines():
         cut = line.find("#")
@@ -454,49 +427,9 @@ def parse_tree_text(text: str) -> FiniteTree:
     if not cleaned:
         raise DomainError("empty tree input")
     if cleaned.startswith("("):
-        return _parse_tree_paren(cleaned)
+        plan = parse_plan(cleaned)
+        return FiniteTree(Node(tuple((b, STAR) for b in sigma)) for sigma in plan.nodes)
     return _parse_parent_list(cleaned)
-
-
-def _parse_tree_paren(src: str) -> FiniteTree:
-    nodes: list[Node] = []
-    pos = 0
-
-    def skip_ws():
-        nonlocal pos
-        while pos < len(src) and src[pos].isspace():
-            pos += 1
-
-    def parse(at: Node):
-        nonlocal pos
-        skip_ws()
-        if pos >= len(src) or src[pos] != "(":
-            raise DomainError(f"expected '(' at position {pos}")
-        pos += 1
-        skip_ws()
-        if src.startswith("inf", pos):
-            pos += 3
-        elif pos < len(src) and src[pos] == "1":
-            pos += 1
-        nodes.append(at)
-        branch = 0
-        while True:
-            skip_ws()
-            if pos < len(src) and src[pos] == "(":
-                parse(at.child(branch, STAR))
-                branch += 1
-            else:
-                break
-        skip_ws()
-        if pos >= len(src) or src[pos] != ")":
-            raise DomainError(f"expected ')' at position {pos}")
-        pos += 1
-
-    parse(ROOT)
-    skip_ws()
-    if pos != len(src):
-        raise DomainError("trailing input after tree")
-    return FiniteTree(nodes)
 
 
 def _parse_parent_list(src: str) -> FiniteTree:

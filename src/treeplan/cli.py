@@ -1,7 +1,8 @@
 """Command-line surface: batch verification and report generation.
 
-Exit codes: 0 pass, 1 property failure, 2 parse/usage error, 3 budget
-exceeded, 4 inference inconsistency.
+Exit codes: 0 pass, 1 property failure, 2 parse/usage error (also for
+undecodable or too deeply nested input), 3 budget exceeded, 4 inference
+inconsistency.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import (
     UnboundVariableError,
 )
 from .plan import TreePlan, expand, parse_plan, plan_text
-from .trees import format_node, parse_node
+from .trees import format_node, parse_node, path_text
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -30,9 +31,16 @@ EXIT_BUDGET = 3
 EXIT_INFER = 4
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as err:
+        raise DomainError(f"{path} is not UTF-8 text: {err.reason} at byte {err.start}") from None
+
+
 def _read_plan(path: str) -> TreePlan:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_plan(fh.read())
+    return parse_plan(_read_text(path))
 
 
 def _emit(text: str, out: Optional[str]):
@@ -67,11 +75,9 @@ def cmd_expand(args) -> int:
     e = expand(p, args.n, budget=args.budget)
     lines = ["kind,node,value"]
     for v in e.nodes():
-        pi = ".".join(map(str, v.plan_path)) or "<>"
-        lines.append(f"node,{format_node(v)},{pi}")
+        lines.append(f"node,{format_node(v)},{path_text(v.plan_path) or '<>'}")
     for sigma in p.sorted_nodes():
-        path = ".".join(map(str, sigma)) or "<>"
-        lines.append(f"fiber,{path},{len(e.fiber(sigma))}")
+        lines.append(f"fiber,{path_text(sigma) or '<>'},{len(e.fiber(sigma))}")
     _emit(_csv_or_pretty("\n".join(lines) + "\n", args.pretty), args.out)
     return EXIT_PASS
 
@@ -122,7 +128,10 @@ def cmd_asymptotic(args) -> int:
     free = sorted(logic.free_vars(f))
     if len(free) != 1:
         raise DomainError("the asymptotic check needs exactly one free variable")
-    ladder = [int(part) for part in args.ladder.split(",") if part.strip()]
+    try:
+        ladder = [int(part) for part in args.ladder.split(",") if part.strip()]
+    except ValueError:
+        raise DomainError(f"ladder sizes must be integers: {args.ladder!r}") from None
     report = logic.asymptotic_check(
         p, f, free[0], ladder=ladder, tol=args.tol, budget=args.budget, fast=True
     )
@@ -131,10 +140,8 @@ def cmd_asymptotic(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    with open(args.tree1, "r", encoding="utf-8") as fh:
-        t1 = analysis.parse_tree_text(fh.read())
-    with open(args.tree2, "r", encoding="utf-8") as fh:
-        t2 = analysis.parse_tree_text(fh.read())
+    t1 = analysis.parse_tree_text(_read_text(args.tree1))
+    t2 = analysis.parse_tree_text(_read_text(args.tree2))
     p = analysis.infer_plan(t1, t2)
     _emit(plan_text(p) + "\n", args.out)
     return EXIT_PASS
@@ -238,6 +245,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_INFER
     except (DomainError, UnboundVariableError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_PARSE
+    except RecursionError:
+        # Parsers and tree walks recurse once per level of a plan, tree or formula.
+        print("error: input nested too deeply", file=sys.stderr)
         return EXIT_PARSE
     except TreePlanError as err:
         print(f"error: {err}", file=sys.stderr)

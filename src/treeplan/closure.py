@@ -8,27 +8,21 @@ that depends on the closure and the plan but not on the size ``n``.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Container, Iterable, Optional
 
 from .errors import DomainError
-from .plan import Expansion
-from .trees import STAR, Node, PlanPath, ROOT, qftp
+from .plan import Expansion, TreePlan
+from .trees import STAR, Node, PlanPath, ROOT, prefixes, qftp
 
 NodeSet = frozenset[Node]
 
 
 def downset(e: Expansion, members: Iterable[Node]) -> NodeSet:
-    """All prefixes of the given nodes, members included.
-
-    The root belongs to the downset of any non-empty set, being below
-    everything.
-    """
-    out: set[Node] = set()
-    for b in members:
-        e.tree.require(b)
-        for i in range(b.depth + 1):
-            out.add(b.prefix(i))
-    return frozenset(out)
+    """All prefixes of the given nodes of ``e``, members included
+    (:func:`~treeplan.trees.prefixes`, after checking membership)."""
+    members = list(members)
+    e.tree.require(*members)
+    return prefixes(members)
 
 
 def tcl(e: Expansion, members: Iterable[Node]) -> NodeSet:
@@ -63,8 +57,9 @@ def anchor(e: Expansion, a: Node, members: Iterable[Node]) -> Node:
     return anchor_in(closed, a)
 
 
-def anchor_in(closed: NodeSet, a: Node) -> Node:
-    """Anchor of ``a`` relative to an already-computed closed set."""
+def anchor_in(closed: Container[Node], a: Node) -> Node:
+    """Anchor of ``a`` relative to an already-computed closed set: its
+    longest prefix in ``closed`` (a set, or the domain of a map)."""
     for i in range(a.depth, -1, -1):
         p = a.prefix(i)
         if p in closed:
@@ -105,13 +100,44 @@ def orbit_reps(e: Expansion, members: Iterable[Node]) -> list[Node]:
         for tau in e.plan.children(c.plan_path):
             if tau not in e.plan.inf_nodes:
                 continue
-            branch = tau[-1]
-            tag = 0
-            while tag < e.n and c.child(branch, tag) in closed:
-                tag += 1
-            if tag < e.n:
-                _add_least_above(e, c.child(branch, tag), tau, reps)
+            fresh = least_free_child(e, c, tau[-1], closed)
+            if fresh is not None:
+                _add_least_above(e, fresh, tau, reps)
     return sorted(reps, key=Node.sort_key)
+
+
+def least_free_child(
+    e: Expansion, v: Node, branch: int, taken: Container[Node]
+) -> Optional[Node]:
+    """The child of ``v`` on the replicated ``branch`` with the least tag
+    outside ``taken``; None when all ``n`` of them are taken."""
+    for tag in range(e.n):
+        cand = v.child(branch, tag)
+        if cand not in taken:
+            return cand
+    return None
+
+
+def close_pair(plan: TreePlan, f: dict[Node, Node], u: Node, v: Node) -> list[Node]:
+    """Map ``u`` to ``v`` in ``f``, then every singleton-branch node above
+    a newly mapped node to the matching node above its image.
+
+    Nodes already in ``f`` keep their images.  Returns the images added.
+    """
+    f[u] = v
+    added = [v]
+    stack = [(u, v)]
+    while stack:
+        cu, cv = stack.pop()
+        for tau in plan.children(cu.plan_path):
+            if tau in plan.inf_nodes:
+                continue
+            nu, nv = cu.child(tau[-1], STAR), cv.child(tau[-1], STAR)
+            if nu not in f:
+                f[nu] = nv
+                added.append(nv)
+                stack.append((nu, nv))
+    return added
 
 
 def _add_least_above(e: Expansion, v: Node, sigma: PlanPath, out: set[Node]) -> None:

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .errors import DomainError
 from .plan import Expansion, TreePlan, expand, inf_count, plan_text, subplan
-from .trees import Node, PlanPath
+from .trees import Node, PlanPath, path_text
 
 
 class Polynomial:
@@ -222,10 +222,6 @@ class CountReport:
         return buf.getvalue()
 
 
-def _path_text(sigma: PlanPath) -> str:
-    return ".".join(map(str, sigma)) if sigma else "<>"
-
-
 def verify_P(p: TreePlan, n_max: int, budget: Optional[int] = None) -> CountReport:
     """Check the size identity exactly for every ``n`` in ``1..n_max``."""
     if n_max < 1:
@@ -266,7 +262,7 @@ def verify_Q(p: TreePlan, n_max: int, budget: Optional[int] = None) -> CountRepo
             predicted = poly_Q(p, sigma)(n)
             rows.append(
                 CountRow(
-                    text, f"Q[{_path_text(sigma)}]", n, observed, predicted,
+                    text, f"Q[{path_text(sigma) or '<>'}]", n, observed, predicted,
                     observed == predicted,
                 )
             )
@@ -281,7 +277,7 @@ def verify_Q(p: TreePlan, n_max: int, budget: Optional[int] = None) -> CountRepo
                 rows.append(
                     CountRow(
                         text,
-                        f"Qrel[{_path_text(sigma)}->{_path_text(sigma_p)}]@{b}",
+                        f"Qrel[{path_text(sigma) or '<>'}->{path_text(sigma_p) or '<>'}]@{b}",
                         n,
                         observed,
                         predicted,

@@ -14,12 +14,12 @@ degrades to a seeded random player and says so.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
-from .closure import orbit_reps, tuple_code
+from .closure import anchor_in, close_pair, least_free_child, orbit_reps, tuple_code
 from .errors import BudgetError, DomainError
-from .plan import Expansion, plan_canonical
+from .plan import Expansion, TreePlan
 from .trees import Node, ROOT, STAR, format_node, meet_nodes
 
 
@@ -30,6 +30,16 @@ class GameState:
     picks_left: tuple[Node, ...] = ()
     picks_right: tuple[Node, ...] = ()
     rounds_left: int = 0
+
+    def after(self, left: Node, right: Node) -> "GameState":
+        """The state after one round that picked ``left`` and ``right``."""
+        return GameState(
+            self.left,
+            self.right,
+            self.picks_left + (left,),
+            self.picks_right + (right,),
+            self.rounds_left - 1,
+        )
 
 
 def partial_isomorphism(
@@ -77,43 +87,15 @@ def game_won(state: GameState) -> bool:
 # The duplicator
 
 
-def _one_close(e: Expansion, f: dict[Node, Node], img: set[Node], u: Node, v: Node):
-    # Pull every singleton-branch child of a mapped node into the embedding.
-    stack = [(u, v)]
-    while stack:
-        cu, cv = stack.pop()
-        for tau in e.plan.children(cu.plan_path):
-            if tau in e.plan.inf_nodes:
-                continue
-            nu, nv = cu.child(tau[-1], STAR), cv.child(tau[-1], STAR)
-            if nu not in f:
-                f[nu] = nv
-                img.add(nv)
-                stack.append((nu, nv))
-
-
-def _add_pair(e: Expansion, f: dict[Node, Node], img: set[Node], u: Node, v: Node):
-    f[u] = v
-    img.add(v)
-    _one_close(e, f, img, u, v)
-
-
-def _deepest_mapped(f: dict[Node, Node], a: Node) -> Node:
-    for i in range(a.depth, -1, -1):
-        if a.prefix(i) in f:
-            return a.prefix(i)
-    raise DomainError("embedding does not contain the root")
-
-
 def _rebuild_embedding(state: GameState) -> tuple[dict[Node, Node], set[Node], bool]:
     """Replay the pick pairs into the maintained closure embedding.
 
     Returns (map, image, still_sound): the flag drops when the transcript
     is not consistent with any embedding, e.g. after a forced bad pick.
     """
+    plan = state.left.plan
     f: dict[Node, Node] = {}
-    img: set[Node] = set()
-    _add_pair(state.left, f, img, ROOT, ROOT)
+    img = set(close_pair(plan, f, ROOT, ROOT))
     sound = True
     for a, b in zip(state.picks_left, state.picks_right):
         if a in f:
@@ -122,7 +104,7 @@ def _rebuild_embedding(state: GameState) -> tuple[dict[Node, Node], set[Node], b
         if b in img:
             sound = False
             continue
-        pa = _deepest_mapped(f, a)
+        pa = anchor_in(f, a)
         pb = f[pa]
         k = a.depth - pa.depth
         if b.depth - pb.depth != k or not pb.is_prefix_of(b):
@@ -140,7 +122,7 @@ def _rebuild_embedding(state: GameState) -> tuple[dict[Node, Node], set[Node], b
             if u.plan_path != v.plan_path or v in img:
                 ok = False
                 break
-            _add_pair(state.left, f, img, u, v)
+            img.update(close_pair(plan, f, u, v))
         sound = sound and ok
     return f, img, sound
 
@@ -167,7 +149,7 @@ class ClosureDuplicator:
     ) -> Node:
         if node in f:
             return f[node]
-        pa = _deepest_mapped(f, node)
+        pa = anchor_in(f, node)
         v = f[pa]
         used = set(img)
         for d in range(pa.depth + 1, node.depth + 1):
@@ -177,12 +159,7 @@ class ClosureDuplicator:
                 v = v.child(branch, STAR)
                 used.add(v)
                 continue
-            fresh = None
-            for t in range(dst.n):
-                cand = v.child(branch, t)
-                if cand not in used:
-                    fresh = cand
-                    break
+            fresh = least_free_child(dst, v, branch, used)
             if fresh is None:
                 # Capacity exhausted below the threshold; forced into a
                 # (likely losing) repeat, reported rather than masked.
@@ -225,43 +202,26 @@ class _Search:
         hit = self.memo.get(key)
         if hit is not None:
             return hit
-        result = False
-        for side in ("L", "R"):
-            for move in self.candidate_moves(state, side):
-                if self.move_wins(state, side, move):
-                    result = True
-                    break
-            if result:
-                break
+        result = self.winning_move(state) is not None
         self.memo[key] = result
         return result
 
-    def candidate_moves(self, state: GameState, side: str) -> list[Node]:
-        e = state.left if side == "L" else state.right
-        picks = state.picks_left if side == "L" else state.picks_right
-        return orbit_reps(e, picks)
+    def winning_move(self, state: GameState) -> Optional[tuple[str, Node]]:
+        """The first spoiler move, left side first, that wins against every
+        reply; None when there is none.
 
-    def move_wins(self, state: GameState, side: str, move: Node) -> bool:
-        other = state.right if side == "L" else state.left
-        their_picks = state.picks_right if side == "L" else state.picks_left
-        for reply in orbit_reps(other, their_picks):
-            if side == "L":
-                child = replace(
-                    state,
-                    picks_left=state.picks_left + (move,),
-                    picks_right=state.picks_right + (reply,),
-                    rounds_left=state.rounds_left - 1,
-                )
-            else:
-                child = replace(
-                    state,
-                    picks_left=state.picks_left + (reply,),
-                    picks_right=state.picks_right + (move,),
-                    rounds_left=state.rounds_left - 1,
-                )
-            if not self.spoiler_wins(child):
-                return False
-        return True
+        Moves and replies range over the orbit representatives of each
+        side, listed once for the position.
+        """
+        reps_left = orbit_reps(state.left, state.picks_left)
+        reps_right = orbit_reps(state.right, state.picks_right)
+        for move in reps_left:
+            if all(self.spoiler_wins(state.after(move, reply)) for reply in reps_right):
+                return ("L", move)
+        for move in reps_right:
+            if all(self.spoiler_wins(state.after(reply, move)) for reply in reps_left):
+                return ("R", move)
+        return None
 
 
 class ExhaustiveSpoiler:
@@ -269,7 +229,7 @@ class ExhaustiveSpoiler:
 
     ``budget`` bounds the minimax positions visited for one pick: the count
     restarts at every pick, while the memo of solved positions is kept
-    across picks.
+    across picks of games on the same plan.
     """
 
     def __init__(self, budget: int = 100_000, seed: int = 0):
@@ -277,29 +237,27 @@ class ExhaustiveSpoiler:
         self.seed = seed
         self.notes: list[str] = []
         self._search: Optional[_Search] = None
-        self._search_plan: Optional[str] = None
+        self._search_plan: Optional[TreePlan] = None
 
     def _searcher(self, state: GameState) -> _Search:
-        key = plan_canonical(state.left.plan)
-        if self._search is None or self._search_plan != key:
+        # Memo keys name plan nodes, so they are only sound for one plan.
+        if self._search is None or self._search_plan != state.left.plan:
             self._search = _Search(self.budget)
-            self._search_plan = key
+            self._search_plan = state.left.plan
         self._search.visited = 0
         return self._search
 
     def pick(self, state: GameState) -> tuple[str, Node]:
         search = self._searcher(state)
         try:
-            for side in ("L", "R"):
-                for move in search.candidate_moves(state, side):
-                    if search.move_wins(state, side, move):
-                        return (side, move)
-            return ("L", search.candidate_moves(state, "L")[0])
+            move = search.winning_move(state)
         except BudgetError:
             self.notes.append(
                 f"budget {self.budget} exceeded; random fallback with seed {self.seed}"
             )
             return RandomSpoiler(self.seed + len(state.picks_left)).pick(state)
+        # Without a winning move every pick loses; the root is the least one.
+        return move if move is not None else ("L", ROOT)
 
 
 class RandomSpoiler:
@@ -369,20 +327,7 @@ def play(left: Expansion, right: Expansion, k: int, spoiler, duplicator) -> Outc
             lines.append(f"{r};{answer_side};<illegal {format_node(answer)}>")
             break
         lines.append(f"{r};{answer_side};{format_node(answer)}")
-        if side == "L":
-            state = replace(
-                state,
-                picks_left=state.picks_left + (node,),
-                picks_right=state.picks_right + (answer,),
-                rounds_left=state.rounds_left - 1,
-            )
-        else:
-            state = replace(
-                state,
-                picks_left=state.picks_left + (answer,),
-                picks_right=state.picks_right + (node,),
-                rounds_left=state.rounds_left - 1,
-            )
+        state = state.after(node, answer) if side == "L" else state.after(answer, node)
     if winner is None:
         winner = "D" if game_won(state) else "S"
     for agent in (spoiler, duplicator):

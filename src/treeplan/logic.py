@@ -21,15 +21,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
-from .closure import anchor_in, orbit_reps, tcl
-from .counting import DimMeasure, dim_measure, poly_P, poly_Q_rel
+from .closure import anchor_in, downset, orbit_reps, tcl
+from .counting import dim_measure, poly_P, poly_Q_rel
 from .errors import (
     DomainError,
     FormulaSyntaxError,
     UnboundVariableError,
 )
 from .plan import Expansion, TreePlan, ell, expand, height
-from .trees import Node, PlanPath, ROOT, meet_nodes
+from .trees import Node, PlanPath, ROOT, meet_nodes, path_text
 
 # --------------------------------------------------------------------------
 # Abstract syntax
@@ -315,10 +315,6 @@ def _term_text(t: Term) -> str:
     return f"meet({_term_text(t.left)}, {_term_text(t.right)})"
 
 
-def _path_text(path: PlanPath) -> str:
-    return ".".join(map(str, path))
-
-
 def formula_text(f: Formula, _prec: int = 0) -> str:
     """Concrete syntax that parses back to the same tree."""
 
@@ -330,7 +326,7 @@ def formula_text(f: Formula, _prec: int = 0) -> str:
     if isinstance(f, Leq):
         return f"{_term_text(f.left)} <= {_term_text(f.right)}"
     if isinstance(f, Label):
-        return f"P[{_path_text(f.path)}]({_term_text(f.arg)})"
+        return f"P[{path_text(f.path)}]({_term_text(f.arg)})"
     if isinstance(f, Not):
         if isinstance(f.sub, (Label, Not)):
             return "!" + formula_text(f.sub, 4)
@@ -582,7 +578,7 @@ def principal_formula(e: Expansion, a: Node, members: Iterable[Node]) -> Princip
         )
 
     closed = tcl(e, bs)
-    down = frozenset().union(*[frozenset(b.prefix(i) for i in range(b.depth + 1)) for b in bs]) if bs else frozenset()
+    down = downset(e, bs)
 
     def base_term(node: Node) -> Term:
         if node == ROOT:
@@ -661,10 +657,6 @@ def classify_solutions(
     return frozenset(classes)
 
 
-def class_dim_measure(p: TreePlan, cls: SolutionClass) -> DimMeasure:
-    return dim_measure(p, cls.sigma, cls.sigma_p)
-
-
 def formula_dim_measure(
     p: TreePlan, classes: Iterable[SolutionClass]
 ) -> tuple[Fraction, float]:
@@ -673,7 +665,7 @@ def formula_dim_measure(
     classes = list(classes)
     if not classes:
         return (Fraction(0), 0.0)
-    dms = [(cls, class_dim_measure(p, cls)) for cls in classes]
+    dms = [(cls, dim_measure(p, cls.sigma, cls.sigma_p)) for cls in classes]
     delta = max(dm.delta for _, dm in dms)
     mu = sum(dm.mu for _, dm in dms if dm.delta == delta)
     return (delta, mu)

@@ -9,7 +9,7 @@ per parent and every mark-``1`` node by a single star-tagged copy.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .errors import BudgetError, DomainError, PlanSyntaxError
@@ -32,10 +32,17 @@ def node_budget(override: Optional[int] = None) -> int:
 
 @dataclass(frozen=True)
 class TreePlan:
-    """The pair (node set, set of replicated nodes)."""
+    """The pair (node set, set of replicated nodes).
+
+    The children of every node, in branch order, are computed once at
+    construction.
+    """
 
     nodes: frozenset[PlanPath]
     inf_nodes: frozenset[PlanPath]
+    _children: dict[PlanPath, tuple[PlanPath, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if () not in self.nodes:
@@ -44,13 +51,19 @@ class TreePlan:
             raise DomainError("the plan root must carry mark 1")
         if not self.inf_nodes <= self.nodes:
             raise DomainError("inf-marked paths must be plan nodes")
+        kids: dict[PlanPath, list[PlanPath]] = {sigma: [] for sigma in self.nodes}
         for sigma in self.nodes:
-            if sigma and sigma[:-1] not in self.nodes:
-                raise DomainError(f"plan is not prefix-closed at {sigma}")
-        for sigma in self.nodes:
-            branches = sorted(tau[-1] for tau in self.nodes if tau[:-1] == sigma and tau)
-            if branches != list(range(len(branches))):
+            if sigma:
+                if sigma[:-1] not in kids:
+                    raise DomainError(f"plan is not prefix-closed at {sigma}")
+                kids[sigma[:-1]].append(sigma)
+        for sigma, below in kids.items():
+            below.sort()
+            if [tau[-1] for tau in below] != list(range(len(below))):
                 raise DomainError(f"branch indices below {sigma} are not consecutive")
+        object.__setattr__(
+            self, "_children", {sigma: tuple(below) for sigma, below in kids.items()}
+        )
 
     def __contains__(self, sigma: PlanPath) -> bool:
         return sigma in self.nodes
@@ -63,11 +76,12 @@ class TreePlan:
             raise DomainError(f"unknown plan node {sigma}")
         return sigma in self.inf_nodes
 
-    def children(self, sigma: PlanPath) -> list[PlanPath]:
-        if sigma not in self.nodes:
+    def children(self, sigma: PlanPath) -> tuple[PlanPath, ...]:
+        """The children of ``sigma`` in branch order."""
+        kids = self._children.get(sigma)
+        if kids is None:
             raise DomainError(f"unknown plan node {sigma}")
-        kids = [tau for tau in self.nodes if tau[:-1] == sigma and tau]
-        return sorted(kids)
+        return kids
 
     def sorted_nodes(self) -> list[PlanPath]:
         return sorted(self.nodes)
@@ -282,19 +296,11 @@ def expand(p: TreePlan, n: int, budget: Optional[int] = None) -> Expansion:
                 grow(node.child(branch, STAR), tau)
 
     grow(ROOT, ())
-    return Expansion(p, n, FiniteTree(nodes, size_param=n))
+    return Expansion(p, n, FiniteTree(nodes))
 
 
 def induced_automorphism(e: Expansion, perm: Mapping[int, int]) -> dict[Node, Node]:
     """Automorphism obtained by renaming every non-star tag through ``perm``."""
     if sorted(perm) != list(range(e.n)) or sorted(perm.values()) != list(range(e.n)):
         raise DomainError(f"perm must be a bijection on 0..{e.n - 1}")
-
-    def apply(v: Node) -> Node:
-        return Node(
-            tuple(
-                (branch, STAR if tag is STAR else perm[tag]) for branch, tag in v.segs
-            )
-        )
-
-    return {v: apply(v) for v in e.nodes()}
+    return {v: v.retag(perm.__getitem__) for v in e.nodes()}

@@ -58,6 +58,12 @@ class Node:
     def is_prefix_of(self, other: "Node") -> bool:
         return other.segs[: len(self.segs)] == self.segs
 
+    def retag(self, tag_map: Callable[[int], int]) -> "Node":
+        """The node with every non-star tag renamed through ``tag_map``."""
+        return Node(
+            tuple((branch, STAR if tag is STAR else tag_map(tag)) for branch, tag in self.segs)
+        )
+
     def sort_key(self) -> tuple:
         return tuple(_seg_key(s) for s in self.segs)
 
@@ -75,6 +81,11 @@ class Node:
 
 
 ROOT = Node()
+
+
+def path_text(sigma: PlanPath) -> str:
+    """Branch indices joined by dots; the empty string for the root."""
+    return ".".join(map(str, sigma))
 
 
 def format_node(node: Node) -> str:
@@ -106,15 +117,11 @@ def parse_node(text: str) -> Node:
 
 
 class FiniteTree:
-    """A finite prefix-closed set of nodes; meets and predecessors come for free.
+    """A finite prefix-closed set of nodes; meets and predecessors come for free."""
 
-    ``size_param`` records the ``n`` used to build an expansion, when there
-    is one; plain trees leave it unset.
-    """
+    __slots__ = ("nodes", "_children", "_sorted")
 
-    __slots__ = ("nodes", "size_param", "_children", "_sorted")
-
-    def __init__(self, nodes: Iterable[Node], size_param: Optional[int] = None):
+    def __init__(self, nodes: Iterable[Node]):
         node_set = frozenset(nodes)
         if ROOT not in node_set:
             raise DomainError("a tree must contain the root")
@@ -128,7 +135,6 @@ class FiniteTree:
         for kids in children.values():
             kids.sort()
         self.nodes = node_set
-        self.size_param = size_param
         self._children = children
         self._sorted = sorted(node_set)
 
@@ -206,15 +212,19 @@ def canonical(tree: FiniteTree, use_labels: bool = False) -> CanonicalForm:
     """
     annotate = None
     if use_labels:
-        annotate = lambda v: ".".join(map(str, v.plan_path)) + ";"
+        annotate = lambda v: path_text(v.plan_path) + ";"
     return CanonicalForm(_code_below(tree, ROOT, annotate))
 
 
-def generated_nodes(tup: Iterable[Node]) -> frozenset[Node]:
-    """Substructure generated by a tuple: all prefixes of its entries, plus the root."""
-    out: set[Node] = {ROOT}
-    for a in tup:
-        for i in range(1, a.depth + 1):
+def prefixes(nodes: Iterable[Node]) -> frozenset[Node]:
+    """All prefixes of the given nodes, members included: their downset.
+
+    The root belongs to the downset of any non-empty set, being below
+    everything.
+    """
+    out: set[Node] = set()
+    for a in nodes:
+        for i in range(a.depth + 1):
             out.add(a.prefix(i))
     return frozenset(out)
 
@@ -226,7 +236,6 @@ class TupleType:
 
     code: str
     generated: frozenset[Node] = field(compare=False, hash=False)
-    labeled: bool = field(compare=False, hash=False, default=True)
 
     def __str__(self) -> str:
         return self.code
@@ -240,18 +249,19 @@ def qftp(tree: FiniteTree, tup: tuple[Node, ...], use_labels: bool = True) -> Tu
     plan labels when ``use_labels`` is set).
     """
     tree.require(*tup)
-    gen = generated_nodes(tup)
+    # The generated substructure holds the root even for the empty tuple.
+    gen = prefixes(tup) | {ROOT}
     positions: dict[Node, tuple[int, ...]] = {}
     for i, a in enumerate(tup):
         positions[a] = positions.get(a, ()) + (i,)
     sub = FiniteTree(gen)
 
     def annotate(v: Node) -> str:
-        label = ".".join(map(str, v.plan_path)) if use_labels else ""
+        label = path_text(v.plan_path) if use_labels else ""
         pos = ",".join(map(str, positions.get(v, ())))
         return f"{label}|{pos};"
 
-    return TupleType(_code_below(sub, ROOT, annotate), gen, use_labels)
+    return TupleType(_code_below(sub, ROOT, annotate), gen)
 
 
 def subtree(tree: FiniteTree, at: Node) -> FiniteTree:

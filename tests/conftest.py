@@ -167,6 +167,15 @@ def random_subset(rng: random.Random, pool, max_size: int):
     return frozenset(rng.sample(list(pool), size))
 
 
+def generated_nodes(tup) -> frozenset[Node]:
+    """Substructure generated by a tuple: all prefixes of its entries, plus the root."""
+    out: set[Node] = {ROOT}
+    for a in tup:
+        for i in range(1, a.depth + 1):
+            out.add(a.prefix(i))
+    return frozenset(out)
+
+
 def orbit_reps_bruteforce(e, picks) -> list[Node]:
     """Orbit representatives by scanning the universe: the first node of each
     labeled quantifier-free type over the picks, in node order."""

@@ -6,7 +6,9 @@ from treeplan import (
     CapacityError,
     DomainError,
     InferenceError,
+    PlanSyntaxError,
     ROOT,
+    STAR,
     amalgamate,
     canonical,
     check_dividing,
@@ -216,6 +218,13 @@ class TestCheckDividing:
         verdict = check_dividing(e, node("0:0/0:1"), frozenset(), frozenset())
         assert not verdict.divides
 
+    def test_lone_conjugate_is_no_witness(self):
+        # B fills the fiber of 0:2 over C, so 0:2 is its own only conjugate.
+        e = expand(PLANS["A"], 3)
+        set_c = {node("0:0"), node("0:1")}
+        verdict = check_dividing(e, node("0:2"), set_c | {node("0:2")}, set_c)
+        assert not verdict.divides
+
     def test_requires_containment(self):
         e = expand(PLANS["B"], 2)
         with pytest.raises(DomainError):
@@ -279,6 +288,30 @@ class TestTreeInput:
         t = parse_tree_text("-1\n0\n0\n1\n")
         assert len(t) == 4
         assert canonical(t) == canonical(parse_tree_text("(1 (1 (1)) (1))"))
+
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_paren_text_of_an_expansion(self, name):
+        # Written in the plan grammar with the plan's marks, an expansion
+        # reads back as itself with every tag replaced by the sibling rank.
+        e = expand(PLANS[name], 2)
+
+        def text(v):
+            mark = "inf" if e.mark_is_inf(v) else "1"
+            return f"({mark}" + "".join(" " + text(c) for c in e.tree.children(v)) + ")"
+
+        def star_tagged(v):
+            if not v.segs:
+                return ROOT
+            rank = e.tree.children(v.parent()).index(v)
+            return star_tagged(v.parent()).child(rank, STAR)
+
+        expected = frozenset(star_tagged(v) for v in e.nodes())
+        assert parse_tree_text(text(ROOT)).nodes == expected
+
+    @pytest.mark.parametrize("text", ["(1 () (1))", "(inf (1))", "(1 (1)", "(1 (1)) (1)"])
+    def test_paren_follows_the_plan_grammar(self, text):
+        with pytest.raises(PlanSyntaxError):
+            parse_tree_text(text)
 
     def test_bad_parent(self):
         with pytest.raises(DomainError):

@@ -226,6 +226,43 @@ class TestDividing:
         assert code == 0 and out.strip() == "divides=false"
 
 
+DEEP = "(1 " * 3000 + ")" * 3000
+NOT_UTF8 = b"(1 (\xff))"
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "content, argv",
+        [
+            (DEEP, ["expand", "--plan", "{bad}", "--n", "1"]),
+            (DEEP, ["infer", "{bad}", "{tree}"]),
+            (None, ["check", "--plan", "{plan}", "--n", "1", "--formula", "!" * 3000 + "eps = eps"]),
+            (NOT_UTF8, ["expand", "--plan", "{bad}", "--n", "1"]),
+            (NOT_UTF8, ["infer", "{tree}", "{bad}"]),
+            (None, ["asymptotic", "--plan", "{plan}", "--formula", "P[0](x)", "--ladder", "a,b"]),
+            ("(1 () (1))", ["infer", "{bad}", "{tree}"]),
+            ("(inf (1))", ["infer", "{bad}", "{tree}"]),
+        ],
+        ids=[
+            "deep_plan", "deep_tree", "deep_formula", "non_utf8_plan", "non_utf8_tree",
+            "bad_ladder", "markless_tree", "inf_root_tree",
+        ],
+    )
+    def test_exit_code_without_traceback(self, tmp_path, capsys, content, argv):
+        paths = {"plan": tmp_path / "ok.plan", "tree": tmp_path / "ok.tree", "bad": tmp_path / "bad"}
+        paths["plan"].write_text("(1 (inf))")
+        paths["tree"].write_text("(1 (1) (1))")
+        if isinstance(content, bytes):
+            paths["bad"].write_bytes(content)
+        elif content is not None:
+            paths["bad"].write_text(content)
+        argv = [arg.format(**{k: str(v) for k, v in paths.items()}) for arg in argv]
+        code, _, err = run(capsys, argv)
+        assert code in (2, 3, 4)
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestOutput:
     def test_out_file(self, plan_file, tmp_path, capsys):
         target = tmp_path / "report.csv"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from treeplan import (
@@ -11,11 +13,14 @@ from treeplan import (
     game_value,
     game_won,
     parse_node,
+    parse_plan,
     partial_isomorphism,
     play,
     separating_family,
     size_threshold,
 )
+from treeplan import efgame
+from treeplan.closure import orbit_reps
 
 from conftest import PLANS
 
@@ -70,6 +75,21 @@ class TestGameWon:
         right = (node("0:0/0:0/0:0"), node("0:0/0:0/0:1"))
         assert partial_isomorphism(left, right)
         assert not partial_isomorphism(left + (node("0:0"),), right + (node("0:0"),))
+
+
+class TestGameState:
+    @pytest.mark.parametrize("name", ["A", "B", "inf_one_inf"])
+    def test_after_appends_one_round(self, name):
+        left, right = expand(PLANS[name], 2), expand(PLANS[name], 3)
+        state = GameState(left, right, (node("eps"),), (node("eps"),), 3)
+        a, b = left.nodes()[-1], right.nodes()[-1]
+        expected = replace(
+            state,
+            picks_left=state.picks_left + (a,),
+            picks_right=state.picks_right + (b,),
+            rounds_left=state.rounds_left - 1,
+        )
+        assert state.after(a, b) == expected
 
 
 class TestDuplicator:
@@ -183,6 +203,36 @@ class TestPlay:
             ClosureDuplicator(),
         )
         assert "budget" in out.transcript
+
+
+class TestExhaustiveSpoiler:
+    @pytest.mark.parametrize("n2", [2, 3])
+    def test_reused_on_a_reordered_plan(self, n2):
+        # The two plans are isomorphic with their branches swapped, so a memo
+        # carried over from the first names the wrong nodes in the second.
+        first, second = parse_plan("(1 (inf) (1))"), parse_plan("(1 (1) (inf))")
+        spoiler = ExhaustiveSpoiler()
+        play(expand(first, 1), expand(first, n2), 2, spoiler, ClosureDuplicator())
+        left, right = expand(second, 1), expand(second, n2)
+        reused = play(left, right, 2, spoiler, ClosureDuplicator())
+        fresh = play(left, right, 2, ExhaustiveSpoiler(), ClosureDuplicator())
+        assert reused.transcript == fresh.transcript
+        assert reused.winner == game_value(left, right, 2) == "S"
+
+    def test_representatives_listed_once_per_position(self, monkeypatch):
+        calls = []
+
+        def counted(e, picks):
+            calls.append(picks)
+            return orbit_reps(e, picks)
+
+        monkeypatch.setattr(efgame, "orbit_reps", counted)
+        p = parse_plan("(1 (inf (inf)) (1 (inf)))")
+        left, right = expand(p, 3), expand(p, 4)
+        search = efgame._Search(100_000)
+        assert not search.spoiler_wins(GameState(left, right, (), (), 3))
+        assert len(calls) <= 4 * len(search.memo)
+        assert game_value(left, right, 3) == "D"
 
 
 class TestGameValue:

@@ -7,6 +7,7 @@ from treeplan import (
     STAR,
     anchor,
     canonical,
+    downset,
     evaluate,
     expand,
     formula_text,
@@ -21,6 +22,7 @@ from treeplan import (
     partial_isomorphism,
     plan_text,
     poly_P,
+    qftp,
     tcl,
 )
 from treeplan.closure import orbit_reps
@@ -31,6 +33,7 @@ from treeplan.trees import FiniteTree
 from conftest import (
     PLANS,
     brute_force_isomorphic,
+    generated_nodes,
     lcp_oracle,
     orbit_bruteforce,
     orbit_reps_bruteforce,
@@ -134,6 +137,16 @@ def test_tcl_is_a_closure_operator(e, data):
     assert closed <= tcl(e, big)
     assert tcl(e, closed) == closed
     assert ROOT in closed
+
+
+@given(expansions(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_downset_is_the_generated_substructure(e, data):
+    members = data.draw(node_subsets(e))
+    generated = generated_nodes(members)
+    # They differ only on the empty set, whose downset has no root.
+    assert downset(e, members) == (generated if members else generated - {ROOT})
+    assert qftp(e.tree, tuple(sorted(members))).generated == generated
 
 
 @given(expansions(), st.data())
