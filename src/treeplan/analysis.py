@@ -77,10 +77,6 @@ def extend_embedding(
     if c in closed:
         return dict(f)
     branch = c.segs[-1][0]
-    tau = c.plan_path
-    if tau not in src.plan.inf_nodes:
-        # Mark-1 nodes above the base already belong to its closure.
-        return dict(f)
     d = f[c.parent()]
     fresh = least_free_child(dst, d, branch, set(f.values()))
     if fresh is None:
@@ -95,18 +91,23 @@ def extend_embedding(
 def extend_to_automorphism(e: Expansion, f: dict[Node, Node]) -> dict[Node, Node]:
     """Grow a tree-closed partial embedding of ``e`` into itself until total.
 
-    Always succeeds: fibers on both sides have equal size, so a fresh
-    sibling exists at every step; a total injection of a finite structure
-    into itself is onto.
+    Each unmapped node, in node order, goes to the least fresh sibling
+    under the image of its predecessor, as :func:`extend_embedding` would
+    map it, and the closure above it follows.  Always succeeds: fibers on
+    both sides have equal size, so a fresh sibling exists at every step; a
+    total injection of a finite structure into itself is onto.
     """
+    closed = frozenset(f)
+    if tcl(e, closed) != closed:
+        raise DomainError("base set is not tree-closed")
+    _check_partial_embedding(e, f)
     out = dict(f)
-    closed = frozenset(out.keys())
-    remaining = [v for v in e.nodes() if v not in out]
-    while remaining:
-        c = next(v for v in remaining if v.parent() in out)
-        out = extend_embedding(e, closed, out, e, c)
-        closed = frozenset(out.keys())
-        remaining = [v for v in remaining if v not in out]
+    used = set(out.values())
+    # A predecessor comes first in node order, so it is mapped by now.
+    for c in e.nodes():
+        if c not in out:
+            fresh = least_free_child(e, out[c.parent()], c.segs[-1][0], used)
+            used.update(close_pair(e.plan, out, c, fresh))
     return out
 
 

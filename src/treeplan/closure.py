@@ -103,7 +103,7 @@ def orbit_reps(e: Expansion, members: Iterable[Node]) -> list[Node]:
             fresh = least_free_child(e, c, tau[-1], closed)
             if fresh is not None:
                 _add_least_above(e, fresh, tau, reps)
-    return sorted(reps, key=Node.sort_key)
+    return sorted(reps)
 
 
 def least_free_child(

@@ -87,44 +87,35 @@ def game_won(state: GameState) -> bool:
 # The duplicator
 
 
-def _rebuild_embedding(state: GameState) -> tuple[dict[Node, Node], set[Node], bool]:
+def _rebuild_embedding(state: GameState) -> tuple[dict[Node, Node], set[Node]]:
     """Replay the pick pairs into the maintained closure embedding.
 
-    Returns (map, image, still_sound): the flag drops when the transcript
-    is not consistent with any embedding, e.g. after a forced bad pick.
+    Returns (map, image).  A pick pair that no embedding extending the map
+    can contain, e.g. after a forced bad pick, is skipped from the point
+    where it conflicts.
     """
     plan = state.left.plan
     f: dict[Node, Node] = {}
     img = set(close_pair(plan, f, ROOT, ROOT))
-    sound = True
     for a, b in zip(state.picks_left, state.picks_right):
-        if a in f:
-            sound = sound and f[a] == b
-            continue
-        if b in img:
-            sound = False
+        if a in f or b in img:
             continue
         pa = anchor_in(f, a)
         pb = f[pa]
         k = a.depth - pa.depth
         if b.depth - pb.depth != k or not pb.is_prefix_of(b):
-            sound = False
             continue
-        ok = True
         for d in range(1, k + 1):
             u, v = a.prefix(pa.depth + d), b.prefix(pb.depth + d)
             if u in f:
                 # Pulled in by the singleton closure of an earlier step.
                 if f[u] != v:
-                    ok = False
                     break
                 continue
             if u.plan_path != v.plan_path or v in img:
-                ok = False
                 break
             img.update(close_pair(plan, f, u, v))
-        sound = sound and ok
-    return f, img, sound
+    return f, img
 
 
 class ClosureDuplicator:
@@ -134,7 +125,7 @@ class ClosureDuplicator:
         self.notes: list[str] = []
 
     def respond(self, state: GameState, side: str, node: Node) -> Node:
-        f, img, _sound = _rebuild_embedding(state)
+        f, img = _rebuild_embedding(state)
         if side == "L":
             return self._answer(state.right, f, img, node)
         inverse = {v: u for u, v in f.items()}

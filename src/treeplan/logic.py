@@ -693,7 +693,7 @@ class AsymptoticReport:
 
     @property
     def all_pass(self) -> bool:
-        return self.top_pass and self.classes_stable
+        return self.top_pass and self.classes_stable and self.class_counts_exact
 
     def to_csv(self) -> str:
         lines = ["n,observed,delta,mu,predicted,ratio,pass"]
@@ -742,7 +742,8 @@ def asymptotic_check(
     measure at the top, class-count identities are checked exactly against
     the relative fiber polynomials (meaningful for quantifier-free
     formulas), and the report flags class-set instability and a
-    non-shrinking remainder.
+    non-shrinking remainder.  ``all_pass`` needs stable classes, exact
+    class counts and the top within tolerance.
     """
     param_spec = dict(param_spec or {})
     points = sorted(set(ladder))

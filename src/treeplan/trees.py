@@ -2,8 +2,10 @@
 
 A node is a path of segments.  Each segment is a pair ``(branch, tag)``:
 ``branch`` is the branch index of the underlying plan node and ``tag`` is
-either :data:`STAR` (for singleton branches) or an element index in
-``0..n-1`` (for replicated branches).  The root is the empty path.
+either :data:`STAR` ``== -1`` (for singleton branches) or an element index
+in ``0..n-1`` (for replicated branches).  The root is the empty path.
+Nodes order lexicographically by their segments, so the star comes before
+tags ``0..n-1`` and every node comes after its prefixes.
 
 All values here are immutable; every operation is pure.
 """
@@ -17,20 +19,16 @@ from typing import Callable, Iterable, Optional
 from .errors import DomainError
 
 # Tag marking a segment that belongs to a singleton (mark-1) branch.
-STAR: None = None
+STAR = -1
 
-Segment = tuple[int, Optional[int]]
+Segment = tuple[int, int]
 PlanPath = tuple[int, ...]
 
 
-def _seg_key(seg: Segment) -> tuple[int, int]:
-    branch, tag = seg
-    return (branch, -1 if tag is STAR else tag)
-
-
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, order=True)
 class Node:
-    """A tree element, identified by its full path from the root."""
+    """A tree element, identified by its full path from the root; nodes
+    compare as their segment tuples."""
 
     segs: tuple[Segment, ...] = ()
 
@@ -52,7 +50,7 @@ class Node:
             return self
         return Node(self.segs[:-1])
 
-    def child(self, branch: int, tag: Optional[int]) -> "Node":
+    def child(self, branch: int, tag: int) -> "Node":
         return Node(self.segs + ((branch, tag),))
 
     def is_prefix_of(self, other: "Node") -> bool:
@@ -61,17 +59,8 @@ class Node:
     def retag(self, tag_map: Callable[[int], int]) -> "Node":
         """The node with every non-star tag renamed through ``tag_map``."""
         return Node(
-            tuple((branch, STAR if tag is STAR else tag_map(tag)) for branch, tag in self.segs)
+            tuple((branch, STAR if tag == STAR else tag_map(tag)) for branch, tag in self.segs)
         )
-
-    def sort_key(self) -> tuple:
-        return tuple(_seg_key(s) for s in self.segs)
-
-    def __lt__(self, other: "Node") -> bool:
-        return self.sort_key() < other.sort_key()
-
-    def __le__(self, other: "Node") -> bool:
-        return self.sort_key() <= other.sort_key()
 
     def __str__(self) -> str:
         return format_node(self)
@@ -93,7 +82,7 @@ def format_node(node: Node) -> str:
     if not node.segs:
         return "eps"
     return "/".join(
-        f"{branch}:{'*' if tag is STAR else tag}" for branch, tag in node.segs
+        f"{branch}:{'*' if tag == STAR else tag}" for branch, tag in node.segs
     )
 
 
@@ -123,20 +112,22 @@ class FiniteTree:
 
     def __init__(self, nodes: Iterable[Node]):
         node_set = frozenset(nodes)
-        if ROOT not in node_set:
+        ordered = sorted(node_set)
+        # The root is the least node, and a parent precedes its children,
+        # so one walk in node order fills every child list in order.
+        if not ordered or ordered[0] != ROOT:
             raise DomainError("a tree must contain the root")
-        children: dict[Node, list[Node]] = {v: [] for v in node_set}
-        for v in node_set:
+        children: dict[Node, list[Node]] = {}
+        for v in ordered:
+            children[v] = []
             if v.segs:
-                p = v.parent()
-                if p not in node_set:
+                kids = children.get(v.parent())
+                if kids is None:
                     raise DomainError(f"tree is not prefix-closed at {v}")
-                children[p].append(v)
-        for kids in children.values():
-            kids.sort()
+                kids.append(v)
         self.nodes = node_set
         self._children = children
-        self._sorted = sorted(node_set)
+        self._sorted = ordered
 
     def __contains__(self, node: Node) -> bool:
         return node in self.nodes

@@ -19,8 +19,10 @@ from treeplan import (
     ROOT,
     STAR,
     TreePlan,
+    format_node,
     parse_plan,
 )
+from treeplan.analysis import extend_embedding
 from treeplan.closure import tuple_code
 from treeplan.trees import meet_nodes
 
@@ -149,7 +151,7 @@ def random_embedding(rng: random.Random, em, en) -> dict[Node, Node]:
             continue
         image_parent = f[v.parent()]
         branch, tag = v.segs[-1]
-        if tag is STAR:
+        if tag == STAR:
             f[v] = image_parent.child(branch, STAR)
         else:
             used = {
@@ -214,3 +216,28 @@ def partial_isomorphism_cubic(picks_left, picks_right) -> bool:
                 if (meet_nodes(a, a2) == a3) != (meet_nodes(b, b2) == b3):
                     return False
     return True
+
+
+def node_order_key(v: Node) -> tuple:
+    """The node order written out by hand from the text form: segment by
+    segment, by branch and then by tag, with a star below every tag."""
+    if not v.segs:
+        return ()
+    key = []
+    for part in format_node(v).split("/"):
+        branch, tag = part.split(":")
+        key.append((int(branch), -1 if tag == "*" else int(tag)))
+    return tuple(key)
+
+
+def extend_to_automorphism_stepwise(e, f: dict[Node, Node]) -> dict[Node, Node]:
+    """Grow a tree-closed partial automorphism one node at a time, each
+    step a checked :func:`extend_embedding` call on the first node whose
+    predecessor is mapped."""
+    out = dict(f)
+    remaining = [v for v in e.nodes() if v not in out]
+    while remaining:
+        c = next(v for v in remaining if v.parent() in out)
+        out = extend_embedding(e, frozenset(out), out, e, c)
+        remaining = [v for v in remaining if v not in out]
+    return out

@@ -1,5 +1,6 @@
 import pytest
 
+from treeplan import logic, parse_formula, parse_node
 from treeplan.cli import main
 
 from conftest import PLAN_TEXTS
@@ -149,6 +150,26 @@ class TestAsymptotic:
         assert lines[0] == "n,observed,delta,mu,predicted,ratio,pass"
         assert len(lines) == 4
         assert lines[-1].startswith("50,50,1,0.500000")
+
+    def test_inexact_class_counts_exit_1(self, plan_file, capsys, monkeypatch):
+        # The command binds no parameters, and a formula without parameters
+        # always has exact class counts; so the report of a parameterized
+        # formula with inexact counts stands in for the one it computes.
+        check = logic.asymptotic_check
+        formula = parse_formula("P[0.0](x) & !(pred(x) = pred(b))")
+        params = {"b": parse_node("0:0/0:0")}
+        monkeypatch.setattr(
+            logic,
+            "asymptotic_check",
+            lambda p, _f, var, **kw: check(p, formula, var, param_spec=params, **kw),
+        )
+        code, out, _ = run(
+            capsys,
+            ["asymptotic", "--plan", plan_file("B"), "--formula", "P[0.0](x)",
+             "--ladder", "3,4,5,50"],
+        )
+        assert code == 1
+        assert out.strip().splitlines()[-1].endswith(",true")
 
 
 class TestInfer:

@@ -1,4 +1,5 @@
 import random
+import zlib
 from fractions import Fraction
 
 import pytest
@@ -251,7 +252,7 @@ class TestPrincipalFormula:
 
     @pytest.mark.parametrize("name", ["A", "B", "D", "leaf_and_branch", "inf_one_inf"])
     def test_isolation_equals_orbit(self, name):
-        rng = random.Random(hash(name) % 1000)
+        rng = random.Random(zlib.crc32(name.encode()))
         p = PLANS[name]
         for n in (2, 3):
             e = expand(p, n)
@@ -364,6 +365,19 @@ class TestAsymptoticCheck:
         )
         assert report.class_counts_exact and report.classes_stable
         assert report.all_pass
+
+    def test_inexact_class_counts_fail(self):
+        # The class has n^2 - n members, but its relative fiber has n^2.
+        report = asymptotic_check(
+            PLANS["B"],
+            parse_formula("P[0.0](x) & !(pred(x) = pred(b))"),
+            "x",
+            param_spec={"b": parse_node("0:0/0:0")},
+            ladder=(3, 4, 5, 50),
+        )
+        assert report.classes_stable and report.top_pass
+        assert not report.class_counts_exact
+        assert not report.all_pass
 
     def test_unrealizable_parameter(self):
         with pytest.raises(DomainError):

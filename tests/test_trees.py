@@ -4,8 +4,10 @@ import pytest
 
 from treeplan import (
     DomainError,
+    FiniteTree,
     Node,
     ROOT,
+    STAR,
     canonical,
     expand,
     find_embedding,
@@ -19,7 +21,13 @@ from treeplan import (
 )
 from treeplan.analysis import automorphism_over, check_embedding
 
-from conftest import PLANS, brute_force_isomorphic, lcp_oracle, random_tree
+from conftest import (
+    PLANS,
+    brute_force_isomorphic,
+    lcp_oracle,
+    node_order_key,
+    random_tree,
+)
 
 
 def node(text):
@@ -34,6 +42,36 @@ class TestNodeText:
     def test_bad_segment(self):
         with pytest.raises(DomainError):
             parse_node("0:x")
+
+
+class TestNodeOrder:
+    def test_star_sorts_below_every_tag(self):
+        texts = ["0:1", "1:*", "0:*/0:3", "0:0/1:*", "eps", "0:*", "0:0", "0:0/0:0"]
+        nodes = [node(t) for t in texts]
+        assert sorted(nodes) == sorted(nodes, key=node_order_key)
+        assert [format_node(v) for v in sorted(nodes)] == [
+            "eps", "0:*", "0:*/0:3", "0:0", "0:0/0:0", "0:0/1:*", "0:1", "1:*",
+        ]
+
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_expansions_order_as_the_segment_key(self, name):
+        for n in range(1, 5):
+            e = expand(PLANS[name], n)
+            nodes = list(e.tree.nodes)
+            assert sorted(nodes) == sorted(nodes, key=node_order_key) == e.nodes()
+            for v in e.nodes():
+                kids = e.tree.children(v)
+                assert kids == sorted(kids, key=node_order_key)
+                if STAR in (tag for _branch, tag in v.segs):
+                    assert parse_node(format_node(v)) == v
+
+    def test_tree_must_be_prefix_closed_and_rooted(self):
+        with pytest.raises(DomainError):
+            FiniteTree([ROOT, node("0:0/0:1")])
+        with pytest.raises(DomainError):
+            FiniteTree([node("0:*")])
+        with pytest.raises(DomainError):
+            FiniteTree([])
 
 
 class TestMeet:
