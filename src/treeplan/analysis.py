@@ -18,7 +18,7 @@ from .trees import (
     STAR,
     canonical,
     format_node,
-    subtree,
+    subtree_codes,
 )
 
 # --------------------------------------------------------------------------
@@ -222,14 +222,17 @@ def amalgamate(
 # Plan inference from finite samples
 
 
-def _children_classes(t: FiniteTree) -> list[tuple[str, int, FiniteTree]]:
-    groups: dict[str, list[FiniteTree]] = {}
-    for c in t.children(ROOT):
-        sub = subtree(t, c)
-        groups.setdefault(canonical(sub).code, []).append(sub)
-    return sorted(
-        (code, len(subs), subs[0]) for code, subs in groups.items()
-    )
+# A sample tree with the code of every node's subtree.
+_Sample = tuple[FiniteTree, dict[Node, str]]
+
+
+def _children_classes(s: _Sample, v: Node) -> list[tuple[str, int, Node]]:
+    # The children of ``v`` grouped by subtree code: (code, count, least child).
+    tree, codes = s
+    groups: dict[str, list[Node]] = {}
+    for c in tree.children(v):
+        groups.setdefault(codes[c], []).append(c)
+    return sorted((code, len(kids), kids[0]) for code, kids in groups.items())
 
 
 def _assemble(parts: list[tuple[TreePlan, int, int]]) -> TreePlan:
@@ -246,13 +249,12 @@ def _assemble(parts: list[tuple[TreePlan, int, int]]) -> TreePlan:
     return make_plan(marked)
 
 
-def _infer_known(t1: FiniteTree, t2: FiniteTree, n: int) -> TreePlan:
-    if len(t1) == 1:
-        if len(t2) != 1:
-            raise InferenceError("samples disagree at a leaf")
-        return make_plan({(): False})
-    classes1 = _children_classes(t1)
-    classes2 = _children_classes(t2)
+def _infer_known(s1: _Sample, v1: Node, s2: _Sample, v2: Node, n: int) -> TreePlan:
+    # The plan above ``v1`` and ``v2``, presumed expanded at ``n`` and ``n + 1``.
+    classes1 = _children_classes(s1, v1)
+    classes2 = _children_classes(s2, v2)
+    if not classes1 and classes2:
+        raise InferenceError("samples disagree at a leaf")
     if len(classes1) != len(classes2):
         raise InferenceError(
             "child classes do not correspond one-to-one",
@@ -267,7 +269,7 @@ def _infer_known(t1: FiniteTree, t2: FiniteTree, n: int) -> TreePlan:
             if k < 0 or m < 0:
                 continue
             try:
-                sub = _infer_known(rep1, rep2, n)
+                sub = _infer_known(s1, rep1, s2, rep2, n)
             except InferenceError:
                 continue
             if canonical(expand(sub, n).tree).code != code1:
@@ -303,17 +305,19 @@ def _infer_known(t1: FiniteTree, t2: FiniteTree, n: int) -> TreePlan:
 def infer_plan(t1: FiniteTree, t2: FiniteTree) -> TreePlan:
     """Reconstruct a plan from samples presumed built at consecutive sizes.
 
-    Per matched child class the count difference gives the number of
-    replicated children and the remainder the number of singletons; the
+    A node's children fall into classes by subtree code, computed once per
+    sample.  Per matched child class the count difference gives the number
+    of replicated children and the remainder the number of singletons; the
     size parameter is searched from large to small (replication is
     preferred over coincidence) and the winner must reproduce both samples
     exactly.
     """
-    shape1, shape2 = canonical(t1).code, canonical(t2).code
+    codes1, codes2 = subtree_codes(t1), subtree_codes(t2)
+    shape1, shape2 = codes1[ROOT], codes2[ROOT]
     errors: list[str] = []
     for n in range(len(t1), 0, -1):
         try:
-            p = _infer_known(t1, t2, n)
+            p = _infer_known((t1, codes1), ROOT, (t2, codes2), ROOT, n)
         except InferenceError as err:
             errors.append(f"n={n}: {err}")
             continue
@@ -334,16 +338,16 @@ def infer_plan_threshold(t: FiniteTree, threshold: int) -> TreePlan:
     """
     if threshold < 1:
         raise DomainError("threshold must be at least 1")
-    if len(t) == 1:
-        return make_plan({(): False})
-    parts = []
-    for _code, count, rep in _children_classes(t):
-        sub = infer_plan_threshold(rep, threshold)
-        if count > threshold:
-            parts.append((sub, 1, 0))
-        else:
-            parts.append((sub, 0, count))
-    return _assemble(parts)
+    sample = (t, subtree_codes(t))
+
+    def infer(v: Node) -> TreePlan:
+        parts = []
+        for _code, count, rep in _children_classes(sample, v):
+            sub = infer(rep)
+            parts.append((sub, 1, 0) if count > threshold else (sub, 0, count))
+        return _assemble(parts)
+
+    return infer(ROOT)
 
 
 # --------------------------------------------------------------------------

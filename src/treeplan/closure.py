@@ -29,20 +29,14 @@ def tcl(e: Expansion, members: Iterable[Node]) -> NodeSet:
     """Tree closure: the least superset of the downset (plus the root) that
     contains every mark-1 child of each of its members.
 
-    Computed by the staged construction: stage 0 is the root together with
-    the downset; each later stage adds the nodes whose plan mark is 1 and
-    whose predecessor is already in.
+    Each node of the downset and the root brings in the singleton-branch
+    nodes above it, as the identity map that :func:`close_pair` builds;
+    the closure is that map's domain.
     """
-    closed: set[Node] = {ROOT} | set(downset(e, members))
-    frontier = list(closed)
-    while frontier:
-        nxt: list[Node] = []
-        for v in frontier:
-            for c in e.tree.children(v):
-                if c not in closed and not e.mark_is_inf(c):
-                    closed.add(c)
-                    nxt.append(c)
-        frontier = nxt
+    closed: dict[Node, Node] = {}
+    for v in downset(e, members) | {ROOT}:
+        if v not in closed:
+            close_pair(e.plan, closed, v, v)
     return frozenset(closed)
 
 
@@ -149,10 +143,5 @@ def _add_least_above(e: Expansion, v: Node, sigma: PlanPath, out: set[Node]) -> 
 
 
 def tuple_code(e: Expansion, tup: tuple[Node, ...]) -> str:
-    """Labeled quantifier-free type code of a tuple, memoized per expansion."""
-    memo = e._qftp_memo
-    hit = memo.get(tup)
-    if hit is None:
-        hit = qftp(e.tree, tup, use_labels=True).code
-        memo[tup] = hit
-    return hit
+    """Labeled quantifier-free type code of a tuple of nodes of ``e``."""
+    return qftp(e.tree, tup, use_labels=True).code

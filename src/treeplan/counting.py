@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .errors import DomainError
-from .plan import Expansion, TreePlan, expand, inf_count, plan_text, subplan
+from .plan import Expansion, TreePlan, expand, inf_count, plan_text
 from .trees import Node, PlanPath, path_text
 
 
@@ -125,14 +126,13 @@ def poly_Q(p: TreePlan, sigma: PlanPath) -> Polynomial:
 
 
 def poly_Q_rel(p: TreePlan, sigma: PlanPath, sigma_p: PlanPath) -> Polynomial:
-    """Relative fiber polynomial for a prefix pair: the fiber of the tail in
-    the plan re-rooted at ``sigma``."""
+    """Relative fiber polynomial for a prefix pair: x to the number of inf
+    nodes after ``sigma`` on the path to ``sigma_p``."""
     if sigma_p[: len(sigma)] != sigma:
         raise DomainError(f"{sigma} is not a prefix of {sigma_p}")
     if sigma_p not in p.nodes:
         raise DomainError(f"unknown plan node {sigma_p}")
-    tail = sigma_p[len(sigma):]
-    return poly_Q(subplan(p, sigma), tail)
+    return Polynomial.monomial(inf_count(p, sigma_p) - inf_count(p, sigma))
 
 
 def deg(p: TreePlan) -> int:
@@ -268,12 +268,10 @@ def verify_Q(p: TreePlan, n_max: int, budget: Optional[int] = None) -> CountRepo
             )
         for sigma, sigma_p in pairs:
             predicted = poly_Q_rel(p, sigma, sigma_p)(n)
+            # A witness's extensions are the upper-fiber members with that prefix.
+            tally = Counter(a.prefix(len(sigma)) for a in e.fiber(sigma_p))
             for b in e.fiber(sigma):
-                observed = sum(
-                    1
-                    for a in e.fiber(sigma_p)
-                    if b.is_prefix_of(a)
-                )
+                observed = tally[b]
                 rows.append(
                     CountRow(
                         text,

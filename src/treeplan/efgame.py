@@ -7,8 +7,9 @@ quantifier-free type over the anchor, lexicographically least for
 determinism.  The exhaustive spoiler is a memoized minimax search over
 move orbits, one least representative per orbit over the picks so far,
 read off their tree closure (:func:`~treeplan.closure.orbit_reps`) at a
-cost independent of the expansion size; past its position budget it
-degrades to a seeded random player and says so.
+cost independent of the expansion size, and memoized by the orbits of the
+picks; past its position budget it degrades to a seeded random player
+and says so.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .closure import anchor_in, close_pair, least_free_child, orbit_reps, tuple_code
+from .closure import anchor_in, close_pair, least_free_child, orbit_reps
 from .errors import BudgetError, DomainError
 from .plan import Expansion, TreePlan
 from .trees import Node, ROOT, STAR, format_node, meet_nodes
@@ -167,8 +168,26 @@ class ClosureDuplicator:
 # Spoilers
 
 
+def _orbit_key(picks: tuple[Node, ...]) -> tuple[Node, ...]:
+    """The picks with each replicated tag renamed in order of first use
+    under its parent and branch: equal for two tuples of one expansion
+    exactly when an automorphism carries one to the other, that is, when
+    their labeled quantifier-free types agree."""
+    names: dict[tuple[Node, int], dict[int, int]] = {}
+    out = []
+    for a in picks:
+        v = ROOT
+        for branch, tag in a.segs:
+            if tag != STAR:
+                seen = names.setdefault((v, branch), {})
+                tag = seen.setdefault(tag, len(seen))
+            v = v.child(branch, tag)
+        out.append(v)
+    return tuple(out)
+
+
 class _Search:
-    """Memoized minimax over pick-orbit representatives."""
+    """Minimax over pick-orbit representatives, memoized by pick orbits."""
 
     def __init__(self, budget: int):
         self.budget = budget
@@ -186,8 +205,8 @@ class _Search:
         key = (
             state.left.n,
             state.right.n,
-            tuple_code(state.left, state.picks_left),
-            tuple_code(state.right, state.picks_right),
+            _orbit_key(state.picks_left),
+            _orbit_key(state.picks_right),
             state.rounds_left,
         )
         hit = self.memo.get(key)

@@ -158,12 +158,13 @@ def parse_plan(text: str) -> TreePlan:
 
 
 def plan_text(p: TreePlan) -> str:
-    def render(sigma: PlanPath) -> str:
+    # A plan node sorts after its prefixes, so children render first.
+    texts: dict[PlanPath, str] = {}
+    for sigma in reversed(p.sorted_nodes()):
         mark = "inf" if sigma in p.inf_nodes else "1"
-        kids = "".join(" " + render(tau) for tau in p.children(sigma))
-        return f"({mark}{kids})"
-
-    return render(())
+        kids = "".join(" " + texts[tau] for tau in p.children(sigma))
+        texts[sigma] = f"({mark}{kids})"
+    return texts[()]
 
 
 def height(p: TreePlan) -> int:
@@ -202,13 +203,12 @@ def subplan(p: TreePlan, sigma: PlanPath) -> TreePlan:
 
 def plan_canonical(p: TreePlan) -> str:
     """Mark-annotated sorted-children code; equal codes iff plans are isomorphic."""
-
-    def code(sigma: PlanPath) -> str:
+    codes: dict[PlanPath, str] = {}
+    for sigma in reversed(p.sorted_nodes()):
         mark = "i" if sigma in p.inf_nodes else "1"
-        kids = sorted(code(tau) for tau in p.children(sigma))
-        return "(" + mark + "".join(kids) + ")"
-
-    return code(())
+        kids = sorted(codes[tau] for tau in p.children(sigma))
+        codes[sigma] = "(" + mark + "".join(kids) + ")"
+    return codes[()]
 
 
 def plan_isomorphic(p: TreePlan, q: TreePlan) -> bool:
@@ -232,11 +232,10 @@ def predicted_size(p: TreePlan, n: int) -> int:
 class Expansion:
     """The finite structure obtained from a plan at size ``n``.
 
-    Carries the plan, the tree of tagged paths, per-plan-node fibers, and a
-    memo for tuple-type codes (orbit computations reuse them heavily).
+    Carries the plan, the tree of tagged paths and per-plan-node fibers.
     """
 
-    __slots__ = ("plan", "n", "tree", "_fibers", "_qftp_memo")
+    __slots__ = ("plan", "n", "tree", "_fibers")
 
     def __init__(self, plan: TreePlan, n: int, tree: FiniteTree):
         self.plan = plan
@@ -246,7 +245,6 @@ class Expansion:
         for v in tree.sorted_nodes():
             fibers[v.plan_path].append(v)
         self._fibers = fibers
-        self._qftp_memo: dict = {}
 
     def fiber(self, sigma: PlanPath) -> list[Node]:
         if sigma not in self.plan.nodes:

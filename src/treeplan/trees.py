@@ -187,16 +187,23 @@ class CanonicalForm:
         return self.code
 
 
-def _code_below(
-    tree: FiniteTree, node: Node, annotate: Optional[Callable[[Node], str]]
-) -> str:
-    kids = sorted(_code_below(tree, c, annotate) for c in tree.children(node))
-    anno = annotate(node) if annotate is not None else ""
-    return "(" + anno + "".join(kids) + ")"
+def subtree_codes(
+    tree: FiniteTree, annotate: Optional[Callable[[Node], str]] = None
+) -> dict[Node, str]:
+    """The code of every node's subtree: ``(``, the node's annotation, its
+    children's codes sorted, ``)``.  One walk in reverse node order codes
+    every child before its parent."""
+    codes: dict[Node, str] = {}
+    for v in reversed(tree._sorted):
+        kids = sorted(codes[c] for c in tree._children[v])
+        anno = annotate(v) if annotate is not None else ""
+        codes[v] = "(" + anno + "".join(kids) + ")"
+    return codes
 
 
 def canonical(tree: FiniteTree, use_labels: bool = False) -> CanonicalForm:
-    """Bottom-up sorted-children encoding of the rooted tree.
+    """Bottom-up sorted-children encoding of the rooted tree: the root's
+    entry of :func:`subtree_codes`.
 
     With ``use_labels`` the plan projection of every node is woven into the
     code, so equality means label-preserving isomorphism.
@@ -204,7 +211,7 @@ def canonical(tree: FiniteTree, use_labels: bool = False) -> CanonicalForm:
     annotate = None
     if use_labels:
         annotate = lambda v: path_text(v.plan_path) + ";"
-    return CanonicalForm(_code_below(tree, ROOT, annotate))
+    return CanonicalForm(subtree_codes(tree, annotate)[ROOT])
 
 
 def prefixes(nodes: Iterable[Node]) -> frozenset[Node]:
@@ -233,7 +240,8 @@ class TupleType:
 
 
 def qftp(tree: FiniteTree, tup: tuple[Node, ...], use_labels: bool = True) -> TupleType:
-    """Quantifier-free type of ``tup`` in ``tree``.
+    """Quantifier-free type of ``tup`` in ``tree``: the code of the
+    generated substructure, each node annotated with label and positions.
 
     Two tuples get equal values exactly when the entrywise correspondence
     extends to an isomorphism of their generated substructures (respecting
@@ -252,7 +260,7 @@ def qftp(tree: FiniteTree, tup: tuple[Node, ...], use_labels: bool = True) -> Tu
         pos = ",".join(map(str, positions.get(v, ())))
         return f"{label}|{pos};"
 
-    return TupleType(_code_below(sub, ROOT, annotate), gen)
+    return TupleType(subtree_codes(sub, annotate)[ROOT], gen)
 
 
 def subtree(tree: FiniteTree, at: Node) -> FiniteTree:

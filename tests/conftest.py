@@ -15,16 +15,20 @@ import pytest
 
 from treeplan import (
     FiniteTree,
+    InferenceError,
     Node,
     ROOT,
     STAR,
     TreePlan,
+    expand,
     format_node,
+    make_plan,
     parse_plan,
+    subtree,
 )
-from treeplan.analysis import extend_embedding
+from treeplan.analysis import _assemble, extend_embedding
 from treeplan.closure import tuple_code
-from treeplan.trees import meet_nodes
+from treeplan.trees import meet_nodes, path_text, prefixes
 
 PLAN_TEXTS = {
     "A": "(1 (inf))",
@@ -125,8 +129,6 @@ def random_tree(rng: random.Random, max_nodes: int = 12) -> FiniteTree:
 
 
 def random_plan(rng: random.Random, max_nodes: int = 8, max_height: int = 3) -> TreePlan:
-    from treeplan import make_plan
-
     marked = {(): False}
     frontier = [()]
     while frontier and len(marked) < max_nodes:
@@ -241,3 +243,124 @@ def extend_to_automorphism_stepwise(e, f: dict[Node, Node]) -> dict[Node, Node]:
         out = extend_embedding(e, frozenset(out), out, e, c)
         remaining = [v for v in remaining if v not in out]
     return out
+
+
+def code_below(tree: FiniteTree, node: Node, annotate=None) -> str:
+    """The sorted-children code of the subtree at ``node``, one recursive
+    call per child."""
+    kids = sorted(code_below(tree, c, annotate) for c in tree.children(node))
+    anno = annotate(node) if annotate is not None else ""
+    return "(" + anno + "".join(kids) + ")"
+
+
+def canonical_recursive(tree: FiniteTree, use_labels: bool = False) -> str:
+    """The canonical code of the rooted tree, by :func:`code_below`."""
+    annotate = None
+    if use_labels:
+        annotate = lambda v: path_text(v.plan_path) + ";"
+    return code_below(tree, ROOT, annotate)
+
+
+def qftp_recursive(tree: FiniteTree, tup, use_labels: bool = True) -> str:
+    """The quantifier-free type code of a tuple, by :func:`code_below` over
+    its generated substructure."""
+    positions: dict[Node, tuple[int, ...]] = {}
+    for i, a in enumerate(tup):
+        positions[a] = positions.get(a, ()) + (i,)
+
+    def annotate(v: Node) -> str:
+        label = path_text(v.plan_path) if use_labels else ""
+        pos = ",".join(map(str, positions.get(v, ())))
+        return f"{label}|{pos};"
+
+    return code_below(FiniteTree(prefixes(tup) | {ROOT}), ROOT, annotate)
+
+
+def _children_classes_rerooted(t: FiniteTree):
+    groups: dict[str, list[FiniteTree]] = {}
+    for c in t.children(ROOT):
+        sub = subtree(t, c)
+        groups.setdefault(canonical_recursive(sub), []).append(sub)
+    return sorted((code, len(subs), subs[0]) for code, subs in groups.items())
+
+
+def _infer_known_rerooted(t1: FiniteTree, t2: FiniteTree, n: int) -> TreePlan:
+    if len(t1) == 1:
+        if len(t2) != 1:
+            raise InferenceError("samples disagree at a leaf")
+        return make_plan({(): False})
+    classes1 = _children_classes_rerooted(t1)
+    classes2 = _children_classes_rerooted(t2)
+    if len(classes1) != len(classes2):
+        raise InferenceError(
+            "child classes do not correspond one-to-one",
+            offending=[c for c, _, _ in classes1] + [c for c, _, _ in classes2],
+        )
+    edges = {}
+    for i, (code1, c1, rep1) in enumerate(classes1):
+        for j, (code2, c2, rep2) in enumerate(classes2):
+            k = c2 - c1
+            m = c1 - k * n
+            if k < 0 or m < 0:
+                continue
+            try:
+                sub = _infer_known_rerooted(rep1, rep2, n)
+            except InferenceError:
+                continue
+            if canonical_recursive(expand(sub, n).tree) != code1:
+                continue
+            if canonical_recursive(expand(sub, n + 1).tree) != code2:
+                continue
+            edges[(i, j)] = (sub, k, m)
+    assignment = [None] * len(classes1)
+    taken = [False] * len(classes2)
+
+    def match(i: int) -> bool:
+        if i == len(classes1):
+            return True
+        for j in range(len(classes2)):
+            if not taken[j] and (i, j) in edges:
+                assignment[i] = j
+                taken[j] = True
+                if match(i + 1):
+                    return True
+                assignment[i] = None
+                taken[j] = False
+        return False
+
+    if not match(0):
+        raise InferenceError(
+            "no consistent class matching",
+            offending=[code for code, _, _ in classes1],
+        )
+    return _assemble([edges[(i, assignment[i])] for i in range(len(classes1))])
+
+
+def infer_plan_rerooted(t1: FiniteTree, t2: FiniteTree) -> TreePlan:
+    """Two-sample plan inference that re-roots a copy of every child
+    subtree and codes it afresh, at every node, class pair and size."""
+    shape1, shape2 = canonical_recursive(t1), canonical_recursive(t2)
+    errors: list[str] = []
+    for n in range(len(t1), 0, -1):
+        try:
+            p = _infer_known_rerooted(t1, t2, n)
+        except InferenceError as err:
+            errors.append(f"n={n}: {err}")
+            continue
+        if canonical_recursive(expand(p, n).tree) == shape1 and (
+            canonical_recursive(expand(p, n + 1).tree) == shape2
+        ):
+            return p
+        errors.append(f"n={n}: reconstruction does not reproduce the samples")
+    raise InferenceError("samples admit no consistent plan", offending=errors)
+
+
+def infer_plan_threshold_rerooted(t: FiniteTree, threshold: int) -> TreePlan:
+    """The single-sample threshold heuristic on re-rooted subtree copies."""
+    if len(t) == 1:
+        return make_plan({(): False})
+    parts = []
+    for _code, count, rep in _children_classes_rerooted(t):
+        sub = infer_plan_threshold_rerooted(rep, threshold)
+        parts.append((sub, 1, 0) if count > threshold else (sub, 0, count))
+    return _assemble(parts)

@@ -24,9 +24,12 @@ from treeplan import (
     parse_tree_text,
     plan_isomorphic,
     plan_text,
+    qftp,
     rearrange,
     tcl,
+    verify_P,
 )
+from treeplan.plan import plan_canonical
 from treeplan.analysis import (
     check_embedding,
     inclusion_embedding,
@@ -36,6 +39,10 @@ from treeplan.analysis import (
 from conftest import (
     PLANS,
     extend_to_automorphism_stepwise,
+    infer_plan_rerooted,
+    infer_plan_threshold_rerooted,
+    random_plan,
+    random_tree,
     random_embedding,
     random_subset,
 )
@@ -214,6 +221,94 @@ class TestInferPlan:
         t2 = expand(PLANS["C"], 3).tree
         with pytest.raises(InferenceError):
             infer_plan(t1, t2)
+
+
+def _outcome(infer, *args):
+    try:
+        return plan_text(infer(*args))
+    except InferenceError as err:
+        return (str(err), err.offending)
+
+
+def _inference_pairs():
+    # Corpus samples, random plans, unrelated random trees and identical pairs.
+    pairs = []
+    for name in sorted(PLANS):
+        for n in (1, 2, 3, 4):
+            pairs.append((expand(PLANS[name], n).tree, expand(PLANS[name], n + 1).tree))
+    rng = random.Random(2024)
+    for _ in range(60):
+        p = random_plan(rng)
+        n = rng.randint(1, 3)
+        pairs.append((expand(p, n).tree, expand(p, n + 1).tree))
+    for _ in range(60):
+        pairs.append((random_tree(rng), random_tree(rng)))
+    for _ in range(20):
+        t = random_tree(rng)
+        pairs.append((t, t))
+    return pairs
+
+
+class TestInferenceMatchesRerootedCopies:
+    """Inference on sample nodes against the re-rooting oracle."""
+
+    def test_two_samples(self):
+        outcomes = [
+            (_outcome(infer_plan, *pair), _outcome(infer_plan_rerooted, *pair))
+            for pair in _inference_pairs()
+        ]
+        # Error messages and offending lists are compared too.
+        assert sum(isinstance(new, tuple) for new, _ in outcomes) > 20
+        for new, old in outcomes:
+            assert new == old
+
+    @pytest.mark.parametrize("threshold", [1, 2, 3])
+    def test_threshold(self, threshold):
+        for t1, t2 in _inference_pairs():
+            for t in (t1, t2):
+                assert plan_text(infer_plan_threshold(t, threshold)) == plan_text(
+                    infer_plan_threshold_rerooted(t, threshold)
+                )
+
+
+def chain(depth: int) -> str:
+    """A mark-1 chain of ``depth`` nodes in the plan grammar."""
+    return "(1 " * (depth - 1) + "(1)" + ")" * (depth - 1)
+
+
+# Deeper than a walk that spends two frames per level can go under the
+# default recursion limit.
+DEEP = 600
+
+
+class TestDeepChain:
+    def test_plan_text_and_canonical(self):
+        p = parse_plan(chain(DEEP))
+        assert plan_text(p) == chain(DEEP)
+        assert plan_canonical(p) == "(1" * DEEP + ")" * DEEP
+
+    def test_verify_p(self):
+        report = verify_P(parse_plan(chain(DEEP)), 2)
+        assert report.all_pass and [r.observed for r in report.rows] == [DEEP, DEEP]
+
+    def test_canonical_and_qftp(self):
+        t = parse_tree_text(chain(DEEP))
+        assert canonical(t).code == "(" * DEEP + ")" * DEEP
+        top = max(t.nodes, key=lambda v: v.depth)
+        code = "(|;" * (DEEP - 1) + "(|0;)" + ")" * (DEEP - 1)
+        assert qftp(t, (top,), use_labels=False).code == code
+
+    def test_infer_plan(self):
+        # Two chains against three one node longer: sizes 1 and 2 match the
+        # counts, and inference then walks the chains down to the last level.
+        t1 = parse_tree_text("(1 " + 2 * chain(DEEP - 1) + ")")
+        t2 = parse_tree_text("(1 " + 3 * chain(DEEP) + ")")
+        with pytest.raises(InferenceError) as err:
+            infer_plan(t1, t2)
+        assert err.value.offending[-2:] == [
+            "n=2: no consistent class matching",
+            "n=1: no consistent class matching",
+        ]
 
 
 class TestInferThreshold:

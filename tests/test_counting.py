@@ -15,6 +15,7 @@ from treeplan import (
     poly_P,
     poly_Q,
     poly_Q_rel,
+    subplan,
     verify_P,
     verify_Q,
 )
@@ -110,6 +111,15 @@ class TestPolyQRel:
         with pytest.raises(DomainError):
             poly_Q_rel(PLANS["C"], (0,), (1,))
 
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_matches_the_subplan_fiber(self, name):
+        p = PLANS[name]
+        for sigma in p.sorted_nodes():
+            for sigma_p in p.sorted_nodes():
+                if sigma_p[: len(sigma)] == sigma:
+                    tail = sigma_p[len(sigma):]
+                    assert poly_Q_rel(p, sigma, sigma_p) == poly_Q(subplan(p, sigma), tail)
+
 
 class TestDegreeAndLead:
     @pytest.mark.parametrize("name", sorted(PLANS))
@@ -169,6 +179,20 @@ class TestVerify:
     def test_corpus_members_exact(self, name):
         assert verify_P(PLANS[name], 4).all_pass
         assert verify_Q(PLANS[name], 3).all_pass
+
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_relative_rows_count_the_fiber_above(self, name):
+        p = PLANS[name]
+        e = expand(p, 3)
+        rows = [r for r in verify_Q(p, 3).rows if r.n == 3 and r.quantity.startswith("Qrel")]
+        expected = [
+            len(fiber_above(e, b, sigma_p))
+            for sigma in p.sorted_nodes()
+            for sigma_p in p.sorted_nodes()
+            if sigma_p[: len(sigma)] == sigma
+            for b in e.fiber(sigma)
+        ]
+        assert [r.observed for r in rows] == expected
 
     def test_budget_error(self):
         with pytest.raises(BudgetError):

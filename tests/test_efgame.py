@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import pytest
@@ -20,7 +21,7 @@ from treeplan import (
     size_threshold,
 )
 from treeplan import efgame
-from treeplan.closure import orbit_reps
+from treeplan.closure import orbit_reps, tuple_code
 
 from conftest import PLANS
 
@@ -233,6 +234,34 @@ class TestExhaustiveSpoiler:
         assert not search.spoiler_wins(GameState(left, right, (), (), 3))
         assert len(calls) <= 4 * len(search.memo)
         assert game_value(left, right, 3) == "D"
+
+
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_memo_key_is_the_type(self, name):
+        # Equal keys exactly when the labeled quantifier-free types agree.
+        rng = random.Random(name)
+        e = expand(PLANS[name], 3)
+        nodes = e.nodes()
+        tuples = [
+            tuple(rng.choice(nodes) for _ in range(rng.randint(0, 3))) for _ in range(40)
+        ]
+        for a in tuples:
+            for b in tuples:
+                if len(a) == len(b):
+                    same_key = efgame._orbit_key(a) == efgame._orbit_key(b)
+                    assert same_key == (tuple_code(e, a) == tuple_code(e, b)), (a, b)
+
+    def test_memo_hit_across_starts(self):
+        # A start off the least representatives, as after a random fallback
+        # pick, is answered from a position of the same type solved earlier.
+        left, right = expand(PLANS["A"], 4), expand(PLANS["A"], 5)
+        search = efgame._Search(100_000)
+        solved = GameState(left, right, (node("0:0"),), (node("0:0"),), 2)
+        assert not search.spoiler_wins(solved)
+        search.visited = 0
+        moved = GameState(left, right, (node("0:3"),), (node("0:2"),), 2)
+        assert not search.spoiler_wins(moved)
+        assert search.visited == 1
 
 
 class TestGameValue:

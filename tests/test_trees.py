@@ -24,8 +24,10 @@ from treeplan.analysis import automorphism_over, check_embedding
 from conftest import (
     PLANS,
     brute_force_isomorphic,
+    canonical_recursive,
     lcp_oracle,
     node_order_key,
+    qftp_recursive,
     random_tree,
 )
 
@@ -171,6 +173,31 @@ class TestCanonical:
             t1, t2 = trees[i], trees[i + 1]
             same_code = canonical(t1) == canonical(t2)
             assert same_code == brute_force_isomorphic(t1, t2)
+
+
+class TestCodesMatchRecursiveWalk:
+    """One code pass against the recursive walk it replaced."""
+
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_corpus(self, name):
+        rng = random.Random(name)
+        for n in (1, 2, 3):
+            t = expand(PLANS[name], n).tree
+            for labels in (False, True):
+                assert canonical(t, use_labels=labels).code == canonical_recursive(t, labels)
+            nodes = t.sorted_nodes()
+            for _ in range(20):
+                tup = tuple(rng.choice(nodes) for _ in range(rng.randint(0, 3)))
+                for labels in (False, True):
+                    assert qftp(t, tup, use_labels=labels).code == qftp_recursive(t, tup, labels)
+
+    def test_random_trees(self):
+        rng = random.Random(17)
+        for _ in range(60):
+            t = random_tree(rng, 14)
+            assert canonical(t).code == canonical_recursive(t)
+            tup = tuple(rng.choice(t.sorted_nodes()) for _ in range(2))
+            assert qftp(t, tup).code == qftp_recursive(t, tup)
 
 
 class TestQftp:
