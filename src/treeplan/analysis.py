@@ -9,7 +9,7 @@ from typing import Iterable, Optional
 
 from .closure import NodeSet, anchor_in, close_pair, least_free_child, orbit, tcl, tuple_code
 from .errors import CapacityError, DomainError, InferenceError
-from .plan import Expansion, TreePlan, expand, make_plan, parse_plan
+from .plan import Expansion, TreePlan, _parse_plan_source, expand, make_plan, strip_comments
 from .trees import (
     FiniteTree,
     Node,
@@ -225,6 +225,10 @@ def amalgamate(
 # A sample tree with the code of every node's subtree.
 _Sample = tuple[FiniteTree, dict[Node, str]]
 
+# A plan above a node, as its child classes: (parts of the class's plan,
+# replicated copies, singleton copies) per class, in branch order.
+_Parts = list[tuple["_Parts", int, int]]
+
 
 def _children_classes(s: _Sample, v: Node) -> list[tuple[str, int, Node]]:
     # The children of ``v`` grouped by subtree code: (code, count, least child).
@@ -235,22 +239,34 @@ def _children_classes(s: _Sample, v: Node) -> list[tuple[str, int, Node]]:
     return sorted((code, len(kids), kids[0]) for code, kids in groups.items())
 
 
-def _assemble(parts: list[tuple[TreePlan, int, int]]) -> TreePlan:
+def _assemble(parts: _Parts) -> TreePlan:
+    # Each class's replicated copies take the next branches, then its
+    # singleton copies; every copy carries the class's plan above it.
     marked: dict[PlanPath, bool] = {(): False}
-    branch = 0
-    for sub, inf_copies, one_copies in parts:
-        for is_inf, copies in ((True, inf_copies), (False, one_copies)):
-            for _ in range(copies):
-                marked[(branch,)] = is_inf
-                for tau in sub.nodes:
-                    if tau:
-                        marked[(branch,) + tau] = tau in sub.inf_nodes
-                branch += 1
+    stack = [((), parts)]
+    while stack:
+        sigma, below = stack.pop()
+        branch = 0
+        for sub, inf_copies, one_copies in below:
+            for is_inf, copies in ((True, inf_copies), (False, one_copies)):
+                for _ in range(copies):
+                    tau = sigma + (branch,)
+                    marked[tau] = is_inf
+                    stack.append((tau, sub))
+                    branch += 1
     return make_plan(marked)
 
 
-def _infer_known(s1: _Sample, v1: Node, s2: _Sample, v2: Node, n: int) -> TreePlan:
-    # The plan above ``v1`` and ``v2``, presumed expanded at ``n`` and ``n + 1``.
+def _infer_known(s1: _Sample, v1: Node, s2: _Sample, v2: Node, n: int) -> _Parts:
+    """The parts of the plan above ``v1`` and ``v2``, presumed expanded at
+    ``n`` and ``n + 1``.
+
+    On success every matched class of k replicated and m singleton copies
+    has k*n + m children of its code at ``v1`` and k*(n + 1) + m at
+    ``v2``, so by induction the assembled plan expands to the subtree at
+    ``v1`` at ``n`` and to the subtree at ``v2`` at ``n + 1``.  Nothing is
+    expanded here; :func:`infer_plan` checks the whole plan once.
+    """
     classes1 = _children_classes(s1, v1)
     classes2 = _children_classes(s2, v2)
     if not classes1 and classes2:
@@ -261,22 +277,17 @@ def _infer_known(s1: _Sample, v1: Node, s2: _Sample, v2: Node, n: int) -> TreePl
             offending=[c for c, _, _ in classes1] + [c for c, _, _ in classes2],
         )
 
-    edges: dict[tuple[int, int], tuple[TreePlan, int, int]] = {}
-    for i, (code1, c1, rep1) in enumerate(classes1):
-        for j, (code2, c2, rep2) in enumerate(classes2):
+    edges: dict[tuple[int, int], tuple[_Parts, int, int]] = {}
+    for i, (_, c1, rep1) in enumerate(classes1):
+        for j, (_, c2, rep2) in enumerate(classes2):
             k = c2 - c1
             m = c1 - k * n
             if k < 0 or m < 0:
                 continue
             try:
-                sub = _infer_known(s1, rep1, s2, rep2, n)
+                edges[(i, j)] = (_infer_known(s1, rep1, s2, rep2, n), k, m)
             except InferenceError:
-                continue
-            if canonical(expand(sub, n).tree).code != code1:
-                continue
-            if canonical(expand(sub, n + 1).tree).code != code2:
-                continue
-            edges[(i, j)] = (sub, k, m)
+                pass
 
     assignment: list[Optional[int]] = [None] * len(classes1)
     taken = [False] * len(classes2)
@@ -299,7 +310,7 @@ def _infer_known(s1: _Sample, v1: Node, s2: _Sample, v2: Node, n: int) -> TreePl
             "no consistent class matching",
             offending=[code for code, _, _ in classes1],
         )
-    return _assemble([edges[(i, assignment[i])] for i in range(len(classes1))])
+    return [edges[(i, assignment[i])] for i in range(len(classes1))]
 
 
 def infer_plan(t1: FiniteTree, t2: FiniteTree) -> TreePlan:
@@ -309,15 +320,17 @@ def infer_plan(t1: FiniteTree, t2: FiniteTree) -> TreePlan:
     sample.  Per matched child class the count difference gives the number
     of replicated children and the remainder the number of singletons; the
     size parameter is searched from large to small (replication is
-    preferred over coincidence) and the winner must reproduce both samples
-    exactly.
+    preferred over coincidence).  The plan of a matched class expands to
+    that class's subtrees at both sizes by construction, so no edge is
+    re-expanded; the assembled plan is checked against both samples once,
+    as a whole, before it is returned.
     """
     codes1, codes2 = subtree_codes(t1), subtree_codes(t2)
     shape1, shape2 = codes1[ROOT], codes2[ROOT]
     errors: list[str] = []
     for n in range(len(t1), 0, -1):
         try:
-            p = _infer_known((t1, codes1), ROOT, (t2, codes2), ROOT, n)
+            p = _assemble(_infer_known((t1, codes1), ROOT, (t2, codes2), ROOT, n))
         except InferenceError as err:
             errors.append(f"n={n}: {err}")
             continue
@@ -340,14 +353,14 @@ def infer_plan_threshold(t: FiniteTree, threshold: int) -> TreePlan:
         raise DomainError("threshold must be at least 1")
     sample = (t, subtree_codes(t))
 
-    def infer(v: Node) -> TreePlan:
+    def infer(v: Node) -> _Parts:
         parts = []
         for _code, count, rep in _children_classes(sample, v):
             sub = infer(rep)
             parts.append((sub, 1, 0) if count > threshold else (sub, 0, count))
-        return _assemble(parts)
+        return parts
 
-    return infer(ROOT)
+    return _assemble(infer(ROOT))
 
 
 # --------------------------------------------------------------------------
@@ -424,15 +437,11 @@ def parse_tree_text(text: str) -> FiniteTree:
     Marks in the plan grammar are checked, then ignored: every node becomes
     a star-tagged node on its branch path.
     """
-    body = []
-    for line in text.splitlines():
-        cut = line.find("#")
-        body.append(line if cut < 0 else line[:cut])
-    cleaned = "\n".join(body).strip()
+    cleaned = strip_comments(text).strip()
     if not cleaned:
         raise DomainError("empty tree input")
     if cleaned.startswith("("):
-        plan = parse_plan(cleaned)
+        plan = _parse_plan_source(cleaned)
         return FiniteTree(Node(tuple((b, STAR) for b in sigma)) for sigma in plan.nodes)
     return _parse_parent_list(cleaned)
 

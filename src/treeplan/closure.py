@@ -72,12 +72,7 @@ def orbit(e: Expansion, a: Node, members: Iterable[Node]) -> NodeSet:
     e.tree.require(a)
     closed = tcl(e, members)
     target = anchor_in(closed, a)
-    sigma = a.plan_path
-    return frozenset(
-        x
-        for x in e.nodes()
-        if x.plan_path == sigma and anchor_in(closed, x) == target
-    )
+    return frozenset(x for x in e.fiber(a.plan_path) if anchor_in(closed, x) == target)
 
 
 def orbit_reps(e: Expansion, members: Iterable[Node]) -> list[Node]:

@@ -104,20 +104,10 @@ class Polynomial:
 def poly_P(p: TreePlan) -> Polynomial:
     """Expansion-size polynomial: value at ``n`` is the node count at size ``n``.
 
-    Recursion over root children: a mark-1 child contributes its own
-    polynomial once, an inf child contributes it ``x`` times.
+    Every plan node contributes x to the number of inf nodes on its path.
     """
-
-    def rec(sigma: PlanPath) -> Polynomial:
-        total = Polynomial.const(1)
-        for tau in p.children(sigma):
-            child = rec(tau)
-            if tau in p.inf_nodes:
-                child = Polynomial.x() * child
-            total = total + child
-        return total
-
-    return rec(())
+    degrees = Counter(inf_count(p, sigma) for sigma in p.nodes)
+    return Polynomial([degrees[d] for d in range(max(degrees) + 1)])
 
 
 def poly_Q(p: TreePlan, sigma: PlanPath) -> Polynomial:

@@ -28,7 +28,7 @@ from .errors import (
     FormulaSyntaxError,
     UnboundVariableError,
 )
-from .plan import Expansion, TreePlan, ell, expand, height
+from .plan import Expansion, TreePlan, ell, expand, height, strip_comments
 from .trees import Node, PlanPath, ROOT, meet_nodes, path_text
 
 # --------------------------------------------------------------------------
@@ -288,13 +288,8 @@ def parse_formula(text: str) -> Formula:
 
 def parse_formulas(text: str) -> list[Formula]:
     """Formula-file format: one formula per line, ``#`` starts a comment."""
-    out = []
-    for line in text.splitlines():
-        cut = line.find("#")
-        body = (line if cut < 0 else line[:cut]).strip()
-        if body:
-            out.append(parse_formula(body))
-    return out
+    bodies = (line.strip() for line in strip_comments(text).splitlines())
+    return [parse_formula(body) for body in bodies if body]
 
 
 # --------------------------------------------------------------------------
@@ -356,10 +351,6 @@ def qrank(f: Formula) -> int:
     if isinstance(f, (And, Or, Implies)):
         return max(qrank(f.left), qrank(f.right))
     return 1 + qrank(f.body)
-
-
-def is_quantifier_free(f: Formula) -> bool:
-    return qrank(f) == 0
 
 
 def _term_vars(t: Term, out: set[str]):

@@ -34,7 +34,8 @@ def node_budget(override: Optional[int] = None) -> int:
 class TreePlan:
     """The pair (node set, set of replicated nodes).
 
-    The children of every node, in branch order, are computed once at
+    The children of every node, in branch order, and the number of
+    inf-marked nodes on the path to every node are computed once at
     construction.
     """
 
@@ -43,6 +44,7 @@ class TreePlan:
     _children: dict[PlanPath, tuple[PlanPath, ...]] = field(
         init=False, repr=False, compare=False
     )
+    _inf_counts: dict[PlanPath, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if () not in self.nodes:
@@ -64,6 +66,10 @@ class TreePlan:
         object.__setattr__(
             self, "_children", {sigma: tuple(below) for sigma, below in kids.items()}
         )
+        counts = {(): 0}
+        for sigma in sorted(self.nodes, key=len)[1:]:
+            counts[sigma] = counts[sigma[:-1]] + (sigma in self.inf_nodes)
+        object.__setattr__(self, "_inf_counts", counts)
 
     def __contains__(self, sigma: PlanPath) -> bool:
         return sigma in self.nodes
@@ -98,18 +104,24 @@ def make_plan(marked: Mapping[PlanPath, bool]) -> TreePlan:
     )
 
 
+def strip_comments(text: str) -> str:
+    """``text`` with every ``#`` comment cut off its line, the lines joined
+    by newlines; the plan, tree and formula grammars all read it."""
+    return "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+
+
 def parse_plan(text: str) -> TreePlan:
     """Parse the parenthesized grammar ``node := "(" mark { node } ")"``.
 
     Marks are ``1`` or ``inf``; ``#`` starts a comment running to end of
-    line.  Branch order follows textual order.
+    line.  Branch order follows textual order.  Error positions count in
+    :func:`strip_comments` of ``text``.
     """
-    stripped = []
-    for line in text.splitlines():
-        hash_at = line.find("#")
-        stripped.append(line if hash_at < 0 else line[:hash_at])
-    src = "\n".join(stripped) if stripped else text
+    return _parse_plan_source(strip_comments(text))
 
+
+def _parse_plan_source(src: str) -> TreePlan:
+    # The plan grammar over comment-free text.
     marked: dict[PlanPath, bool] = {}
     pos = 0
 
@@ -183,9 +195,10 @@ def ell(p: TreePlan) -> int:
 
 def inf_count(p: TreePlan, sigma: PlanPath) -> int:
     """Number of inf-marked nodes on the path down to and including ``sigma``."""
-    if sigma not in p.nodes:
+    count = p._inf_counts.get(sigma)
+    if count is None:
         raise DomainError(f"unknown plan node {sigma}")
-    return sum(1 for i in range(1, len(sigma) + 1) if sigma[:i] in p.inf_nodes)
+    return count
 
 
 def subplan(p: TreePlan, sigma: PlanPath) -> TreePlan:
@@ -217,16 +230,9 @@ def plan_isomorphic(p: TreePlan, q: TreePlan) -> bool:
 
 
 def predicted_size(p: TreePlan, n: int) -> int:
-    """Node count of the expansion at size ``n``, computed without building it."""
-
-    def count(sigma: PlanPath) -> int:
-        total = 1
-        for tau in p.children(sigma):
-            factor = n if tau in p.inf_nodes else 1
-            total += factor * count(tau)
-        return total
-
-    return count(())
+    """Node count of the expansion at size ``n``, computed without building
+    it: every plan node has ``n ** inf_count`` copies."""
+    return sum(n**count for count in p._inf_counts.values())
 
 
 class Expansion:

@@ -26,7 +26,7 @@ from treeplan import (
     parse_plan,
     subtree,
 )
-from treeplan.analysis import _assemble, extend_embedding
+from treeplan.analysis import extend_embedding
 from treeplan.closure import tuple_code
 from treeplan.trees import meet_nodes, path_text, prefixes
 
@@ -274,6 +274,22 @@ def qftp_recursive(tree: FiniteTree, tup, use_labels: bool = True) -> str:
         return f"{label}|{pos};"
 
     return code_below(FiniteTree(prefixes(tup) | {ROOT}), ROOT, annotate)
+
+
+def _assemble(parts) -> TreePlan:
+    """A plan from (class plan, replicated copies, singleton copies) parts,
+    each copy taking the next branch in order."""
+    marked: dict[tuple[int, ...], bool] = {(): False}
+    branch = 0
+    for sub, inf_copies, one_copies in parts:
+        for is_inf, copies in ((True, inf_copies), (False, one_copies)):
+            for _ in range(copies):
+                marked[(branch,)] = is_inf
+                for tau in sub.nodes:
+                    if tau:
+                        marked[(branch,) + tau] = tau in sub.inf_nodes
+                branch += 1
+    return make_plan(marked)
 
 
 def _children_classes_rerooted(t: FiniteTree):

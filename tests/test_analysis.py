@@ -310,6 +310,10 @@ class TestDeepChain:
             "n=1: no consistent class matching",
         ]
 
+    def test_infer_plan_succeeds(self):
+        t = parse_tree_text(chain(DEEP))
+        assert plan_text(infer_plan(t, t)) == chain(DEEP)
+
 
 class TestInferThreshold:
     def test_single(self):
@@ -442,6 +446,15 @@ class TestTreeInput:
     def test_paren_follows_the_plan_grammar(self, text):
         with pytest.raises(PlanSyntaxError):
             parse_tree_text(text)
+
+    def test_syntax_error_positions_count_in_stripped_text(self):
+        # Comments are cut before parsing; tree input also trims the text.
+        text = "# a tree\n  (1 (2))"
+        with pytest.raises(PlanSyntaxError) as plan_err:
+            parse_plan(text)
+        with pytest.raises(PlanSyntaxError) as tree_err:
+            parse_tree_text(text)
+        assert (plan_err.value.pos, tree_err.value.pos) == (7, 4)
 
     def test_bad_parent(self):
         with pytest.raises(DomainError):

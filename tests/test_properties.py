@@ -3,6 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from treeplan import (
+    InferenceError,
     ROOT,
     STAR,
     anchor,
@@ -25,10 +26,11 @@ from treeplan import (
     qftp,
     tcl,
 )
+from treeplan.analysis import _assemble, _infer_known
 from treeplan.closure import orbit_reps
 from treeplan.counting import Polynomial
 from treeplan.logic import free_vars
-from treeplan.trees import FiniteTree
+from treeplan.trees import FiniteTree, subtree_codes
 
 from conftest import (
     PLANS,
@@ -331,3 +333,39 @@ def test_fast_evaluation_matches_plain(e, data):
     names = sorted(free_vars(f) | data.draw(st.sets(st.sampled_from(["x", "y"]))))
     env = {v: data.draw(st.sampled_from(e.nodes())) for v in names}
     assert evaluate(e, f, env, fast=True) == evaluate(e, f, env)
+
+
+# --------------------------------------------------------------------------
+# Plan inference
+
+
+@st.composite
+def sample_pairs(draw):
+    """Two trees: a corpus or random plan expanded at n and n + 1 or
+    n + 2, or two unrelated random trees."""
+    kind = draw(st.sampled_from(["corpus", "plan", "trees"]))
+    if kind == "trees":
+        return draw(plain_trees()), draw(plain_trees())
+    p = PLANS[draw(st.sampled_from(sorted(PLANS)))] if kind == "corpus" else draw(plans())
+    n = draw(st.integers(min_value=1, max_value=3))
+    return expand(p, n).tree, expand(p, n + draw(st.integers(1, 2))).tree
+
+
+@given(sample_pairs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_inferred_plan_expands_to_both_subtrees(pair, data):
+    # Whenever inference above two nodes succeeds, its plan expands at n
+    # and n + 1 to the subtrees at those nodes; this is why inference
+    # checks only the whole plan, once.
+    t1, t2 = pair
+    codes1, codes2 = subtree_codes(t1), subtree_codes(t2)
+    v1 = data.draw(st.sampled_from(t1.sorted_nodes()))
+    v2 = data.draw(st.sampled_from(t2.sorted_nodes()))
+    for u1, u2 in ((ROOT, ROOT), (v1, v2)):
+        for n in range(1, len(t1) + 1):
+            try:
+                p = _assemble(_infer_known((t1, codes1), u1, (t2, codes2), u2, n))
+            except InferenceError:
+                continue
+            assert canonical(expand(p, n).tree).code == codes1[u1]
+            assert canonical(expand(p, n + 1).tree).code == codes2[u2]
