@@ -22,7 +22,7 @@ from .errors import (
     UnboundVariableError,
 )
 from .plan import TreePlan, expand, parse_plan, plan_text
-from .trees import format_node, parse_node, path_text
+from .trees import Node, format_node, parse_node, path_text
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -122,10 +122,25 @@ def cmd_check(args) -> int:
     raise DomainError(f"formula has several free variables: {free}")
 
 
+def _parse_params(items: list[str]) -> dict[str, Node]:
+    """The ``NAME=NODE`` bindings of repeated ``--param`` options."""
+    params: dict[str, Node] = {}
+    for item in items:
+        name, sep, text = item.partition("=")
+        name = name.strip()
+        if not sep or not name:
+            raise DomainError(f"--param needs NAME=NODE, got {item!r}")
+        if name in params:
+            raise DomainError(f"parameter {name} is bound twice")
+        params[name] = parse_node(text)
+    return params
+
+
 def cmd_asymptotic(args) -> int:
     p = _read_plan(args.plan)
     f = logic.parse_formula(args.formula)
-    free = sorted(logic.free_vars(f))
+    params = _parse_params(args.param)
+    free = sorted(logic.free_vars(f) - params.keys())
     if len(free) != 1:
         raise DomainError("the asymptotic check needs exactly one free variable")
     try:
@@ -133,7 +148,8 @@ def cmd_asymptotic(args) -> int:
     except ValueError:
         raise DomainError(f"ladder sizes must be integers: {args.ladder!r}") from None
     report = logic.asymptotic_check(
-        p, f, free[0], ladder=ladder, tol=args.tol, budget=args.budget, fast=True
+        p, f, free[0], param_spec=params, ladder=ladder, tol=args.tol,
+        budget=args.budget, fast=True,
     )
     _emit(_csv_or_pretty(report.to_csv(), args.pretty), args.out)
     return EXIT_PASS if report.all_pass else EXIT_FAIL
@@ -208,6 +224,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--formula", required=True)
     sp.add_argument("--ladder", default="2,3,4", help="comma-separated sizes")
     sp.add_argument("--tol", type=float, default=0.1)
+    sp.add_argument(
+        "--param",
+        action="append",
+        default=[],
+        metavar="NAME=NODE",
+        help="bind a formula variable to a node, e.g. b=0:0/0:0 (repeatable)",
+    )
     sp.set_defaults(func=cmd_asymptotic)
 
     sp = sub.add_parser("infer", help="reconstruct a plan from two tree samples")

@@ -9,7 +9,11 @@ move orbits, one least representative per orbit over the picks so far,
 read off their tree closure (:func:`~treeplan.closure.orbit_reps`) at a
 cost independent of the expansion size, and memoized by the orbits of the
 picks; past its position budget it degrades to a seeded random player
-and says so.
+and says so.  A restriction of a partial isomorphism is one, and the
+search only moves on from positions that passed the check, so each
+position it reaches checks only its newest pick pair, in time linear in
+the number of picks; the full check runs once per search entry and at
+the end of a played game.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Optional
 from .closure import anchor_in, close_pair, least_free_child, orbit_reps
 from .errors import BudgetError, DomainError
 from .plan import Expansion, TreePlan
-from .trees import Node, ROOT, STAR, format_node, meet_nodes
+from .trees import Node, ROOT, STAR, Segment, format_node, meet_nodes
 
 
 @dataclass(frozen=True)
@@ -73,6 +77,55 @@ def partial_isomorphism(
             if (pa == a2) != (pb == b2):
                 return False
             if where_l.get(meet_nodes(a, a2)) != where_r.get(meet_nodes(b, b2)):
+                return False
+    return True
+
+
+def _extends_partial_isomorphism(
+    picks_left: tuple[Node, ...], picks_right: tuple[Node, ...]
+) -> bool:
+    """:func:`partial_isomorphism` for picks whose prefix without the last
+    pair is already one: only the newest pair (a, b) is checked, in O(m)
+    for m picks against O(m^2) for the full check.
+
+    A restriction of a partial isomorphism is one, so no relation among
+    earlier pairs can fail but through the new pair.  The plan paths of a
+    and b must agree, and their first-pick indices too; a repeat of an
+    earlier pair then passes at once.  A new pair must agree with every
+    earlier one on the index of their meet.  That covers the prefix
+    relations both ways (a is below x exactly when their meet is a, x
+    below a when it is x), and so the parent relations, since paired picks
+    have equal depths.  The one relation among earlier picks that a new
+    pick can change is a meet becoming a: two picks above a meet at a
+    exactly when they lie under different children of a.  So the picks
+    above a must fall under a's children in the same groups as their
+    partners under b's children, a bijection between the child segments.
+    """
+    a, b = picks_left[-1], picks_right[-1]
+    if a.plan_path != b.plan_path:
+        return False
+    pairs = [(ROOT, ROOT)] + list(zip(picks_left[:-1], picks_right[:-1]))
+    where_l: dict[Node, int] = {}
+    where_r: dict[Node, int] = {}
+    for i, (x, y) in enumerate(pairs):
+        where_l.setdefault(x, i)
+        where_r.setdefault(y, i)
+    first = where_l.get(a)
+    if first != where_r.get(b):
+        return False
+    if first is not None:
+        return True
+    new = where_l[a] = where_r[b] = len(pairs)
+    child_of_b: dict[Segment, Segment] = {}
+    child_of_a: dict[Segment, Segment] = {}
+    for x, y in pairs:
+        i = where_l.get(meet_nodes(a, x))
+        if i != where_r.get(meet_nodes(b, y)):
+            return False
+        if i == new:
+            # x lies above a and y above b.
+            cx, cy = x.segs[a.depth], y.segs[b.depth]
+            if child_of_b.setdefault(cx, cy) != cy or child_of_a.setdefault(cy, cx) != cx:
                 return False
     return True
 
@@ -187,7 +240,14 @@ def _orbit_key(picks: tuple[Node, ...]) -> tuple[Node, ...]:
 
 
 class _Search:
-    """Minimax over pick-orbit representatives, memoized by pick orbits."""
+    """Minimax over pick-orbit representatives, memoized by pick orbits.
+
+    A move only reaches positions whose parent passed the partial
+    isomorphism check, and a restriction of a partial isomorphism is one,
+    so such a position checks only its newest pair
+    (:func:`_extends_partial_isomorphism`, O(m) for m picks).  The full
+    O(m^2) check runs once, on the state handed to :meth:`spoiler_wins`.
+    """
 
     def __init__(self, budget: int):
         self.budget = budget
@@ -195,10 +255,14 @@ class _Search:
         self.memo: dict = {}
 
     def spoiler_wins(self, state: GameState) -> bool:
+        return self._solve(state, partial_isomorphism)
+
+    def _solve(self, state: GameState, check) -> bool:
+        # ``check`` decides whether the picks form a partial isomorphism.
         self.visited += 1
         if self.visited > self.budget:
             raise BudgetError(f"game tree exceeded {self.budget} nodes")
-        if not partial_isomorphism(state.picks_left, state.picks_right):
+        if not check(state.picks_left, state.picks_right):
             return True
         if state.rounds_left == 0:
             return False
@@ -216,9 +280,13 @@ class _Search:
         self.memo[key] = result
         return result
 
+    def _wins_after(self, state: GameState, left: Node, right: Node) -> bool:
+        return self._solve(state.after(left, right), _extends_partial_isomorphism)
+
     def winning_move(self, state: GameState) -> Optional[tuple[str, Node]]:
         """The first spoiler move, left side first, that wins against every
-        reply; None when there is none.
+        reply; None when there is none.  ``state`` must be a partial
+        isomorphism.
 
         Moves and replies range over the orbit representatives of each
         side, listed once for the position.
@@ -226,10 +294,10 @@ class _Search:
         reps_left = orbit_reps(state.left, state.picks_left)
         reps_right = orbit_reps(state.right, state.picks_right)
         for move in reps_left:
-            if all(self.spoiler_wins(state.after(move, reply)) for reply in reps_right):
+            if all(self._wins_after(state, move, reply) for reply in reps_right):
                 return ("L", move)
         for move in reps_right:
-            if all(self.spoiler_wins(state.after(reply, move)) for reply in reps_left):
+            if all(self._wins_after(state, reply, move) for reply in reps_left):
                 return ("R", move)
         return None
 
@@ -258,6 +326,9 @@ class ExhaustiveSpoiler:
         return self._search
 
     def pick(self, state: GameState) -> tuple[str, Node]:
+        if not partial_isomorphism(state.picks_left, state.picks_right):
+            # Already won: every move wins, and the root is the least one.
+            return ("L", ROOT)
         search = self._searcher(state)
         try:
             move = search.winning_move(state)

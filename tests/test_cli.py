@@ -3,7 +3,7 @@ import pytest
 from treeplan import logic, parse_formula, parse_node
 from treeplan.cli import main
 
-from conftest import PLAN_TEXTS
+from conftest import PLAN_TEXTS, PLANS
 
 
 @pytest.fixture
@@ -151,25 +151,61 @@ class TestAsymptotic:
         assert len(lines) == 4
         assert lines[-1].startswith("50,50,1,0.500000")
 
-    def test_inexact_class_counts_exit_1(self, plan_file, capsys, monkeypatch):
-        # The command binds no parameters, and a formula without parameters
-        # always has exact class counts; so the report of a parameterized
-        # formula with inexact counts stands in for the one it computes.
-        check = logic.asymptotic_check
-        formula = parse_formula("P[0.0](x) & !(pred(x) = pred(b))")
-        params = {"b": parse_node("0:0/0:0")}
-        monkeypatch.setattr(
-            logic,
-            "asymptotic_check",
-            lambda p, _f, var, **kw: check(p, formula, var, param_spec=params, **kw),
-        )
+    def test_inexact_class_counts_exit_1(self, plan_file, capsys):
+        # With b bound, x is the one free variable left; the class counts
+        # the relative fiber polynomials predict are not exact here.
         code, out, _ = run(
             capsys,
-            ["asymptotic", "--plan", plan_file("B"), "--formula", "P[0.0](x)",
-             "--ladder", "3,4,5,50"],
+            ["asymptotic", "--plan", plan_file("B"),
+             "--formula", "P[0.0](x) & !(pred(x) = pred(b))",
+             "--param", "b=0:0/0:0", "--ladder", "3,4,5,50"],
         )
         assert code == 1
         assert out.strip().splitlines()[-1].endswith(",true")
+
+    def test_param_report_matches_the_library(self, plan_file, capsys):
+        formula = "P[0.0](x) & !(pred(x) = pred(b))"
+        code, out, _ = run(
+            capsys,
+            ["asymptotic", "--plan", plan_file("B"), "--formula", formula,
+             "--param", "b=0:0/0:0", "--ladder", "3,4"],
+        )
+        report = logic.asymptotic_check(
+            PLANS["B"], parse_formula(formula), "x",
+            param_spec={"b": parse_node("0:0/0:0")}, ladder=(3, 4), fast=True,
+        )
+        assert out == report.to_csv()
+        assert code == (0 if report.all_pass else 1)
+
+    def test_two_unbound_variables_exit_2(self, plan_file, capsys):
+        code, _, err = run(
+            capsys,
+            ["asymptotic", "--plan", plan_file("B"),
+             "--formula", "P[0.0](x) & !(pred(x) = pred(b))"],
+        )
+        assert code == 2 and "exactly one free variable" in err
+
+    @pytest.mark.parametrize(
+        "param", ["b", "=0:0/0:0", "b=", "b=0:x", "b=0:0/0:0/0:0"]
+    )
+    def test_malformed_param_exits_2(self, plan_file, capsys, param):
+        # The last one parses but is not a node of the expansions.
+        code, out, err = run(
+            capsys,
+            ["asymptotic", "--plan", plan_file("B"),
+             "--formula", "P[0.0](x) & !(pred(x) = pred(b))",
+             "--param", param, "--ladder", "3,4"],
+        )
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+    def test_param_bound_twice_exits_2(self, plan_file, capsys):
+        code, _, err = run(
+            capsys,
+            ["asymptotic", "--plan", plan_file("B"), "--formula", "P[0.0](x)",
+             "--param", "b=0:0", "--param", "b=0:1", "--ladder", "3,4"],
+        )
+        assert code == 2 and "bound twice" in err
 
 
 class TestInfer:

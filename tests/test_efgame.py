@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 
@@ -68,6 +69,28 @@ class TestGameWon:
             0,
         )
         assert not partial_isomorphism(state.picks_left, state.picks_right)
+
+    def test_newest_pair_check_on_every_extension(self):
+        # Chain plans are where an old meet can become the new pick: two
+        # leaves may meet at depth 1 on one side and at depth 2 on the other.
+        # Every two-leaf partial isomorphism (the first left leaf fixed, as
+        # all leaves are in one orbit), extended by every pair of inner nodes.
+        e = expand(PLANS["chain3"], 2)
+        leaves = e.fiber((0, 0, 0))
+        inner = [v for v in e.nodes() if v.depth < 3]
+        checked = 0
+        for second in leaves:
+            for right in itertools.product(leaves, repeat=2):
+                left = (leaves[0], second)
+                if not partial_isomorphism(left, right):
+                    continue
+                for a in inner:
+                    for b in e.fiber(a.plan_path):
+                        picks = (left + (a,), right + (b,))
+                        expected = partial_isomorphism(*picks)
+                        assert efgame._extends_partial_isomorphism(*picks) == expected
+                        checked += 1
+        assert checked > 2_000
 
     def test_meets_off_the_picks_may_differ_in_depth(self):
         # Only meets that land on a pick (or the root) are compared, so a
@@ -262,6 +285,51 @@ class TestExhaustiveSpoiler:
         moved = GameState(left, right, (node("0:3"),), (node("0:2"),), 2)
         assert not search.spoiler_wins(moved)
         assert search.visited == 1
+
+    def test_pick_on_a_lost_position_takes_the_least_left_rep(self):
+        left, right = expand(PLANS["B"], 2), expand(PLANS["B"], 3)
+        picks_left, picks_right = (node("0:0"), node("0:1")), (node("0:0"), node("0:0"))
+        state = GameState(left, right, picks_left, picks_right, 1)
+        assert not partial_isomorphism(state.picks_left, state.picks_right)
+        move = ExhaustiveSpoiler().pick(state)
+        assert move == ("L", orbit_reps(left, state.picks_left)[0])
+
+
+class TestSearch:
+    def test_lost_position_from_outside_is_a_spoiler_win(self):
+        # The state handed in gets the full check, not just its newest pair:
+        # here only the first pair fails.
+        left, right = expand(PLANS["B"], 2), expand(PLANS["B"], 3)
+        picks_left, picks_right = (node("0:0/0:0"), node("eps")), (node("0:0"), node("eps"))
+        state = GameState(left, right, picks_left, picks_right, 1)
+        assert efgame._extends_partial_isomorphism(state.picks_left, state.picks_right)
+        search = efgame._Search(100_000)
+        assert search.spoiler_wins(state)
+        assert search.visited == 1
+
+    def test_full_check_runs_once_per_entry(self, monkeypatch):
+        calls = []
+
+        def counted(picks_left, picks_right):
+            calls.append(picks_left)
+            return partial_isomorphism(picks_left, picks_right)
+
+        monkeypatch.setattr(efgame, "partial_isomorphism", counted)
+        left, right = expand(PLANS["B"], 3), expand(PLANS["B"], 4)
+        assert game_value(left, right, 3) == "D"
+        assert calls == [()]
+
+    @pytest.mark.parametrize(
+        "name, n1, n2, k, value, visited",
+        [("A", 1, 2, 2, True, 18), ("B", 3, 4, 3, False, 755), ("inf_one_inf", 2, 3, 3, True, 550)],
+    )
+    def test_positions_visited(self, name, n1, n2, k, value, visited):
+        # Pinned to the counts of the search that checked every pair at every
+        # position: the newest-pair check visits exactly the same positions.
+        left, right = expand(PLANS[name], n1), expand(PLANS[name], n2)
+        search = efgame._Search(100_000)
+        assert search.spoiler_wins(GameState(left, right, (), (), k)) == value
+        assert search.visited == visited
 
 
 class TestGameValue:

@@ -29,8 +29,9 @@ from treeplan import (
 from treeplan.analysis import _assemble, _infer_known
 from treeplan.closure import orbit_reps
 from treeplan.counting import Polynomial
+from treeplan.efgame import _extends_partial_isomorphism
 from treeplan.logic import free_vars
-from treeplan.trees import FiniteTree, subtree_codes
+from treeplan.trees import FiniteTree, meet_nodes, subtree_codes
 
 from conftest import (
     PLANS,
@@ -264,28 +265,66 @@ def test_orbit_matches_the_type_filter(e, data):
     assert orbit(e, a, members) == orbit_bruteforce(e, a, members)
 
 
+@st.composite
+def paired_picks(draw, left, right, max_size=4):
+    """Picks on ``left`` and as many partner picks on ``right``: images
+    under an embedding, same-label redraws, or unrelated picks."""
+    picks_left = draw(pick_tuples(left, max_size=max_size))
+    mode = draw(st.sampled_from(["embedding", "fiber", "any"]))
+    if mode == "embedding":
+        # Images under an embedding: isomorphic, unless perturbed.
+        f = random_embedding(draw(st.randoms(use_true_random=False)), left, right)
+        picks_right = [f[a] for a in picks_left]
+        if picks_right and draw(st.booleans()):
+            i = draw(st.integers(0, len(picks_right) - 1))
+            picks_right[i] = draw(st.sampled_from(right.nodes()))
+    elif mode == "fiber":
+        # Same labels, tags redrawn: meets move while labels still agree.
+        picks_right = [draw(st.sampled_from(right.fiber(a.plan_path))) for a in picks_left]
+    else:
+        picks_right = list(draw(pick_tuples(right, max_size=max_size)))
+    # Both checks pair the picks up with zip.
+    m = min(len(picks_left), len(picks_right))
+    return picks_left[:m], tuple(picks_right[:m])
+
+
 @given(corpus_expansions(max_n=3), st.data())
 @settings(max_examples=150, deadline=None)
 def test_partial_isomorphism_matches_the_cubic_check(left, data):
     right = expand(left.plan, data.draw(st.integers(left.n, left.n + 1)))
-    picks_left = data.draw(pick_tuples(left, max_size=4))
-    mode = data.draw(st.sampled_from(["embedding", "fiber", "any"]))
-    if mode == "embedding":
-        # Images under an embedding: isomorphic, unless perturbed.
-        f = random_embedding(data.draw(st.randoms(use_true_random=False)), left, right)
-        picks_right = [f[a] for a in picks_left]
-        if picks_right and data.draw(st.booleans()):
-            i = data.draw(st.integers(0, len(picks_right) - 1))
-            picks_right[i] = data.draw(st.sampled_from(right.nodes()))
-    elif mode == "fiber":
-        # Same labels, tags redrawn: meets move while labels still agree.
-        picks_right = [
-            data.draw(st.sampled_from(right.fiber(a.plan_path))) for a in picks_left
-        ]
-    else:
-        picks_right = list(data.draw(pick_tuples(right, max_size=4)))
+    picks_left, picks_right = data.draw(paired_picks(left, right))
     expected = partial_isomorphism_cubic(picks_left, picks_right)
-    assert partial_isomorphism(picks_left, tuple(picks_right)) == expected
+    assert partial_isomorphism(picks_left, picks_right) == expected
+
+
+@given(corpus_expansions(max_n=3), st.data())
+@settings(max_examples=200, deadline=None)
+def test_newest_pair_check_matches_the_full_checks(left, data):
+    right = expand(left.plan, data.draw(st.integers(left.n, left.n + 1)))
+    picks_left, picks_right = data.draw(paired_picks(left, right))
+    # All drawn pairs but the last, cut to their longest prefix that is a
+    # partial isomorphism (every shorter prefix is one too).
+    m = max(len(picks_left) - 1, 0)
+    while not partial_isomorphism(picks_left[:m], picks_right[:m]):
+        m -= 1
+    base_left, base_right = picks_left[:m], picks_right[:m]
+    earlier_left, earlier_right = (ROOT,) + base_left, (ROOT,) + base_right
+    mode = data.draw(st.sampled_from(["drawn", "repeat", "meet"]))
+    i, j = data.draw(st.integers(0, m)), data.draw(st.integers(0, m))
+    if mode == "drawn" and picks_left:
+        a, b = picks_left[-1], picks_right[-1]
+    elif mode == "meet":
+        # The meet of two earlier picks, against the prefix of a partner at
+        # its depth: the one place an old meet can become the new pick.
+        a = meet_nodes(earlier_left[i], earlier_left[j])
+        b = earlier_right[i].prefix(a.depth)
+    else:
+        # A repeat of earlier picks, the root included, often of one pair.
+        a, b = earlier_left[i], earlier_right[data.draw(st.sampled_from([i, j]))]
+    extended_left, extended_right = base_left + (a,), base_right + (b,)
+    expected = partial_isomorphism(extended_left, extended_right)
+    assert partial_isomorphism_cubic(extended_left, extended_right) == expected
+    assert _extends_partial_isomorphism(extended_left, extended_right) == expected
 
 
 @st.composite
