@@ -56,7 +56,11 @@ def partial_isomorphism(
     Each side maps a node to the index of its first pick (the root is
     index 0).  Once both sides agree on those indices, a meet equals the
     same picks on both sides exactly when it has the same first index, so
-    every pair of picks is checked once.
+    every pair of picks is checked once.  The meet indices decide the
+    order too: a is below a2 exactly when their meet has a's first index.
+    And pred: a2 is the parent of a non-root a exactly when a2 is below a
+    and one level shallower, and paired picks have equal plan paths, so
+    equal depths; the root, its own parent, has index 0 on both sides.
     """
     pairs = [(ROOT, ROOT)] + list(zip(picks_left, picks_right))
     where_l: dict[Node, int] = {}
@@ -70,12 +74,7 @@ def partial_isomorphism(
         if where_l[a] != where_r[b]:
             return False
     for a, b in pairs:
-        pa, pb = a.parent(), b.parent()
         for a2, b2 in pairs:
-            if a.is_prefix_of(a2) != b.is_prefix_of(b2):
-                return False
-            if (pa == a2) != (pb == b2):
-                return False
             if where_l.get(meet_nodes(a, a2)) != where_r.get(meet_nodes(b, b2)):
                 return False
     return True

@@ -4,14 +4,19 @@ Terms are built from variables, the root constant, pred, and meet; atoms
 are equality, the prefix order, and one fiber predicate per plan node.
 Quantifiers scope to the end of the enclosing formula (or closing paren).
 
-Evaluation is Tarskian recursion.  Quantifiers can optionally range over
-one representative per orbit over the current environment instead of the
-whole universe (``fast=True``): two candidates in one orbit are exchanged
-by an automorphism fixing the environment, so the truth value is
-unchanged.  The representatives are read off the tree closure of the
-environment (:func:`~treeplan.closure.orbit_reps`), so their number and
-cost do not grow with the expansion size.  The fast path is cross-checked
-against the plain one in the test suite.
+Evaluation compiles a formula once per call into nested closures over a
+scope of variable bindings, then runs them.  Terms evaluate to segment
+tuples rather than nodes: ``pred`` drops the last segment, ``meet`` is the
+common prefix, and the order is a prefix test.  Quantifiers can
+optionally range over one representative per orbit over the current
+environment instead of the whole universe (``fast=True``): two candidates
+in one orbit are exchanged by an automorphism fixing the environment, so
+the truth value is unchanged.  The representatives are read off the tree
+closure of the environment (:func:`~treeplan.closure.orbit_reps`), so
+their number and cost do not grow with the expansion size.  Plain mode
+ranges over every node and stays the brute-force path; both modes are
+checked against a substitution-based reference evaluator in the test
+suite.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .closure import anchor_in, downset, orbit_reps, tcl
 from .counting import dim_measure, poly_P, poly_Q_rel
@@ -29,7 +34,7 @@ from .errors import (
     UnboundVariableError,
 )
 from .plan import Expansion, TreePlan, ell, expand, height, strip_comments
-from .trees import Node, PlanPath, ROOT, meet_nodes, path_text
+from .trees import Node, PlanPath, ROOT, Segment, path_text
 
 # --------------------------------------------------------------------------
 # Abstract syntax
@@ -392,17 +397,110 @@ def free_vars(f: Formula) -> frozenset[str]:
 # Evaluation
 
 
-def _term_value(e: Expansion, t: Term, env: Mapping[str, Node]) -> Node:
+# A compiled term maps a scope (variable names to nodes) to the segment
+# tuple of its value; a compiled formula maps a scope to its truth value.
+Scope = dict[str, Node]
+Segs = tuple[Segment, ...]
+
+
+def _compile_term(t: Term) -> Callable[[Scope], Segs]:
     if isinstance(t, Var):
-        if t.name not in env:
-            raise UnboundVariableError(f"unbound variable {t.name!r}")
-        return env[t.name]
+        name = t.name
+
+        def var(scope: Scope) -> Segs:
+            try:
+                return scope[name].segs
+            except KeyError:
+                raise UnboundVariableError(f"unbound variable {name!r}") from None
+
+        return var
     if isinstance(t, Eps):
-        return ROOT
+        return lambda scope: ()
     if isinstance(t, Pred):
-        return _term_value(e, t.arg, env).parent()
-    value = meet_nodes(_term_value(e, t.left, env), _term_value(e, t.right, env))
-    return value
+        # pred^k drops the last k segments; a slice clamps at the root.
+        k, inner = 0, t
+        while isinstance(inner, Pred):
+            k += 1
+            inner = inner.arg
+        arg = _compile_term(inner)
+        return lambda scope: arg(scope)[:-k]
+    if isinstance(t, MeetT):
+        left, right = _compile_term(t.left), _compile_term(t.right)
+
+        def meet(scope: Scope) -> Segs:
+            a, b = left(scope), right(scope)
+            i = 0
+            for seg_a, seg_b in zip(a, b):
+                if seg_a != seg_b:
+                    break
+                i += 1
+            return a[:i]
+
+        return meet
+    raise DomainError(f"not a term: {t!r}")
+
+
+def _compile(e: Expansion, f: Formula, fast: bool) -> Callable[[Scope], bool]:
+    """``f`` as nested closures over a scope, built once per call.
+
+    Atoms and connectives keep the left-to-right short-circuit order, and
+    an atom raises its unbound-variable or bad-label error only when it is
+    reached.  A quantifier ranges over every node in node order, or with
+    ``fast`` over :func:`~treeplan.closure.orbit_reps` of the scope, and
+    restores the outer binding of its variable on exit.
+    """
+    if isinstance(f, Eq):
+        left, right = _compile_term(f.left), _compile_term(f.right)
+        return lambda scope: left(scope) == right(scope)
+    if isinstance(f, Leq):
+        left, right = _compile_term(f.left), _compile_term(f.right)
+
+        def leq(scope: Scope) -> bool:
+            low = left(scope)
+            return right(scope)[: len(low)] == low
+
+        return leq
+    if isinstance(f, Label):
+        path = f.path
+        if path not in e.plan.nodes:
+
+            def bad_label(scope: Scope) -> bool:
+                raise DomainError(f"label path {path} is not a node of the plan")
+
+            return bad_label
+        arg = _compile_term(f.arg)
+        return lambda scope: tuple([branch for branch, _ in arg(scope)]) == path
+    if isinstance(f, Not):
+        sub = _compile(e, f.sub, fast)
+        return lambda scope: not sub(scope)
+    if isinstance(f, (And, Or, Implies)):
+        left, right = _compile(e, f.left, fast), _compile(e, f.right, fast)
+        if isinstance(f, And):
+            return lambda scope: left(scope) and right(scope)
+        if isinstance(f, Or):
+            return lambda scope: left(scope) or right(scope)
+        return lambda scope: (not left(scope)) or right(scope)
+    if not isinstance(f, (Exists, Forall)):
+        raise DomainError(f"not a formula: {f!r}")
+    body, name, tree = _compile(e, f.body, fast), f.var, e.tree
+    # Exists stops at the first true body, Forall at the first false one.
+    stop = isinstance(f, Exists)
+
+    def quantifier(scope: Scope) -> bool:
+        outer = scope.get(name)
+        result = not stop
+        for x in orbit_reps(e, scope.values()) if fast else tree:
+            scope[name] = x
+            if body(scope) == stop:
+                result = stop
+                break
+        if outer is None:
+            scope.pop(name, None)
+        else:
+            scope[name] = outer
+        return result
+
+    return quantifier
 
 
 def evaluate(
@@ -418,46 +516,9 @@ def evaluate(
     because members of one orbit are automorphic over it.  A quantifier
     restores the outer binding of its variable on exit.
     """
-    env = dict(env or {})
-    for v in env.values():
-        e.tree.require(v)
-
-    def rec(g: Formula, scope: dict[str, Node]) -> bool:
-        if isinstance(g, Eq):
-            return _term_value(e, g.left, scope) == _term_value(e, g.right, scope)
-        if isinstance(g, Leq):
-            return _term_value(e, g.left, scope).is_prefix_of(
-                _term_value(e, g.right, scope)
-            )
-        if isinstance(g, Label):
-            if g.path not in e.plan.nodes:
-                raise DomainError(f"label path {g.path} is not a node of the plan")
-            return _term_value(e, g.arg, scope).plan_path == g.path
-        if isinstance(g, Not):
-            return not rec(g.sub, scope)
-        if isinstance(g, And):
-            return rec(g.left, scope) and rec(g.right, scope)
-        if isinstance(g, Or):
-            return rec(g.left, scope) or rec(g.right, scope)
-        if isinstance(g, Implies):
-            return (not rec(g.left, scope)) or rec(g.right, scope)
-        candidates = orbit_reps(e, scope.values()) if fast else e.nodes()
-        # Exists stops at the first true body, Forall at the first false one.
-        stop = isinstance(g, Exists)
-        outer = scope.get(g.var)
-        result = not stop
-        for x in candidates:
-            scope[g.var] = x
-            if rec(g.body, scope) == stop:
-                result = stop
-                break
-        if outer is None:
-            scope.pop(g.var, None)
-        else:
-            scope[g.var] = outer
-        return result
-
-    return rec(f, env)
+    scope = dict(env or {})
+    e.tree.require(*scope.values())
+    return _compile(e, f, fast)(scope)
 
 
 def solution_set(
@@ -468,15 +529,16 @@ def solution_set(
     fast: bool = False,
 ) -> frozenset[Node]:
     """All nodes that satisfy ``f`` when substituted for ``free_var``."""
-    params = dict(params or {})
-    missing = free_vars(f) - set(params) - {free_var}
+    scope = dict(params or {})
+    missing = free_vars(f) - set(scope) - {free_var}
     if missing:
         raise UnboundVariableError(f"unbound variables {sorted(missing)}")
+    e.tree.require(*(v for name, v in scope.items() if name != free_var))
+    holds = _compile(e, f, fast)
     out = []
-    for x in e.nodes():
-        env = dict(params)
-        env[free_var] = x
-        if evaluate(e, f, env, fast=fast):
+    for x in e.tree:
+        scope[free_var] = x
+        if holds(scope):
             out.append(x)
     return frozenset(out)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
 from .errors import DomainError
@@ -112,7 +113,9 @@ class FiniteTree:
 
     def __init__(self, nodes: Iterable[Node]):
         node_set = frozenset(nodes)
-        ordered = sorted(node_set)
+        # Sorting by the segment tuples gives the node order without a
+        # dataclass comparison per pair.
+        ordered = sorted(node_set, key=attrgetter("segs"))
         # The root is the least node, and a parent precedes its children,
         # so one walk in node order fills every child list in order.
         if not ordered or ordered[0] != ROOT:

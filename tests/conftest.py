@@ -10,16 +10,19 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 
 import pytest
 
 from treeplan import (
+    DomainError,
     FiniteTree,
     InferenceError,
     Node,
     ROOT,
     STAR,
     TreePlan,
+    UnboundVariableError,
     expand,
     format_node,
     make_plan,
@@ -28,6 +31,20 @@ from treeplan import (
 )
 from treeplan.analysis import extend_embedding
 from treeplan.closure import tuple_code
+from treeplan.logic import (
+    And,
+    Eps,
+    Eq,
+    Exists,
+    Implies,
+    Label,
+    Leq,
+    MeetT,
+    Not,
+    Or,
+    Pred,
+    Var,
+)
 from treeplan.trees import meet_nodes, path_text, prefixes
 
 PLAN_TEXTS = {
@@ -230,6 +247,83 @@ def node_order_key(v: Node) -> tuple:
         branch, tag = part.split(":")
         key.append((int(branch), -1 if tag == "*" else int(tag)))
     return tuple(key)
+
+
+@dataclass(frozen=True)
+class NodeConstant:
+    """A term naming one node: what a variable becomes under substitution."""
+
+    node: Node
+
+
+def substitute(f, name: str, node: Node):
+    """``f`` with the free occurrences of variable ``name`` replaced by ``node``."""
+
+    def term(t):
+        if isinstance(t, Var):
+            return NodeConstant(node) if t.name == name else t
+        if isinstance(t, Pred):
+            return Pred(term(t.arg))
+        if isinstance(t, MeetT):
+            return MeetT(term(t.left), term(t.right))
+        return t
+
+    if isinstance(f, (Eq, Leq)):
+        return type(f)(term(f.left), term(f.right))
+    if isinstance(f, Label):
+        return Label(f.path, term(f.arg))
+    if isinstance(f, Not):
+        return Not(substitute(f.sub, name, node))
+    if isinstance(f, (And, Or, Implies)):
+        return type(f)(substitute(f.left, name, node), substitute(f.right, name, node))
+    if f.var == name:
+        return f
+    return type(f)(f.var, substitute(f.body, name, node))
+
+
+def evaluate_reference(e, f, env=None) -> bool:
+    """Tarskian truth by substitution: the environment and every quantified
+    node are substituted into the formula before it is read, meets come
+    from :func:`lcp_oracle` and predecessors from ``Node.parent``.  Raises
+    as the library does, and only where an atom is reached."""
+    env = dict(env or {})
+    e.tree.require(*env.values())
+    for name, node in env.items():
+        f = substitute(f, name, node)
+
+    def value(t) -> Node:
+        if isinstance(t, NodeConstant):
+            return t.node
+        if isinstance(t, Var):
+            raise UnboundVariableError(f"unbound variable {t.name!r}")
+        if isinstance(t, Eps):
+            return ROOT
+        if isinstance(t, Pred):
+            return value(t.arg).parent()
+        return lcp_oracle(value(t.left), value(t.right))
+
+    def holds(g) -> bool:
+        if isinstance(g, Eq):
+            return value(g.left) == value(g.right)
+        if isinstance(g, Leq):
+            low = value(g.left)
+            return lcp_oracle(low, value(g.right)) == low
+        if isinstance(g, Label):
+            if g.path not in e.plan.nodes:
+                raise DomainError(f"label path {g.path} is not a node of the plan")
+            return value(g.arg).plan_path == g.path
+        if isinstance(g, Not):
+            return not holds(g.sub)
+        if isinstance(g, And):
+            return holds(g.left) and holds(g.right)
+        if isinstance(g, Or):
+            return holds(g.left) or holds(g.right)
+        if isinstance(g, Implies):
+            return (not holds(g.left)) or holds(g.right)
+        instances = (holds(substitute(g.body, g.var, x)) for x in e.nodes())
+        return any(instances) if isinstance(g, Exists) else all(instances)
+
+    return holds(f)
 
 
 def extend_to_automorphism_stepwise(e, f: dict[Node, Node]) -> dict[Node, Node]:

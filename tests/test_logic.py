@@ -178,6 +178,38 @@ class TestEvaluate:
             assert evaluate(e, f) == evaluate(e, f, fast=True), text
 
 
+@pytest.mark.parametrize("fast", [False, True])
+class TestLazyErrors:
+    """An atom raises only when evaluation reaches it, left to right."""
+
+    def test_unbound_variable_in_a_branch_never_reached(self, fast):
+        e = expand(PLANS["A"], 2)
+        assert evaluate(e, parse_formula("eps = eps | y = eps"), fast=fast)
+
+    def test_unbound_variable_reached_first(self, fast):
+        e = expand(PLANS["A"], 2)
+        with pytest.raises(UnboundVariableError, match="unbound variable 'y'"):
+            evaluate(e, parse_formula("y = eps | eps = eps"), fast=fast)
+
+    def test_bad_label_in_a_branch_never_reached(self, fast):
+        e = expand(PLANS["A"], 2)
+        f = parse_formula("exists x. x = eps | P[9](x)")
+        assert evaluate(e, f, fast=fast)
+        assert not evaluate(e, parse_formula("!(eps = eps) & P[9](eps)"), fast=fast)
+        with pytest.raises(DomainError, match="label path"):
+            evaluate(e, parse_formula("eps = eps & P[9](eps)"), fast=fast)
+
+    def test_env_node_outside_the_expansion(self, fast):
+        e = expand(PLANS["A"], 2)
+        with pytest.raises(DomainError, match="unknown node 0:2"):
+            evaluate(e, parse_formula("eps = eps"), {"y": node("0:2")}, fast=fast)
+
+    def test_solution_set_parameter_outside_the_expansion(self, fast):
+        e = expand(PLANS["A"], 2)
+        with pytest.raises(DomainError, match="unknown node 0:2"):
+            solution_set(e, parse_formula("x = b"), "x", {"b": node("0:2")}, fast=fast)
+
+
 class TestSolutionSet:
     def test_everything(self):
         e = expand(PLANS["C"], 2)

@@ -3,9 +3,11 @@
 from hypothesis import given, settings, strategies as st
 
 from treeplan import (
+    DomainError,
     InferenceError,
     ROOT,
     STAR,
+    UnboundVariableError,
     anchor,
     canonical,
     downset,
@@ -24,6 +26,7 @@ from treeplan import (
     plan_text,
     poly_P,
     qftp,
+    solution_set,
     tcl,
 )
 from treeplan.analysis import _assemble, _infer_known
@@ -36,6 +39,7 @@ from treeplan.trees import FiniteTree, meet_nodes, subtree_codes
 from conftest import (
     PLANS,
     brute_force_isomorphic,
+    evaluate_reference,
     generated_nodes,
     lcp_oracle,
     orbit_bruteforce,
@@ -328,19 +332,24 @@ def test_newest_pair_check_matches_the_full_checks(left, data):
 
 
 @st.composite
-def shadowing_formulas(draw, p, quantifiers=2):
+def shadowing_formulas(draw, p, quantifiers=2, bad_labels=False):
     """Formula texts over ``x`` and ``y`` only, so inner quantifiers often
-    re-bind a variable that is bound outside."""
+    re-bind a variable that is bound outside; with ``bad_labels`` a label
+    may name a path that is not in the plan."""
     labels = [".".join(map(str, sigma)) for sigma in p.sorted_nodes()]
+    if bad_labels:
+        labels.append("9")
 
     def term(depth=1):
-        kind = draw(st.integers(0, 3 if depth else 1))
+        kind = draw(st.integers(0, 4 if depth else 1))
         if kind == 0:
             return draw(st.sampled_from(["x", "y"]))
         if kind == 1:
             return "eps"
         if kind == 2:
             return f"pred({term(depth - 1)})"
+        if kind == 3:
+            return f"pred^{draw(st.integers(2, 3))}({term(depth - 1)})"
         return f"meet({term(depth - 1)}, {term(depth - 1)})"
 
     def formula(depth, left):
@@ -372,6 +381,45 @@ def test_fast_evaluation_matches_plain(e, data):
     names = sorted(free_vars(f) | data.draw(st.sets(st.sampled_from(["x", "y"]))))
     env = {v: data.draw(st.sampled_from(e.nodes())) for v in names}
     assert evaluate(e, f, env, fast=True) == evaluate(e, f, env)
+
+
+def outcome(run):
+    """The value of ``run()``, or the type and message of its error."""
+    try:
+        return run()
+    except (DomainError, UnboundVariableError) as err:
+        return (type(err), str(err))
+
+
+@given(corpus_expansions(max_n=3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_evaluation_matches_the_reference(e, data):
+    f = data.draw(shadowing_formulas(e.plan, bad_labels=True))
+    names = free_vars(f) | data.draw(st.sets(st.sampled_from(["x", "y"])))
+    if names and data.draw(st.integers(0, 3)) == 0:
+        # Leave a variable unbound: its atoms raise only where reached.
+        names = names - {data.draw(st.sampled_from(sorted(names)))}
+    env = {v: data.draw(st.sampled_from(e.nodes())) for v in sorted(names)}
+    expected = outcome(lambda: evaluate_reference(e, f, env))
+    assert outcome(lambda: evaluate(e, f, env)) == expected
+    # Fast mode skips all but the least node of each orbit, so it can miss
+    # an atom that raises; where the reference has a value, it has it too.
+    if isinstance(expected, bool):
+        assert evaluate(e, f, env, fast=True) == expected
+
+
+@given(corpus_expansions(max_n=3), st.data())
+@settings(max_examples=100, deadline=None)
+def test_solution_set_matches_the_reference(e, data):
+    f = data.draw(shadowing_formulas(e.plan, quantifiers=1))
+    free_var = data.draw(st.sampled_from(["x", "y"]))
+    names = (free_vars(f) | data.draw(st.sets(st.sampled_from(["x", "y"])))) - {free_var}
+    params = {v: data.draw(st.sampled_from(e.nodes())) for v in sorted(names)}
+    expected = frozenset(
+        x for x in e.nodes() if evaluate_reference(e, f, {**params, free_var: x})
+    )
+    for fast in (False, True):
+        assert solution_set(e, f, free_var, params, fast=fast) == expected
 
 
 # --------------------------------------------------------------------------

@@ -67,6 +67,19 @@ class TestNodeOrder:
                 if STAR in (tag for _branch, tag in v.segs):
                     assert parse_node(format_node(v)) == v
 
+    def test_tree_order_is_the_segment_key(self):
+        # Random trees mixing star and numbered tags, given in random order.
+        rng = random.Random(8)
+        for _ in range(200):
+            nodes = [ROOT]
+            for _ in range(rng.randint(0, 30)):
+                v = rng.choice(nodes).child(rng.randrange(3), rng.choice([STAR, 0, 1, 2, 3]))
+                if v not in nodes:
+                    nodes.append(v)
+            rng.shuffle(nodes)
+            tree = FiniteTree(nodes)
+            assert list(tree) == tree.sorted_nodes() == sorted(nodes, key=node_order_key)
+
     def test_tree_must_be_prefix_closed_and_rooted(self):
         with pytest.raises(DomainError):
             FiniteTree([ROOT, node("0:0/0:1")])
