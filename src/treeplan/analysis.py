@@ -45,7 +45,7 @@ def _check_partial_embedding(dst: Expansion, f: dict[Node, Node]) -> None:
             raise DomainError(f"image {b} is outside the target")
         if a.plan_path != b.plan_path:
             raise DomainError(f"map breaks labels at {a}")
-        if a.segs:
+        if a.depth:
             pa = a.parent()
             if pa in f and f[pa] != b.parent():
                 raise DomainError(f"map breaks pred at {a}")
@@ -76,7 +76,7 @@ def extend_embedding(
     _check_partial_embedding(dst, f)
     if c in closed:
         return dict(f)
-    branch = c.segs[-1][0]
+    branch = c[-1][0]
     d = f[c.parent()]
     fresh = least_free_child(dst, d, branch, set(f.values()))
     if fresh is None:
@@ -106,7 +106,7 @@ def extend_to_automorphism(e: Expansion, f: dict[Node, Node]) -> dict[Node, Node
     # A predecessor comes first in node order, so it is mapped by now.
     for c in e.nodes():
         if c not in out:
-            fresh = least_free_child(e, out[c.parent()], c.segs[-1][0], used)
+            fresh = least_free_child(e, out[c.parent()], c[-1][0], used)
             used.update(close_pair(e.plan, out, c, fresh))
     return out
 
@@ -442,7 +442,11 @@ def parse_tree_text(text: str) -> FiniteTree:
         raise DomainError("empty tree input")
     if cleaned.startswith("("):
         plan = _parse_plan_source(cleaned)
-        return FiniteTree(Node(tuple((b, STAR) for b in sigma)) for sigma in plan.nodes)
+        # A parent path sorts before its children: one step per plan node.
+        nodes = {(): ROOT}
+        for sigma in plan.sorted_nodes()[1:]:
+            nodes[sigma] = nodes[sigma[:-1]].child(sigma[-1], STAR)
+        return FiniteTree(nodes.values())
     return _parse_parent_list(cleaned)
 
 

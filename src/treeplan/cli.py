@@ -194,14 +194,15 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--n", type=int, required=True)
         sp.add_argument("--budget", type=int, default=None, help="node budget")
         sp.add_argument("--out", default=None, help="write output to a file")
-        sp.add_argument("--pretty", action="store_true")
 
     sp = sub.add_parser("expand", help="materialize an expansion")
     common(sp, n=True)
+    sp.add_argument("--pretty", action="store_true")
     sp.set_defaults(func=cmd_expand)
 
     sp = sub.add_parser("verify", help="exact counting identities up to n")
     common(sp, n=True)
+    sp.add_argument("--pretty", action="store_true")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("ef", help="play a k-round game between two expansions")
@@ -224,6 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--formula", required=True)
     sp.add_argument("--ladder", default="2,3,4", help="comma-separated sizes")
     sp.add_argument("--tol", type=float, default=0.1)
+    sp.add_argument("--pretty", action="store_true")
     sp.add_argument(
         "--param",
         action="append",
@@ -237,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("tree1")
     sp.add_argument("tree2")
     sp.add_argument("--out", default=None)
-    sp.add_argument("--pretty", action="store_true")
     sp.set_defaults(func=cmd_infer)
 
     sp = sub.add_parser("dividing", help="decide the dividing criterion")

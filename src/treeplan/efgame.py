@@ -53,31 +53,13 @@ def partial_isomorphism(
     """Does the pick correspondence (extended by root |-> root) preserve
     equality, the order, pred- and meet-relations, and plan labels?
 
-    Each side maps a node to the index of its first pick (the root is
-    index 0).  Once both sides agree on those indices, a meet equals the
-    same picks on both sides exactly when it has the same first index, so
-    every pair of picks is checked once.  The meet indices decide the
-    order too: a is below a2 exactly when their meet has a's first index.
-    And pred: a2 is the parent of a non-root a exactly when a2 is below a
-    and one level shallower, and paired picks have equal plan paths, so
-    equal depths; the root, its own parent, has index 0 on both sides.
+    Each prefix of the picks is checked as an extension of the one before
+    (:func:`_extends_partial_isomorphism`), in O(m^2) for m picks.
     """
-    pairs = [(ROOT, ROOT)] + list(zip(picks_left, picks_right))
-    where_l: dict[Node, int] = {}
-    where_r: dict[Node, int] = {}
-    for i, (a, b) in enumerate(pairs):
-        if a.plan_path != b.plan_path:
-            return False
-        where_l.setdefault(a, i)
-        where_r.setdefault(b, i)
-    for a, b in pairs:
-        if where_l[a] != where_r[b]:
-            return False
-    for a, b in pairs:
-        for a2, b2 in pairs:
-            if where_l.get(meet_nodes(a, a2)) != where_r.get(meet_nodes(b, b2)):
-                return False
-    return True
+    return all(
+        _extends_partial_isomorphism(picks_left[:i], picks_right[:i])
+        for i in range(1, len(picks_left) + 1)
+    )
 
 
 def _extends_partial_isomorphism(
@@ -85,8 +67,11 @@ def _extends_partial_isomorphism(
 ) -> bool:
     """:func:`partial_isomorphism` for picks whose prefix without the last
     pair is already one: only the newest pair (a, b) is checked, in O(m)
-    for m picks against O(m^2) for the full check.
+    for m picks.
 
+    Each side maps a node to the index of its first pick (the root is
+    index 0).  Once both sides agree on those indices, a meet equals the
+    same picks on both sides exactly when it has the same first index.
     A restriction of a partial isomorphism is one, so no relation among
     earlier pairs can fail but through the new pair.  The plan paths of a
     and b must agree, and their first-pick indices too; a repeat of an
@@ -123,7 +108,7 @@ def _extends_partial_isomorphism(
             return False
         if i == new:
             # x lies above a and y above b.
-            cx, cy = x.segs[a.depth], y.segs[b.depth]
+            cx, cy = x[a.depth], y[b.depth]
             if child_of_b.setdefault(cx, cy) != cy or child_of_a.setdefault(cy, cx) != cx:
                 return False
     return True
@@ -197,7 +182,7 @@ class ClosureDuplicator:
         v = f[pa]
         used = set(img)
         for d in range(pa.depth + 1, node.depth + 1):
-            branch, _tag = node.segs[d - 1]
+            branch, _tag = node[d - 1]
             tau = node.prefix(d).plan_path
             if tau not in dst.plan.inf_nodes:
                 v = v.child(branch, STAR)
@@ -229,7 +214,7 @@ def _orbit_key(picks: tuple[Node, ...]) -> tuple[Node, ...]:
     out = []
     for a in picks:
         v = ROOT
-        for branch, tag in a.segs:
+        for branch, tag in a:
             if tag != STAR:
                 seen = names.setdefault((v, branch), {})
                 tag = seen.setdefault(tag, len(seen))

@@ -398,7 +398,9 @@ def free_vars(f: Formula) -> frozenset[str]:
 
 
 # A compiled term maps a scope (variable names to nodes) to the segment
-# tuple of its value; a compiled formula maps a scope to its truth value.
+# tuple of its value: a variable gives its node, which is one, and a slice
+# gives a plain tuple equal to the node it names.  A compiled formula maps
+# a scope to its truth value.
 Scope = dict[str, Node]
 Segs = tuple[Segment, ...]
 
@@ -409,7 +411,7 @@ def _compile_term(t: Term) -> Callable[[Scope], Segs]:
 
         def var(scope: Scope) -> Segs:
             try:
-                return scope[name].segs
+                return scope[name]
             except KeyError:
                 raise UnboundVariableError(f"unbound variable {name!r}") from None
 

@@ -1,11 +1,11 @@
 """Finite rooted trees in the tree signature (root, prefix order, meet, pred).
 
-A node is a path of segments.  Each segment is a pair ``(branch, tag)``:
-``branch`` is the branch index of the underlying plan node and ``tag`` is
-either :data:`STAR` ``== -1`` (for singleton branches) or an element index
-in ``0..n-1`` (for replicated branches).  The root is the empty path.
-Nodes order lexicographically by their segments, so the star comes before
-tags ``0..n-1`` and every node comes after its prefixes.
+A node is its path of segments: a :class:`Node` is a tuple of pairs
+``(branch, tag)``.  ``branch`` is the branch index of the underlying plan
+node and ``tag`` is either :data:`STAR` ``== -1`` (for singleton branches)
+or an element index in ``0..n-1`` (for replicated branches).  The root is
+the empty tuple ``()``.  Nodes compare, hash and order as tuples, so the
+star comes before tags ``0..n-1`` and every node comes after its prefixes.
 
 All values here are immutable; every operation is pure.
 """
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
 from .errors import DomainError
@@ -26,42 +25,40 @@ Segment = tuple[int, int]
 PlanPath = tuple[int, ...]
 
 
-@dataclass(frozen=True, order=True)
-class Node:
-    """A tree element, identified by its full path from the root; nodes
-    compare as their segment tuples."""
+class Node(tuple):
+    """A tree element: the tuple of its segments from the root.
 
-    segs: tuple[Segment, ...] = ()
+    Slicing or concatenating gives a plain tuple, so every method wraps
+    its result.  The root ``()`` is falsy: test ``depth``, not the node.
+    """
+
+    __slots__ = ()
 
     @property
     def depth(self) -> int:
-        return len(self.segs)
+        return len(self)
 
     @property
     def plan_path(self) -> PlanPath:
         """Branch indices of the path: the projection onto the plan."""
-        return tuple(branch for branch, _ in self.segs)
+        return tuple(branch for branch, _ in self)
 
     def prefix(self, length: int) -> "Node":
-        return Node(self.segs[:length])
+        return Node(self[:length])
 
     def parent(self) -> "Node":
-        # pred of the root is the root, by convention.
-        if not self.segs:
-            return self
-        return Node(self.segs[:-1])
+        # pred of the root is the root, by convention: the slice clamps.
+        return Node(self[:-1])
 
     def child(self, branch: int, tag: int) -> "Node":
-        return Node(self.segs + ((branch, tag),))
+        return Node(self + ((branch, tag),))
 
     def is_prefix_of(self, other: "Node") -> bool:
-        return other.segs[: len(self.segs)] == self.segs
+        return other[: len(self)] == self
 
     def retag(self, tag_map: Callable[[int], int]) -> "Node":
         """The node with every non-star tag renamed through ``tag_map``."""
-        return Node(
-            tuple((branch, STAR if tag == STAR else tag_map(tag)) for branch, tag in self.segs)
-        )
+        return Node((branch, STAR if tag == STAR else tag_map(tag)) for branch, tag in self)
 
     def __str__(self) -> str:
         return format_node(self)
@@ -80,10 +77,10 @@ def path_text(sigma: PlanPath) -> str:
 
 def format_node(node: Node) -> str:
     """Textual form: ``eps`` for the root, else ``branch:tag`` segments joined by ``/``."""
-    if not node.segs:
+    if node.depth == 0:
         return "eps"
     return "/".join(
-        f"{branch}:{'*' if tag == STAR else tag}" for branch, tag in node.segs
+        f"{branch}:{'*' if tag == STAR else tag}" for branch, tag in node
     )
 
 
@@ -103,7 +100,7 @@ def parse_node(text: str) -> Node:
         branch = int(m.group(1))
         tag = STAR if m.group(2) == "*" else int(m.group(2))
         segs.append((branch, tag))
-    return Node(tuple(segs))
+    return Node(segs)
 
 
 class FiniteTree:
@@ -113,9 +110,7 @@ class FiniteTree:
 
     def __init__(self, nodes: Iterable[Node]):
         node_set = frozenset(nodes)
-        # Sorting by the segment tuples gives the node order without a
-        # dataclass comparison per pair.
-        ordered = sorted(node_set, key=attrgetter("segs"))
+        ordered = sorted(node_set)
         # The root is the least node, and a parent precedes its children,
         # so one walk in node order fills every child list in order.
         if not ordered or ordered[0] != ROOT:
@@ -123,7 +118,7 @@ class FiniteTree:
         children: dict[Node, list[Node]] = {}
         for v in ordered:
             children[v] = []
-            if v.segs:
+            if v.depth:
                 kids = children.get(v.parent())
                 if kids is None:
                     raise DomainError(f"tree is not prefix-closed at {v}")
@@ -154,7 +149,8 @@ class FiniteTree:
 
     def require(self, *nodes: Node) -> None:
         for v in nodes:
-            if v not in self.nodes:
+            # A plain tuple equals the node it spells but has no node methods.
+            if not isinstance(v, Node) or v not in self.nodes:
                 raise DomainError(f"unknown node {v}")
 
 
@@ -166,10 +162,10 @@ def meet(tree: FiniteTree, a: Node, b: Node) -> Node:
 
 def meet_nodes(a: Node, b: Node) -> Node:
     i = 0
-    limit = min(len(a.segs), len(b.segs))
-    while i < limit and a.segs[i] == b.segs[i]:
+    limit = min(len(a), len(b))
+    while i < limit and a[i] == b[i]:
         i += 1
-    return Node(a.segs[:i])
+    return Node(a[:i])
 
 
 def predk(tree: FiniteTree, a: Node, k: int) -> Node:
@@ -271,7 +267,7 @@ def subtree(tree: FiniteTree, at: Node) -> FiniteTree:
     tree.require(at)
     k = at.depth
     return FiniteTree(
-        Node(v.segs[k:]) for v in tree.nodes if at.is_prefix_of(v)
+        Node(v[k:]) for v in tree.nodes if at.is_prefix_of(v)
     )
 
 
@@ -308,7 +304,7 @@ def find_embedding(
     if len(used) != len(assignment):
         raise DomainError("partial map is not injective")
 
-    order = [v for v in src.sorted_nodes() if v.segs]
+    order = [v for v in src.sorted_nodes() if v.depth]
 
     def extend(i: int) -> bool:
         if i == len(order):

@@ -109,8 +109,8 @@ def lcp_oracle(a: Node, b: Node) -> Node:
     """Longest-common-prefix computed by direct enumeration of prefixes."""
     best = ROOT
     for i in range(min(a.depth, b.depth) + 1):
-        if a.segs[:i] == b.segs[:i]:
-            best = Node(a.segs[:i])
+        if a[:i] == b[:i]:
+            best = Node(a[:i])
     return best
 
 
@@ -166,15 +166,15 @@ def random_embedding(rng: random.Random, em, en) -> dict[Node, Node]:
     assert em.plan == en.plan and em.n <= en.n
     f = {ROOT: ROOT}
     for v in em.nodes():
-        if not v.segs:
+        if v.depth == 0:
             continue
         image_parent = f[v.parent()]
-        branch, tag = v.segs[-1]
+        branch, tag = v[-1]
         if tag == STAR:
             f[v] = image_parent.child(branch, STAR)
         else:
             used = {
-                f[s].segs[-1][1]
+                f[s][-1][1]
                 for s in em.tree.children(v.parent())
                 if s in f and s.plan_path == v.plan_path
             }
@@ -240,7 +240,7 @@ def partial_isomorphism_cubic(picks_left, picks_right) -> bool:
 def node_order_key(v: Node) -> tuple:
     """The node order written out by hand from the text form: segment by
     segment, by branch and then by tag, with a star below every tag."""
-    if not v.segs:
+    if v.depth == 0:
         return ()
     key = []
     for part in format_node(v).split("/"):

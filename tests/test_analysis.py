@@ -434,7 +434,7 @@ class TestTreeInput:
             return f"({mark}" + "".join(" " + text(c) for c in e.tree.children(v)) + ")"
 
         def star_tagged(v):
-            if not v.segs:
+            if v.depth == 0:
                 return ROOT
             rank = e.tree.children(v.parent()).index(v)
             return star_tagged(v.parent()).child(rank, STAR)

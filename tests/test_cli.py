@@ -101,6 +101,14 @@ class TestEf:
         code2, out2, _ = run(capsys, argv)
         assert (code1, out1) == (code2, out2)
 
+    def test_pretty_is_a_usage_error(self, plan_file, capsys):
+        # Only expand, verify and asymptotic print tables.
+        argv = ["ef", "--plan", plan_file("A"), "--n1", "1", "--n2", "2", "--k", "1", "--pretty"]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "unrecognized arguments: --pretty" in capsys.readouterr().err
+
 
 class TestCheck:
     def test_tautology(self, plan_file, capsys):
@@ -218,7 +226,7 @@ class TestInfer:
             lines = []
             order = {v: i for i, v in enumerate(e.nodes())}
             for v in e.nodes():
-                lines.append("-1" if not v.segs else str(order[v.parent()]))
+                lines.append("-1" if v.depth == 0 else str(order[v.parent()]))
             (tmp_path / name).write_text("\n".join(lines) + "\n")
         code, out, _ = run(
             capsys, ["infer", str(tmp_path / "t1"), str(tmp_path / "t2")]
@@ -241,7 +249,7 @@ class TestInfer:
         t2 = expand(parse_plan(PLAN_TEXTS["C"]), 3)
         for name, e in (("t1", t1), ("t2", t2)):
             order = {v: i for i, v in enumerate(e.nodes())}
-            lines = ["-1" if not v.segs else str(order[v.parent()]) for v in e.nodes()]
+            lines = ["-1" if v.depth == 0 else str(order[v.parent()]) for v in e.nodes()]
             (tmp_path / name).write_text("\n".join(lines))
         code, _, err = run(capsys, ["infer", str(tmp_path / "t1"), str(tmp_path / "t2")])
         assert code == 4 and "inference error" in err
@@ -281,6 +289,53 @@ class TestDividing:
             ],
         )
         assert code == 0 and out.strip() == "divides=false"
+
+
+class TestGoldenTranscripts:
+    """Whole stdout and exit code of one run per command family, so a
+    change that should keep output byte-identical is checked line by line."""
+
+    @pytest.mark.parametrize(
+        "name, argv, code, expected",
+        [
+            (
+                "inf_one_inf",
+                ["ef", "--n1", "2", "--n2", "3", "--k", "3"],
+                1,
+                "1;L;0:0\n1;R;0:0\n2;L;0:1\n2;R;0:1\n3;R;0:2\n3;L;0:0\n"
+                "# capacity exhausted at eps branch 0\nwinner=S\n",
+            ),
+            (
+                "B",
+                ["ef", "--n1", "3", "--n2", "4", "--k", "3", "--game-budget", "50"],
+                0,
+                "1;R;0:2/0:1\n1;L;0:0/0:0\n2;R;0:0/0:3\n2;L;0:1/0:0\n"
+                "3;R;0:2/0:0\n3;L;0:0/0:1\n"
+                + "# budget 50 exceeded; random fallback with seed 0\n" * 3
+                + "winner=D\n",
+            ),
+            (
+                "chain3",
+                ["dividing", "--n", "3", "--a", "0:1/0:2/0:0", "--b", "0:1/0:2,0:1", "--c", "0:1"],
+                0,
+                "divides=true\nwitness=0:1/0:2\nconjugates=0:1/0:0,0:1/0:1,0:1/0:2\n"
+                "two_inconsistent=true\n",
+            ),
+            (
+                "C",
+                ["asymptotic", "--formula", "P[0](x) | P[1](x)", "--ladder", "3,5,8"],
+                0,
+                "n,observed,delta,mu,predicted,ratio,pass\n"
+                "3,6,1,1.000000,7.000,0.857143,false\n"
+                "5,10,1,1.000000,11.000,0.909091,true\n"
+                "8,16,1,1.000000,17.000,0.941176,true\n",
+            ),
+        ],
+        ids=["ef_capacity_note", "ef_budget_fallback", "dividing_conjugates", "asymptotic_C"],
+    )
+    def test_transcript(self, plan_file, capsys, name, argv, code, expected):
+        argv = argv[:1] + ["--plan", plan_file(name)] + argv[1:]
+        assert run(capsys, argv) == (code, expected, "")
 
 
 DEEP = "(1 " * 3000 + ")" * 3000

@@ -9,17 +9,21 @@ from treeplan import (
     ROOT,
     STAR,
     canonical,
+    evaluate,
     expand,
     find_embedding,
     format_node,
     induced_automorphism,
     meet,
+    parse_formula,
     parse_node,
     predk,
     qftp,
     subtree,
 )
 from treeplan.analysis import automorphism_over, check_embedding
+from treeplan.closure import orbit_reps, tcl
+from treeplan.trees import meet_nodes
 
 from conftest import (
     PLANS,
@@ -64,7 +68,7 @@ class TestNodeOrder:
             for v in e.nodes():
                 kids = e.tree.children(v)
                 assert kids == sorted(kids, key=node_order_key)
-                if STAR in (tag for _branch, tag in v.segs):
+                if STAR in (tag for _branch, tag in v):
                     assert parse_node(format_node(v)) == v
 
     def test_tree_order_is_the_segment_key(self):
@@ -79,6 +83,55 @@ class TestNodeOrder:
             rng.shuffle(nodes)
             tree = FiniteTree(nodes)
             assert list(tree) == tree.sorted_nodes() == sorted(nodes, key=node_order_key)
+
+    def test_node_compares_and_hashes_as_its_segments(self):
+        # Random segment tuples of depth 0-6, star and numbered tags; the
+        # small alphabet makes equal and prefix-related pairs common.
+        rng = random.Random(9)
+
+        def segments():
+            return tuple(
+                (rng.randrange(2), rng.choice([STAR, 0, 1])) for _ in range(rng.randint(0, 6))
+            )
+
+        for _ in range(3000):
+            s, t = segments(), segments()
+            assert (Node(s) == Node(t)) == (s == t)
+            assert hash(Node(s)) == hash(s)
+            assert (Node(s) < Node(t)) == (s < t)
+
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_operations_return_nodes(self, name):
+        # A missing Node(...) wrap would leak a plain tuple without .depth.
+        e = expand(PLANS[name], 2)
+        nodes = e.nodes()
+        rng = random.Random(name)
+        results = list(nodes)
+        for v in nodes:
+            w = rng.choice(nodes)
+            results += [parse_node(format_node(v)), v.parent(), v.child(0, STAR)]
+            results.append(v.retag(lambda t: t + 1))
+            results += [v.prefix(i) for i in range(v.depth + 1)]
+            results += [meet_nodes(v, w), meet(e.tree, v, w)]
+            results += [predk(e.tree, v, k) for k in range(v.depth + 2)]
+            results += subtree(e.tree, v).nodes
+        for _ in range(10):
+            members = rng.sample(nodes, min(len(nodes), rng.randint(0, 3)))
+            results += tcl(e, members)
+            results += orbit_reps(e, members)
+        assert all(type(x) is Node for x in results)
+
+    def test_plain_tuple_is_not_a_node(self):
+        # It equals and hashes like the node it spells, so membership alone
+        # would let it through to code that needs the node methods.
+        e = expand(PLANS["A"], 2)
+        assert ((0, 0),) in e
+        f = parse_formula("exists y. pred(y) = x")
+        for fast in (False, True):
+            with pytest.raises(DomainError, match="unknown node"):
+                evaluate(e, f, env={"x": ((0, 0),)}, fast=fast)
+        with pytest.raises(DomainError, match="unknown node"):
+            orbit_reps(e, [((0, 0),)])
 
     def test_tree_must_be_prefix_closed_and_rooted(self):
         with pytest.raises(DomainError):
@@ -133,7 +186,7 @@ class TestPredk:
     def test_prefix_oracle(self):
         e = expand(PLANS["B"], 2)
         a = node("0:0/0:1")
-        assert predk(e.tree, a, 1) == Node(a.segs[:-1]) == node("0:0")
+        assert predk(e.tree, a, 1) == Node(a[:-1]) == node("0:0")
         assert predk(e.tree, a, 2) == ROOT
         assert predk(e.tree, a, 9) == ROOT
 
