@@ -53,12 +53,13 @@ def partial_isomorphism(
     """Does the pick correspondence (extended by root |-> root) preserve
     equality, the order, pred- and meet-relations, and plan labels?
 
-    Each prefix of the picks is checked as an extension of the one before
-    (:func:`_extends_partial_isomorphism`), in O(m^2) for m picks.
+    The picks pair up as ``zip`` pairs them.  Each prefix of the pairs is
+    checked as an extension of the one before
+    (:func:`_extends_partial_isomorphism`), in O(m^2) for m pairs.
     """
     return all(
         _extends_partial_isomorphism(picks_left[:i], picks_right[:i])
-        for i in range(1, len(picks_left) + 1)
+        for i in range(1, min(len(picks_left), len(picks_right)) + 1)
     )
 
 

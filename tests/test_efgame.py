@@ -24,7 +24,7 @@ from treeplan import (
 from treeplan import efgame
 from treeplan.closure import orbit_reps, tuple_code
 
-from conftest import PLANS
+from conftest import PLANS, partial_isomorphism_cubic
 
 
 def node(text):
@@ -75,6 +75,8 @@ class TestGameWon:
         # leaves may meet at depth 1 on one side and at depth 2 on the other.
         # Every two-leaf partial isomorphism (the first left leaf fixed, as
         # all leaves are in one orbit), extended by every pair of inner nodes.
+        # The expected answers come from the cubic check, since
+        # partial_isomorphism is itself a fold of the newest-pair check.
         e = expand(PLANS["chain3"], 2)
         leaves = e.fiber((0, 0, 0))
         inner = [v for v in e.nodes() if v.depth < 3]
@@ -82,12 +84,12 @@ class TestGameWon:
         for second in leaves:
             for right in itertools.product(leaves, repeat=2):
                 left = (leaves[0], second)
-                if not partial_isomorphism(left, right):
+                if not partial_isomorphism_cubic(left, right):
                     continue
                 for a in inner:
                     for b in e.fiber(a.plan_path):
                         picks = (left + (a,), right + (b,))
-                        expected = partial_isomorphism(*picks)
+                        expected = partial_isomorphism_cubic(*picks)
                         assert efgame._extends_partial_isomorphism(*picks) == expected
                         checked += 1
         assert checked > 2_000
@@ -99,6 +101,16 @@ class TestGameWon:
         right = (node("0:0/0:0/0:0"), node("0:0/0:0/0:1"))
         assert partial_isomorphism(left, right)
         assert not partial_isomorphism(left + (node("0:0"),), right + (node("0:0"),))
+
+    def test_unequal_pick_counts_pair_the_shorter_prefix(self):
+        # Picks pair up as zip pairs them: the longer side's extra picks
+        # are not part of the correspondence.
+        a, b = node("0:0/0:0"), node("0:0/0:1")
+        assert partial_isomorphism((a, b), ())
+        assert partial_isomorphism((), (a, b))
+        assert partial_isomorphism((a, a), (a,))
+        assert partial_isomorphism((a, b, a), (a, b))
+        assert not partial_isomorphism((a, b, a), (a, a))
 
 
 class TestGameState:
