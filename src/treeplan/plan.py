@@ -243,13 +243,10 @@ class Expansion:
 
     __slots__ = ("plan", "n", "tree", "_fibers")
 
-    def __init__(self, plan: TreePlan, n: int, tree: FiniteTree):
+    def __init__(self, plan: TreePlan, n: int, tree: FiniteTree, fibers: dict):
         self.plan = plan
         self.n = n
         self.tree = tree
-        fibers: dict[PlanPath, list[Node]] = {sigma: [] for sigma in plan.nodes}
-        for v in tree.sorted_nodes():
-            fibers[v.plan_path].append(v)
         self._fibers = fibers
 
     def fiber(self, sigma: PlanPath) -> list[Node]:
@@ -274,7 +271,7 @@ class Expansion:
 
 
 def expand(p: TreePlan, n: int, budget: Optional[int] = None) -> Expansion:
-    """Materialize the expansion of ``p`` at size ``n``.
+    """Materialize the expansion of ``p`` at size ``n``: one walk fills its tree and fibers.
 
     Every mark-1 plan child contributes one star-tagged copy per parent;
     every inf child contributes ``n`` tagged copies.  Rejects ``n < 1`` and
@@ -288,9 +285,11 @@ def expand(p: TreePlan, n: int, budget: Optional[int] = None) -> Expansion:
         raise BudgetError(f"expansion would have {size} nodes; budget is {limit}")
 
     nodes: list[Node] = []
+    fibers: dict[PlanPath, list[Node]] = {sigma: [] for sigma in p.nodes}
 
     def grow(node: Node, sigma: PlanPath):
         nodes.append(node)
+        fibers[sigma].append(node)
         for tau in p.children(sigma):
             branch = tau[-1]
             if tau in p.inf_nodes:
@@ -300,7 +299,7 @@ def expand(p: TreePlan, n: int, budget: Optional[int] = None) -> Expansion:
                 grow(node.child(branch, STAR), tau)
 
     grow(ROOT, ())
-    return Expansion(p, n, FiniteTree(nodes))
+    return Expansion(p, n, FiniteTree(nodes), fibers)
 
 
 def induced_automorphism(e: Expansion, perm: Mapping[int, int]) -> dict[Node, Node]:

@@ -6,6 +6,7 @@ node and ``tag`` is either :data:`STAR` ``== -1`` (for singleton branches)
 or an element index in ``0..n-1`` (for replicated branches).  The root is
 the empty tuple ``()``.  Nodes compare, hash and order as tuples, so the
 star comes before tags ``0..n-1`` and every node comes after its prefixes.
+A :class:`FiniteTree` is one dict from each node to its children, in node order.
 
 All values here are immutable; every operation is pure.
 """
@@ -104,53 +105,55 @@ def parse_node(text: str) -> Node:
 
 
 class FiniteTree:
-    """A finite prefix-closed set of nodes; meets and predecessors come for free."""
+    """A finite prefix-closed node set, kept as one child map in node order."""
 
-    __slots__ = ("nodes", "_children", "_sorted")
+    __slots__ = ("_children",)
 
     def __init__(self, nodes: Iterable[Node]):
-        node_set = frozenset(nodes)
-        ordered = sorted(node_set)
-        # The root is the least node, and a parent precedes its children,
-        # so one walk in node order fills every child list in order.
-        if not ordered or ordered[0] != ROOT:
+        # A parent precedes its children, so one walk in node order fills every
+        # child list in order; `expand` gives node order, which sorts in one run.
+        children: dict[Node, list[Node]] = dict.fromkeys(sorted(nodes))
+        if ROOT not in children:
             raise DomainError("a tree must contain the root")
-        children: dict[Node, list[Node]] = {}
-        for v in ordered:
+        for v in children:
+            if not isinstance(v, Node):
+                raise DomainError(f"unknown node {v}")
             children[v] = []
             if v.depth:
                 kids = children.get(v.parent())
                 if kids is None:
                     raise DomainError(f"tree is not prefix-closed at {v}")
                 kids.append(v)
-        self.nodes = node_set
         self._children = children
-        self._sorted = ordered
+
+    @property
+    def nodes(self):
+        return self._children.keys()
 
     def __contains__(self, node: Node) -> bool:
-        return node in self.nodes
+        return node in self._children
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self._children)
 
     def __iter__(self):
-        return iter(self._sorted)
+        return iter(self._children)
 
     def sorted_nodes(self) -> list[Node]:
-        return list(self._sorted)
+        return list(self._children)
 
     def children(self, node: Node) -> list[Node]:
-        if node not in self.nodes:
+        if node not in self._children:
             raise DomainError(f"unknown node {node}")
         return list(self._children[node])
 
     def height(self) -> int:
-        return max(v.depth for v in self.nodes)
+        return max(v.depth for v in self._children)
 
     def require(self, *nodes: Node) -> None:
         for v in nodes:
             # A plain tuple equals the node it spells but has no node methods.
-            if not isinstance(v, Node) or v not in self.nodes:
+            if not isinstance(v, Node) or v not in self._children:
                 raise DomainError(f"unknown node {v}")
 
 
@@ -169,8 +172,10 @@ def meet_nodes(a: Node, b: Node) -> Node:
 
 
 def predk(tree: FiniteTree, a: Node, k: int) -> Node:
-    """Drop the last ``k`` segments of ``a``, clamping at the root."""
+    """Drop the last ``k >= 0`` segments of ``a``, clamping at the root."""
     tree.require(a)
+    if k < 0:
+        raise DomainError(f"predk needs k >= 0, got {k}")
     if k >= a.depth:
         return ROOT
     return a.prefix(a.depth - k)
@@ -193,8 +198,8 @@ def subtree_codes(
     children's codes sorted, ``)``.  One walk in reverse node order codes
     every child before its parent."""
     codes: dict[Node, str] = {}
-    for v in reversed(tree._sorted):
-        kids = sorted(codes[c] for c in tree._children[v])
+    for v, children in reversed(tree._children.items()):
+        kids = sorted(codes[c] for c in children)
         anno = annotate(v) if annotate is not None else ""
         codes[v] = "(" + anno + "".join(kids) + ")"
     return codes

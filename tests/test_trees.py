@@ -70,9 +70,13 @@ class TestNodeOrder:
                 assert kids == sorted(kids, key=node_order_key)
                 if STAR in (tag for _branch, tag in v):
                     assert parse_node(format_node(v)) == v
+            # expand fills the fibers in its own walk; pin them to their definition.
+            for sigma in PLANS[name].nodes:
+                assert e.fiber(sigma) == [v for v in e.nodes() if v.plan_path == sigma]
 
     def test_tree_order_is_the_segment_key(self):
-        # Random trees mixing star and numbered tags, given in random order.
+        # Random trees mixing star and numbered tags, given in random order
+        # and with some nodes repeated; a repeat collapses to one node.
         rng = random.Random(8)
         for _ in range(200):
             nodes = [ROOT]
@@ -80,9 +84,14 @@ class TestNodeOrder:
                 v = rng.choice(nodes).child(rng.randrange(3), rng.choice([STAR, 0, 1, 2, 3]))
                 if v not in nodes:
                     nodes.append(v)
-            rng.shuffle(nodes)
-            tree = FiniteTree(nodes)
+            given = nodes + [rng.choice(nodes) for _ in range(rng.randint(0, 5))]
+            rng.shuffle(given)
+            tree = FiniteTree(given)
             assert list(tree) == tree.sorted_nodes() == sorted(nodes, key=node_order_key)
+            assert tree.nodes == set(nodes) and len(tree) == len(nodes)
+            for v in tree:
+                below = [w for w in nodes if w.depth and w.parent() == v]
+                assert tree.children(v) == sorted(below, key=node_order_key)
 
     def test_node_compares_and_hashes_as_its_segments(self):
         # Random segment tuples of depth 0-6, star and numbered tags; the
@@ -140,6 +149,9 @@ class TestNodeOrder:
             FiniteTree([node("0:*")])
         with pytest.raises(DomainError):
             FiniteTree([])
+        # A plain tuple equals the root it spells but is not a node.
+        with pytest.raises(DomainError, match="unknown node"):
+            FiniteTree([()])
 
 
 class TestMeet:
@@ -189,6 +201,14 @@ class TestPredk:
         assert predk(e.tree, a, 1) == Node(a[:-1]) == node("0:0")
         assert predk(e.tree, a, 2) == ROOT
         assert predk(e.tree, a, 9) == ROOT
+
+    def test_negative_k_is_rejected(self):
+        # A negative number of steps names no predecessor.
+        e = expand(PLANS["B"], 2)
+        for v in e.nodes():
+            for k in (-1, -2):
+                with pytest.raises(DomainError, match="k >= 0"):
+                    predk(e.tree, v, k)
 
 
 class TestOrderLaws:
