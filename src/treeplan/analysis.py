@@ -7,7 +7,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .closure import NodeSet, anchor_in, close_pair, least_free_child, orbit, tcl, tuple_code
+from .closure import (
+    NodeSet, anchor_in, close_pair, embed_pairs, least_free_child, orbit, orbit_key, tcl,
+)
 from .errors import CapacityError, DomainError, InferenceError
 from .plan import Expansion, TreePlan, _parse_plan_source, expand, make_plan, strip_comments
 from .trees import (
@@ -142,26 +144,14 @@ def automorphism_over(
     e: Expansion, tup_a: tuple[Node, ...], tup_b: tuple[Node, ...]
 ) -> Optional[dict[Node, Node]]:
     """An automorphism of ``e`` carrying one tuple to the other entrywise,
-    when their labeled quantifier-free types agree; None otherwise."""
-    e.tree.require(*tup_a)
-    e.tree.require(*tup_b)
-    if len(tup_a) != len(tup_b):
+    when their labeled quantifier-free types agree; None otherwise.
+
+    Equal orbit keys give a label-preserving bijection of the downsets,
+    which the closure embedding of the pairs extends."""
+    e.tree.require(*tup_a, *tup_b)
+    if orbit_key(tup_a) != orbit_key(tup_b):
         return None
-    if tuple_code(e, tup_a) != tuple_code(e, tup_b):
-        return None
-    f: dict[Node, Node] = {ROOT: ROOT}
-    for a, b in zip(tup_a, tup_b):
-        if a.depth != b.depth:
-            return None
-        for i in range(1, a.depth + 1):
-            u, v = a.prefix(i), b.prefix(i)
-            if u in f and f[u] != v:
-                return None
-            f[u] = v
-    for u, v in list(f.items()):
-        close_pair(e.plan, f, u, v)
-    if len(set(f.values())) != len(f):
-        return None
+    f, _ = embed_pairs(e.plan, zip(tup_a, tup_b))
     return extend_to_automorphism(e, f)
 
 
@@ -376,7 +366,8 @@ class DividingVerdict:
 
 
 def instance_solutions(e: Expansion, witness: Node, k: int) -> frozenset[Node]:
-    """Solutions of "the k-fold predecessor of x is the witness"."""
+    """Solutions of "the k-fold predecessor of x is the witness": the tests
+    and the benchmark check conjugate families against these scans."""
     e.tree.require(witness)
     depth = witness.depth + k
     return frozenset(
@@ -396,8 +387,8 @@ def check_dividing(
     replicated node of the closure of B, itself outside the closure of C
     and with a conjugate over C other than itself, sits on the path
     between the C-anchor of ``a`` (exclusive) and ``a`` (inclusive).  The
-    witness comes with its conjugate family over C and a
-    pairwise-disjointness check of the corresponding instance sets.
+    witness comes with its conjugate family over C: one orbit, so one
+    depth, and their instance sets are pairwise disjoint by construction.
     """
     set_b = frozenset(members_b)
     set_c = frozenset(members_c)
@@ -417,14 +408,7 @@ def check_dividing(
                 break
     else:
         return DividingVerdict(False)
-    k = a.depth - witness.depth
-    sets = [instance_solutions(e, w, k) for w in sorted(family)]
-    disjoint = all(
-        not (sets[i] & sets[j])
-        for i in range(len(sets))
-        for j in range(i + 1, len(sets))
-    )
-    return DividingVerdict(True, witness, family, disjoint)
+    return DividingVerdict(True, witness, family, True)
 
 
 # --------------------------------------------------------------------------
@@ -441,11 +425,10 @@ def parse_tree_text(text: str) -> FiniteTree:
     if not cleaned:
         raise DomainError("empty tree input")
     if cleaned.startswith("("):
-        plan = _parse_plan_source(cleaned)
-        # A parent path sorts before its children: one step per plan node.
-        nodes = {(): ROOT}
-        for sigma in plan.sorted_nodes()[1:]:
-            nodes[sigma] = nodes[sigma[:-1]].child(sigma[-1], STAR)
+        # A path is parsed before its children: one step per plan node.
+        nodes: dict[PlanPath, Node] = {}
+        for sigma in _parse_plan_source(cleaned):
+            nodes[sigma] = nodes[sigma[:-1]].child(sigma[-1], STAR) if sigma else ROOT
         return FiniteTree(nodes.values())
     return _parse_parent_list(cleaned)
 

@@ -4,6 +4,10 @@ Expansions are homogeneous, so the orbit of a node over parameters B is
 fixed by two things: its anchor (the largest node of ``tcl(B)`` below it)
 and its plan path.  Orbits are therefore read off the closure, at a cost
 that depends on the closure and the plan but not on the size ``n``.
+
+Tuples likewise: :func:`orbit_key` names a tuple's orbit, and
+:func:`embed_pairs` builds the closure embedding between paired tuples;
+the games and the automorphisms share both.
 """
 
 from __future__ import annotations
@@ -129,6 +133,56 @@ def close_pair(plan: TreePlan, f: dict[Node, Node], u: Node, v: Node) -> list[No
     return added
 
 
+def orbit_key(picks: tuple[Node, ...]) -> tuple[Node, ...]:
+    """The picks with each replicated tag renamed in order of first use
+    under its parent and branch: equal for two tuples of one expansion
+    exactly when an automorphism carries one to the other, that is, when
+    their labeled quantifier-free types agree."""
+    names: dict[tuple[Node, int], dict[int, int]] = {}
+    out = []
+    for a in picks:
+        v = ROOT
+        for branch, tag in a:
+            if tag != STAR:
+                seen = names.setdefault((v, branch), {})
+                tag = seen.setdefault(tag, len(seen))
+            v = v.child(branch, tag)
+        out.append(v)
+    return tuple(out)
+
+
+def embed_pairs(
+    plan: TreePlan, pairs: Iterable[tuple[Node, Node]]
+) -> tuple[dict[Node, Node], set[Node]]:
+    """Replay pairs of nodes into a closure embedding, one pair at a time.
+
+    Returns (map, image).  A pair that no embedding extending the map can
+    contain, e.g. after a forced bad pick, is skipped from the point where
+    it conflicts; pairs of tuples with equal :func:`orbit_key` never do.
+    """
+    f: dict[Node, Node] = {}
+    img = set(close_pair(plan, f, ROOT, ROOT))
+    for a, b in pairs:
+        if a in f or b in img:
+            continue
+        pa = anchor_in(f, a)
+        pb = f[pa]
+        k = a.depth - pa.depth
+        if b.depth - pb.depth != k or not pb.is_prefix_of(b):
+            continue
+        for d in range(1, k + 1):
+            u, v = a.prefix(pa.depth + d), b.prefix(pb.depth + d)
+            if u in f:
+                # Pulled in by the singleton closure of an earlier step.
+                if f[u] != v:
+                    break
+                continue
+            if u.plan_path != v.plan_path or v in img:
+                break
+            img.update(close_pair(plan, f, u, v))
+    return f, img
+
+
 def _add_least_above(e: Expansion, v: Node, sigma: PlanPath, out: set[Node]) -> None:
     # ``v`` and, for every plan node above ``sigma``, its least realization above ``v``.
     out.add(v)
@@ -138,5 +192,7 @@ def _add_least_above(e: Expansion, v: Node, sigma: PlanPath, out: set[Node]) -> 
 
 
 def tuple_code(e: Expansion, tup: tuple[Node, ...]) -> str:
-    """Labeled quantifier-free type code of a tuple of nodes of ``e``."""
+    """Labeled quantifier-free type code of a tuple of nodes of ``e``: the
+    reference the tests check :func:`orbit_key` against, and a name the
+    benchmark traces."""
     return qftp(e.tree, tup, use_labels=True).code

@@ -1,19 +1,20 @@
 """k-round back-and-forth games between two expansions of one plan.
 
 The duplicator strategy maintains a partial embedding of the tree closure
-of its picks: answers inside the closure are read off the embedding, and
-fresh picks are answered by a fresh realization of the same
-quantifier-free type over the anchor, lexicographically least for
+of its picks, replayed from the pick pairs by
+:func:`~treeplan.closure.embed_pairs`: answers inside the closure are read
+off the embedding, and fresh picks are answered by a fresh realization of
+the same quantifier-free type over the anchor, lexicographically least for
 determinism.  The exhaustive spoiler is a memoized minimax search over
 move orbits, one least representative per orbit over the picks so far,
 read off their tree closure (:func:`~treeplan.closure.orbit_reps`) at a
 cost independent of the expansion size, and memoized by the orbits of the
-picks; past its position budget it degrades to a seeded random player
-and says so.  A restriction of a partial isomorphism is one, and the
-search only moves on from positions that passed the check, so each
-position it reaches checks only its newest pick pair, in time linear in
-the number of picks; the full check runs once per search entry and at
-the end of a played game.
+picks (:func:`~treeplan.closure.orbit_key`); past its position budget it
+degrades to a seeded random player and says so.  A restriction of a
+partial isomorphism is one, and the search only moves on from positions
+that passed the check, so each position it reaches checks only its newest
+pick pair, in time linear in the number of picks; the full check runs once
+per search entry and at the end of a played game.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .closure import anchor_in, close_pair, least_free_child, orbit_reps
+from .closure import anchor_in, close_pair, embed_pairs, least_free_child, orbit_key, orbit_reps
 from .errors import BudgetError, DomainError
 from .plan import Expansion, TreePlan
-from .trees import Node, ROOT, STAR, Segment, format_node, meet_nodes
+from .trees import Node, ROOT, Segment, format_node, meet_nodes
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GameState:
     left: Expansion
     right: Expansion
@@ -126,37 +127,6 @@ def game_won(state: GameState) -> bool:
 # The duplicator
 
 
-def _rebuild_embedding(state: GameState) -> tuple[dict[Node, Node], set[Node]]:
-    """Replay the pick pairs into the maintained closure embedding.
-
-    Returns (map, image).  A pick pair that no embedding extending the map
-    can contain, e.g. after a forced bad pick, is skipped from the point
-    where it conflicts.
-    """
-    plan = state.left.plan
-    f: dict[Node, Node] = {}
-    img = set(close_pair(plan, f, ROOT, ROOT))
-    for a, b in zip(state.picks_left, state.picks_right):
-        if a in f or b in img:
-            continue
-        pa = anchor_in(f, a)
-        pb = f[pa]
-        k = a.depth - pa.depth
-        if b.depth - pb.depth != k or not pb.is_prefix_of(b):
-            continue
-        for d in range(1, k + 1):
-            u, v = a.prefix(pa.depth + d), b.prefix(pb.depth + d)
-            if u in f:
-                # Pulled in by the singleton closure of an earlier step.
-                if f[u] != v:
-                    break
-                continue
-            if u.plan_path != v.plan_path or v in img:
-                break
-            img.update(close_pair(plan, f, u, v))
-    return f, img
-
-
 class ClosureDuplicator:
     """The closure-embedding duplicator."""
 
@@ -164,11 +134,11 @@ class ClosureDuplicator:
         self.notes: list[str] = []
 
     def respond(self, state: GameState, side: str, node: Node) -> Node:
-        f, img = _rebuild_embedding(state)
+        f, img = embed_pairs(state.left.plan, zip(state.picks_left, state.picks_right))
         if side == "L":
             return self._answer(state.right, f, img, node)
         inverse = {v: u for u, v in f.items()}
-        return self._answer(state.left, inverse, set(f.keys()), node)
+        return self._answer(state.left, inverse, set(f), node)
 
     def _answer(
         self,
@@ -177,19 +147,16 @@ class ClosureDuplicator:
         img: set[Node],
         node: Node,
     ) -> Node:
-        if node in f:
-            return f[node]
-        pa = anchor_in(f, node)
-        v = f[pa]
-        used = set(img)
-        for d in range(pa.depth + 1, node.depth + 1):
-            branch, _tag = node[d - 1]
-            tau = node.prefix(d).plan_path
-            if tau not in dst.plan.inf_nodes:
-                v = v.child(branch, STAR)
-                used.add(v)
+        # Each step above the anchor takes the least child outside the image
+        # under its parent's image, as extend_to_automorphism does; a step
+        # looks only under the step before, so the image needs no update.
+        for d in range(anchor_in(f, node).depth + 1, node.depth + 1):
+            u = node.prefix(d)
+            if u in f:
                 continue
-            fresh = least_free_child(dst, v, branch, used)
+            v = f[u.parent()]
+            branch = u[-1][0]
+            fresh = least_free_child(dst, v, branch, img)
             if fresh is None:
                 # Capacity exhausted below the threshold; forced into a
                 # (likely losing) repeat, reported rather than masked.
@@ -197,31 +164,12 @@ class ClosureDuplicator:
                     f"capacity exhausted at {format_node(v)} branch {branch}"
                 )
                 fresh = v.child(branch, 0)
-            v = fresh
-            used.add(v)
-        return v
+            close_pair(dst.plan, f, u, fresh)
+        return f[node]
 
 
 # --------------------------------------------------------------------------
 # Spoilers
-
-
-def _orbit_key(picks: tuple[Node, ...]) -> tuple[Node, ...]:
-    """The picks with each replicated tag renamed in order of first use
-    under its parent and branch: equal for two tuples of one expansion
-    exactly when an automorphism carries one to the other, that is, when
-    their labeled quantifier-free types agree."""
-    names: dict[tuple[Node, int], dict[int, int]] = {}
-    out = []
-    for a in picks:
-        v = ROOT
-        for branch, tag in a:
-            if tag != STAR:
-                seen = names.setdefault((v, branch), {})
-                tag = seen.setdefault(tag, len(seen))
-            v = v.child(branch, tag)
-        out.append(v)
-    return tuple(out)
 
 
 class _Search:
@@ -254,8 +202,8 @@ class _Search:
         key = (
             state.left.n,
             state.right.n,
-            _orbit_key(state.picks_left),
-            _orbit_key(state.picks_right),
+            orbit_key(state.picks_left),
+            orbit_key(state.picks_right),
             state.rounds_left,
         )
         hit = self.memo.get(key)

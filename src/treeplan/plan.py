@@ -117,11 +117,12 @@ def parse_plan(text: str) -> TreePlan:
     line.  Branch order follows textual order.  Error positions count in
     :func:`strip_comments` of ``text``.
     """
-    return _parse_plan_source(strip_comments(text))
+    return make_plan(_parse_plan_source(strip_comments(text)))
 
 
-def _parse_plan_source(src: str) -> TreePlan:
-    # The plan grammar over comment-free text.
+def _parse_plan_source(src: str) -> dict[PlanPath, bool]:
+    # The plan grammar over comment-free text: path -> is_inf, in node
+    # order, since a path is recorded before its children.
     marked: dict[PlanPath, bool] = {}
     pos = 0
 
@@ -166,7 +167,7 @@ def _parse_plan_source(src: str) -> TreePlan:
     skip_ws()
     if pos != len(src):
         raise PlanSyntaxError("trailing input after plan", pos)
-    return make_plan(marked)
+    return marked
 
 
 def plan_text(p: TreePlan) -> str:

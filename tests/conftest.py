@@ -339,6 +339,36 @@ def extend_to_automorphism_stepwise(e, f: dict[Node, Node]) -> dict[Node, Node]:
     return out
 
 
+def closure_answer_reference(dst, f: dict[Node, Node], img, node: Node):
+    """The closure duplicator's answer to ``node`` under the embedding
+    ``f`` with image ``img``, by a walk up from the anchor of ``node`` in
+    ``f``: star steps on mark-1 branches, the least tag outside the image
+    and the walk so far on replicated ones.  Returns (answer, the capacity
+    notes the walk made)."""
+    if node in f:
+        return f[node], []
+    pa = next(node.prefix(i) for i in range(node.depth, -1, -1) if node.prefix(i) in f)
+    v = f[pa]
+    used = set(img)
+    notes = []
+    for d in range(pa.depth + 1, node.depth + 1):
+        branch, _tag = node[d - 1]
+        if node.prefix(d).plan_path not in dst.plan.inf_nodes:
+            v = v.child(branch, STAR)
+            used.add(v)
+            continue
+        fresh = next(
+            (v.child(branch, t) for t in range(dst.n) if v.child(branch, t) not in used),
+            None,
+        )
+        if fresh is None:
+            notes.append(f"capacity exhausted at {format_node(v)} branch {branch}")
+            fresh = v.child(branch, 0)
+        v = fresh
+        used.add(v)
+    return v, notes
+
+
 def code_below(tree: FiniteTree, node: Node, annotate=None) -> str:
     """The sorted-children code of the subtree at ``node``, one recursive
     call per child."""

@@ -22,9 +22,9 @@ from treeplan import (
     size_threshold,
 )
 from treeplan import efgame
-from treeplan.closure import orbit_reps, tuple_code
+from treeplan.closure import embed_pairs, orbit_key, orbit_reps, tuple_code
 
-from conftest import PLANS, partial_isomorphism_cubic
+from conftest import PLANS, closure_answer_reference, partial_isomorphism_cubic
 
 
 def node(text):
@@ -151,6 +151,38 @@ class TestDuplicator:
         second = dup.respond(state, "R", node("0:2"))
         assert first != second
         assert first.parent() == second.parent() == node("eps")
+
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_answer_matches_reference_walk(self, name):
+        # Random positions, built from duplicator answers and some random
+        # stray answers, on both sides and at sizes 1-3, so capacity runs
+        # out below the threshold on most plans.
+        rng = random.Random(name)
+        exhausted = 0
+        for _ in range(30):
+            left = expand(PLANS[name], rng.randint(1, 3))
+            right = expand(PLANS[name], rng.randint(1, 3))
+            state = GameState(left, right, (), (), 4)
+            for _ in range(rng.randint(1, 4)):
+                side = rng.choice("LR")
+                board, other = (left, right) if side == "L" else (right, left)
+                pick = rng.choice(board.nodes())
+                f, img = embed_pairs(left.plan, zip(state.picks_left, state.picks_right))
+                if side == "R":
+                    f, img = {v: u for u, v in f.items()}, set(f)
+                expected = closure_answer_reference(other, f, img, pick)
+                dup = ClosureDuplicator()
+                assert (dup.respond(state, side, pick), dup.notes) == expected
+                exhausted += bool(dup.notes)
+                answer = expected[0]
+                if rng.random() < 0.2:
+                    answer = rng.choice(other.nodes())
+                if side == "L":
+                    state = state.after(pick, answer)
+                else:
+                    state = state.after(answer, pick)
+        if name in ("inf_one_inf", "one_chain_inf", "twin_ones"):
+            assert exhausted
 
 
 class ScriptedSpoiler:
@@ -283,7 +315,7 @@ class TestExhaustiveSpoiler:
         for a in tuples:
             for b in tuples:
                 if len(a) == len(b):
-                    same_key = efgame._orbit_key(a) == efgame._orbit_key(b)
+                    same_key = orbit_key(a) == orbit_key(b)
                     assert same_key == (tuple_code(e, a) == tuple_code(e, b)), (a, b)
 
     def test_memo_hit_across_starts(self):

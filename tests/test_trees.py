@@ -22,7 +22,7 @@ from treeplan import (
     subtree,
 )
 from treeplan.analysis import automorphism_over, check_embedding
-from treeplan.closure import orbit_reps, tcl
+from treeplan.closure import orbit_reps, tcl, tuple_code
 from treeplan.trees import meet_nodes
 
 from conftest import (
@@ -306,22 +306,50 @@ class TestQftp:
         assert qftp(e.tree, (a,)) != qftp(e.tree, (b,))
 
     def test_soundness_via_automorphism(self):
-        rng = random.Random(3)
-        for name in ("B", "C", "D"):
-            e = expand(PLANS[name], 3)
-            nodes = e.nodes()
-            for _ in range(30):
-                ta = tuple(rng.choice(nodes) for _ in range(2))
-                tb = tuple(rng.choice(nodes) for _ in range(2))
-                equal = qftp(e.tree, ta) == qftp(e.tree, tb)
-                g = automorphism_over(e, ta, tb)
-                if equal:
-                    assert g is not None
+        # Equal codes exactly when automorphism_over finds an automorphism
+        # carrying one tuple to the other, on tuples of length 0-3 with
+        # repeats, partners of the same and of another length.
+        for name in sorted(PLANS):
+            rng = random.Random(name)
+            for n in (1, 2, 3):
+                e = expand(PLANS[name], n)
+                for ta, tb in soundness_pairs(rng, e):
+                    g = automorphism_over(e, ta, tb)
+                    if tuple_code(e, ta) != tuple_code(e, tb):
+                        assert g is None, (name, n, ta, tb)
+                        continue
+                    assert g is not None, (name, n, ta, tb)
                     assert all(g[x] == y for x, y in zip(ta, tb))
                     assert sorted(g) == sorted(g.values())
                     check_embedding(e, e, g)
-                else:
-                    assert g is None
+
+
+def soundness_pairs(rng, e, count=30):
+    """Tuple pairs for :meth:`TestQftp.test_soundness_via_automorphism`:
+    a random tuple of length 0-3 (entries may repeat) with its image under
+    a random tag permutation, a random tuple of its length, or a random
+    tuple of another length."""
+    nodes = e.nodes()
+
+    def draw(length):
+        return tuple(rng.choice(nodes) for _ in range(length))
+
+    pairs = []
+    for i in range(count):
+        ta = draw(rng.randint(0, 3))
+        if len(ta) >= 2 and rng.random() < 0.3:
+            ta = ta[:-1] + (ta[0],)
+        if i % 3 == 0:
+            perm = list(range(e.n))
+            rng.shuffle(perm)
+            g = induced_automorphism(e, dict(enumerate(perm)))
+            tb = tuple(g[x] for x in ta)
+        elif i % 3 == 1:
+            tb = draw(len(ta))
+        else:
+            tb = draw(rng.choice([k for k in range(4) if k != len(ta)]))
+        pairs.append((ta, tb))
+    return pairs
 
 
 class TestFindEmbedding:
