@@ -13,8 +13,14 @@ picks (:func:`~treeplan.closure.orbit_key`); past its position budget it
 degrades to a seeded random player and says so.  A restriction of a
 partial isomorphism is one, and the search only moves on from positions
 that passed the check, so each position it reaches checks only its newest
-pick pair, in time linear in the number of picks; the full check runs once
-per search entry and at the end of a played game.
+pick pair.  That check reads one pick signature per node
+(:func:`_pick_signature`): its plan path, its first index among the picks,
+and for a new node the first pick index of its meet with each earlier pick
+and the child segments the picks above it lie under.  A pair passes when
+its two signatures are equal, so a position signs each representative of
+each side once and compares signatures for every move and reply.  The full
+check runs once per search entry and at the end of a played game.  Both
+boards must expand one plan.
 """
 
 from __future__ import annotations
@@ -67,53 +73,70 @@ def partial_isomorphism(
 def _extends_partial_isomorphism(
     picks_left: tuple[Node, ...], picks_right: tuple[Node, ...]
 ) -> bool:
-    """:func:`partial_isomorphism` for picks whose prefix without the last
-    pair is already one: only the newest pair (a, b) is checked, in O(m)
-    for m picks.
-
-    Each side maps a node to the index of its first pick (the root is
-    index 0).  Once both sides agree on those indices, a meet equals the
-    same picks on both sides exactly when it has the same first index.
-    A restriction of a partial isomorphism is one, so no relation among
-    earlier pairs can fail but through the new pair.  The plan paths of a
-    and b must agree, and their first-pick indices too; a repeat of an
-    earlier pair then passes at once.  A new pair must agree with every
-    earlier one on the index of their meet.  That covers the prefix
-    relations both ways (a is below x exactly when their meet is a, x
-    below a when it is x), and so the parent relations, since paired picks
-    have equal depths.  The one relation among earlier picks that a new
-    pick can change is a meet becoming a: two picks above a meet at a
-    exactly when they lie under different children of a.  So the picks
-    above a must fall under a's children in the same groups as their
-    partners under b's children, a bijection between the child segments.
+    """:func:`partial_isomorphism` for picks of equal length whose prefix
+    without the last pair is already one: the newest pair passes exactly
+    when its two pick signatures (:func:`_pick_signature`) are equal.
     """
-    a, b = picks_left[-1], picks_right[-1]
-    if a.plan_path != b.plan_path:
-        return False
-    pairs = [(ROOT, ROOT)] + list(zip(picks_left[:-1], picks_right[:-1]))
-    where_l: dict[Node, int] = {}
-    where_r: dict[Node, int] = {}
-    for i, (x, y) in enumerate(pairs):
-        where_l.setdefault(x, i)
-        where_r.setdefault(y, i)
-    first = where_l.get(a)
-    if first != where_r.get(b):
-        return False
-    if first is not None:
-        return True
-    new = where_l[a] = where_r[b] = len(pairs)
-    child_of_b: dict[Segment, Segment] = {}
-    child_of_a: dict[Segment, Segment] = {}
-    for x, y in pairs:
-        i = where_l.get(meet_nodes(a, x))
-        if i != where_r.get(meet_nodes(b, y)):
-            return False
-        if i == new:
-            # x lies above a and y above b.
-            cx, cy = x[a.depth], y[b.depth]
-            if child_of_b.setdefault(cx, cy) != cy or child_of_a.setdefault(cy, cx) != cx:
-                return False
-    return True
+    return _pick_signature(picks_left[:-1], picks_left[-1]) == _pick_signature(
+        picks_right[:-1], picks_right[-1]
+    )
+
+
+def _pick_signature(picks: tuple[Node, ...], a: Node) -> tuple:
+    """What the newest-pair check reads of a pick ``a`` after ``picks``."""
+    return _pick_signatures(picks, (a,))[0]
+
+
+def _pick_signatures(picks: tuple[Node, ...], nodes) -> list[tuple]:
+    """The pick signature of each of ``nodes`` against ``picks``, in O(m)
+    each for m picks once the first-pick map is built.
+
+    The first-pick map sends a node to the index of its first occurrence
+    among the root (index 0) and the picks.  A restriction of a partial
+    isomorphism is one, so no relation among earlier picks can fail but
+    through the new pair (a, b), and paired earlier picks already agree
+    on their first-pick indices.  Then a meet equals the same picks on
+    both sides exactly when it has the same first-pick index.  So a new
+    pair passes exactly when its two signatures are equal:
+
+    - the plan path of ``a`` (labels, and so depths);
+    - the first-pick index of ``a``; for a repeated pick that is the whole
+      signature, since its partner is then fixed;
+    - for a new pick, the first-pick index of the meet of ``a`` with the
+      root and each distinct earlier pick, ``a`` itself counting as the
+      next index and None standing for a meet off the picks.  That covers
+      the prefix relations both ways (a is below x exactly when their meet
+      is a, x below a when it is x), and so the parent relations;
+    - for the picks above ``a``, the child segment of ``a`` each lies
+      under, renamed in order of first use.  Two picks above ``a`` meet at
+      ``a`` exactly when they lie under different children, the one
+      relation among earlier picks that a new pick can change; equal
+      renamings are a bijection between the child segments.
+    """
+    first: dict[Node, int] = {}
+    for i, x in enumerate((ROOT,) + picks):
+        first.setdefault(x, i)
+    new = len(picks) + 1
+    signatures = []
+    for a in nodes:
+        path = a.plan_path
+        index = first.get(a)
+        if index is not None:
+            signatures.append((path, index))
+            continue
+        depth = len(a)
+        meets: list[Optional[int]] = []
+        above: list[int] = []
+        children: dict[Segment, int] = {}
+        for x in first:
+            m = meet_nodes(a, x)
+            if len(m) == depth:
+                meets.append(new)
+                above.append(children.setdefault(x[depth], len(children)))
+            else:
+                meets.append(first.get(m))
+        signatures.append((path, None, tuple(meets), tuple(above)))
+    return signatures
 
 
 def game_won(state: GameState) -> bool:
@@ -177,9 +200,13 @@ class _Search:
 
     A move only reaches positions whose parent passed the partial
     isomorphism check, and a restriction of a partial isomorphism is one,
-    so such a position checks only its newest pair
-    (:func:`_extends_partial_isomorphism`, O(m) for m picks).  The full
-    O(m^2) check runs once, on the state handed to :meth:`spoiler_wins`.
+    so such a position checks only its newest pair.  Each position lists
+    the representatives of both sides once and computes the pick signature
+    (:func:`_pick_signatures`) of each once; a move and a reply pass
+    exactly when their signatures are equal.  A pair that fails is a
+    spoiler win that counts as one visited position, with no state built
+    for it.  The full O(m^2) check runs once, on the state handed to
+    :meth:`spoiler_wins`.
     """
 
     def __init__(self, budget: int):
@@ -188,14 +215,17 @@ class _Search:
         self.memo: dict = {}
 
     def spoiler_wins(self, state: GameState) -> bool:
-        return self._solve(state, partial_isomorphism)
+        return self._solve(state, checked=False)
 
-    def _solve(self, state: GameState, check) -> bool:
-        # ``check`` decides whether the picks form a partial isomorphism.
+    def _visit(self) -> None:
         self.visited += 1
         if self.visited > self.budget:
             raise BudgetError(f"game tree exceeded {self.budget} nodes")
-        if not check(state.picks_left, state.picks_right):
+
+    def _solve(self, state: GameState, checked: bool = True) -> bool:
+        # ``checked``: the picks are already known to be a partial isomorphism.
+        self._visit()
+        if not checked and not partial_isomorphism(state.picks_left, state.picks_right):
             return True
         if state.rounds_left == 0:
             return False
@@ -213,8 +243,12 @@ class _Search:
         self.memo[key] = result
         return result
 
-    def _wins_after(self, state: GameState, left: Node, right: Node) -> bool:
-        return self._solve(state.after(left, right), _extends_partial_isomorphism)
+    def _wins_after(self, state: GameState, left: Node, right: Node, passes: bool) -> bool:
+        if not passes:
+            # The new pair breaks the partial isomorphism: a won position.
+            self._visit()
+            return True
+        return self._solve(state.after(left, right))
 
     def winning_move(self, state: GameState) -> Optional[tuple[str, Node]]:
         """The first spoiler move, left side first, that wins against every
@@ -222,15 +256,23 @@ class _Search:
         isomorphism.
 
         Moves and replies range over the orbit representatives of each
-        side, listed once for the position.
+        side, listed once for the position with their pick signatures.
         """
         reps_left = orbit_reps(state.left, state.picks_left)
         reps_right = orbit_reps(state.right, state.picks_right)
-        for move in reps_left:
-            if all(self._wins_after(state, move, reply) for reply in reps_right):
+        signed_left = list(zip(reps_left, _pick_signatures(state.picks_left, reps_left)))
+        signed_right = list(zip(reps_right, _pick_signatures(state.picks_right, reps_right)))
+        for move, sig in signed_left:
+            if all(
+                self._wins_after(state, move, reply, sig == reply_sig)
+                for reply, reply_sig in signed_right
+            ):
                 return ("L", move)
-        for move in reps_right:
-            if all(self._wins_after(state, reply, move) for reply in reps_left):
+        for move, sig in signed_right:
+            if all(
+                self._wins_after(state, reply, move, sig == reply_sig)
+                for reply, reply_sig in signed_left
+            ):
                 return ("R", move)
         return None
 
@@ -288,10 +330,21 @@ class RandomSpoiler:
         return (side, rng.choice(e.nodes()))
 
 
+def _require_game(left: Expansion, right: Expansion, k: int) -> None:
+    if k < 0:
+        raise DomainError("round count must be non-negative")
+    if left.plan != right.plan:
+        raise DomainError("a game needs two expansions of one plan")
+
+
 def game_value(
     left: Expansion, right: Expansion, k: int, budget: int = 100_000
 ) -> str:
-    """Theoretical winner under optimal play: "S" or "D"."""
+    """Theoretical winner under optimal play: "S" or "D".
+
+    Raises :class:`DomainError` for ``k < 0`` or boards of two plans.
+    """
+    _require_game(left, right, k)
     search = _Search(budget)
     state = GameState(left, right, (), (), k)
     return "S" if search.spoiler_wins(state) else "D"
@@ -317,9 +370,9 @@ def play(left: Expansion, right: Expansion, k: int, spoiler, duplicator) -> Outc
 
     An illegal move loses immediately for its side and is flagged in the
     transcript.  Strategy notes are embedded as ``#`` comment lines.
+    Raises :class:`DomainError` for ``k < 0`` or boards of two plans.
     """
-    if k < 0:
-        raise DomainError("round count must be non-negative")
+    _require_game(left, right, k)
     state = GameState(left, right, (), (), k)
     lines: list[str] = []
     illegal = None

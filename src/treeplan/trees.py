@@ -42,7 +42,7 @@ class Node(tuple):
     @property
     def plan_path(self) -> PlanPath:
         """Branch indices of the path: the projection onto the plan."""
-        return tuple(branch for branch, _ in self)
+        return tuple([branch for branch, _ in self])
 
     def prefix(self, length: int) -> "Node":
         return Node(self[:length])

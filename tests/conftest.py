@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import pytest
 
 from treeplan import (
+    BudgetError,
     DomainError,
     FiniteTree,
     InferenceError,
@@ -30,7 +31,7 @@ from treeplan import (
     subtree,
 )
 from treeplan.analysis import extend_embedding
-from treeplan.closure import tuple_code
+from treeplan.closure import orbit_key, orbit_reps, tuple_code
 from treeplan.logic import (
     And,
     Eps,
@@ -235,6 +236,100 @@ def partial_isomorphism_cubic(picks_left, picks_right) -> bool:
                 if (meet_nodes(a, a2) == a3) != (meet_nodes(b, b2) == b3):
                     return False
     return True
+
+
+def extends_partial_isomorphism_reference(picks_left, picks_right) -> bool:
+    """The newest-pair check as a walk over the earlier pairs: the meet of
+    the new pair with each earlier pair must land on the same first pick,
+    and the earlier picks above the new pair must fall under its children
+    through one bijection of child segments, built as two dicts.  The
+    prefix without the last pair must be a partial isomorphism."""
+    a, b = picks_left[-1], picks_right[-1]
+    if a.plan_path != b.plan_path:
+        return False
+    pairs = [(ROOT, ROOT)] + list(zip(picks_left[:-1], picks_right[:-1]))
+    where_l: dict[Node, int] = {}
+    where_r: dict[Node, int] = {}
+    for i, (x, y) in enumerate(pairs):
+        where_l.setdefault(x, i)
+        where_r.setdefault(y, i)
+    first = where_l.get(a)
+    if first != where_r.get(b):
+        return False
+    if first is not None:
+        return True
+    new = where_l[a] = where_r[b] = len(pairs)
+    child_of_b: dict = {}
+    child_of_a: dict = {}
+    for x, y in pairs:
+        i = where_l.get(meet_nodes(a, x))
+        if i != where_r.get(meet_nodes(b, y)):
+            return False
+        if i == new:
+            cx, cy = x[a.depth], y[b.depth]
+            if child_of_b.setdefault(cx, cy) != cy or child_of_a.setdefault(cy, cx) != cx:
+                return False
+    return True
+
+
+class _PairwiseSearch:
+    """The spoiler minimax with one ``GameState`` and one newest-pair check
+    per pair of representatives."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.visited = 0
+        self.memo: dict = {}
+
+    def solve(self, state) -> bool:
+        self.visited += 1
+        if self.visited > self.budget:
+            raise BudgetError(f"game tree exceeded {self.budget} nodes")
+        if not extends_partial_isomorphism_reference(state.picks_left, state.picks_right):
+            return True
+        if state.rounds_left == 0:
+            return False
+        key = (
+            state.left.n,
+            state.right.n,
+            orbit_key(state.picks_left),
+            orbit_key(state.picks_right),
+            state.rounds_left,
+        )
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit
+        result = self.winning_move(state) is not None
+        self.memo[key] = result
+        return result
+
+    def winning_move(self, state):
+        reps_left = orbit_reps(state.left, state.picks_left)
+        reps_right = orbit_reps(state.right, state.picks_right)
+        for move in reps_left:
+            if all(self.solve(state.after(move, reply)) for reply in reps_right):
+                return ("L", move)
+        for move in reps_right:
+            if all(self.solve(state.after(reply, move)) for reply in reps_left):
+                return ("R", move)
+        return None
+
+
+def search_outcome(search, state):
+    """The first winning move ``search`` finds from ``state`` (None when
+    there is none, ``BudgetError`` when it ran past its budget), the
+    positions it visited and its memo of solved positions."""
+    try:
+        move = search.winning_move(state)
+    except BudgetError:
+        move = BudgetError
+    return move, search.visited, search.memo
+
+
+def winning_move_reference(state, budget: int = 100_000):
+    """:func:`search_outcome` of the pair-by-pair search from ``state``, a
+    partial isomorphism with rounds left."""
+    return search_outcome(_PairwiseSearch(budget), state)
 
 
 def node_order_key(v: Node) -> tuple:

@@ -14,6 +14,7 @@ from treeplan import (
     expand,
     game_value,
     game_won,
+    induced_automorphism,
     parse_node,
     parse_plan,
     partial_isomorphism,
@@ -23,8 +24,16 @@ from treeplan import (
 )
 from treeplan import efgame
 from treeplan.closure import embed_pairs, orbit_key, orbit_reps, tuple_code
+from treeplan.trees import meet_nodes
 
-from conftest import PLANS, closure_answer_reference, partial_isomorphism_cubic
+from conftest import (
+    PLANS,
+    closure_answer_reference,
+    extends_partial_isomorphism_reference,
+    partial_isomorphism_cubic,
+    search_outcome,
+    winning_move_reference,
+)
 
 
 def node(text):
@@ -93,6 +102,42 @@ class TestGameWon:
                         assert efgame._extends_partial_isomorphism(*picks) == expected
                         checked += 1
         assert checked > 2_000
+
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_signatures_on_random_extensions(self, name):
+        # Prefixes are random picks paired with their images under a tag
+        # permutation, or with random nodes on the same plan paths, when
+        # they pass the cubic check.  Each is extended by a random node,
+        # often the meet of two earlier picks so that picks above it may
+        # split between its children, paired with every node on its plan
+        # path.
+        rng = random.Random(name)
+        e = expand(PLANS[name], 3)
+        nodes = e.nodes()
+        checked = 0
+        for _ in range(60):
+            left = tuple(rng.choice(nodes) for _ in range(rng.randint(0, 3)))
+            if rng.random() < 0.5:
+                perm = list(range(e.n))
+                rng.shuffle(perm)
+                swap = induced_automorphism(e, dict(enumerate(perm)))
+                right = tuple(swap[x] for x in left)
+            else:
+                partner = {x: rng.choice(e.fiber(x.plan_path)) for x in left}
+                right = tuple(partner[x] for x in left)
+            if not partial_isomorphism_cubic(left, right):
+                continue
+            a = rng.choice(nodes)
+            if left and rng.random() < 0.5:
+                a = meet_nodes(rng.choice(left), rng.choice(left))
+            for b in e.fiber(a.plan_path):
+                picks = (left + (a,), right + (b,))
+                expected = partial_isomorphism_cubic(*picks)
+                assert extends_partial_isomorphism_reference(*picks) == expected
+                same = efgame._pick_signature(left, a) == efgame._pick_signature(right, b)
+                assert same == expected, picks
+                checked += 1
+        assert checked > 30
 
     def test_meets_off_the_picks_may_differ_in_depth(self):
         # Only meets that land on a pick (or the root) are compared, so a
@@ -203,6 +248,11 @@ class TestPlay:
         spoiler = ScriptedSpoiler([("R", "0:0/0:*/0:0"), ("R", "0:0/0:*/0:1")])
         out = play(expand(p, n0), expand(p, n0 + 1), 2, spoiler, ClosureDuplicator())
         assert out.transcript.endswith("winner=D\n")
+
+    def test_two_plans_rejected(self):
+        left, right = expand(PLANS["A"], 2), expand(PLANS["B"], 2)
+        with pytest.raises(DomainError, match="one plan"):
+            play(left, right, 2, ExhaustiveSpoiler(), ClosureDuplicator())
 
     def test_zero_rounds(self):
         out = play(
@@ -376,7 +426,42 @@ class TestSearch:
         assert search.visited == visited
 
 
+class TestSearchAgainstReference:
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_matches_the_pairwise_search(self, name):
+        # The same first winning move, positions visited and memo, also
+        # when the budget runs out early or halfway through.
+        p = PLANS[name]
+        for k in (1, 2, 3):
+            n0 = max(1, size_threshold(p, k))
+            for n1, n2 in sorted({(1, 2), (n0, n0 + 1)}):
+                left, right = expand(p, n1), expand(p, n2)
+                state = GameState(left, right, (), (), k)
+                expected = winning_move_reference(state)
+                move, visited, _memo = expected
+                assert search_outcome(efgame._Search(100_000), state) == expected, (k, n1, n2)
+                assert game_value(left, right, k) == ("D" if move is None else "S")
+                for budget in (50, visited // 2):
+                    if budget < visited:
+                        assert search_outcome(efgame._Search(budget), state) == winning_move_reference(
+                            state, budget
+                        ), (k, n1, n2, budget)
+
+
 class TestGameValue:
+    def test_negative_rounds_rejected(self):
+        with pytest.raises(DomainError, match="non-negative"):
+            game_value(expand(PLANS["A"], 1), expand(PLANS["A"], 2), -1)
+
+    def test_two_plans_rejected(self):
+        left, right = expand(PLANS["A"], 2), expand(PLANS["B"], 2)
+        with pytest.raises(DomainError, match="one plan"):
+            game_value(left, right, 2)
+
+    def test_equal_plans_parsed_twice_accepted(self):
+        left, right = expand(parse_plan("(1 (inf))"), 1), expand(parse_plan("(1 (inf))"), 2)
+        assert game_value(left, right, 2) == "S"
+
     def test_spoiler_wins_small(self):
         assert game_value(expand(PLANS["A"], 1), expand(PLANS["A"], 2), 2) == "S"
 
