@@ -4,27 +4,30 @@ Terms are built from variables, the root constant, pred, and meet; atoms
 are equality, the prefix order, and one fiber predicate per plan node.
 Quantifiers scope to the end of the enclosing formula (or closing paren).
 
-Evaluation compiles a formula once per call into nested closures over a
-scope of variable bindings, then runs them.  Terms evaluate to segment
-tuples rather than nodes: ``pred`` drops the last segment, ``meet`` is the
-common prefix, and the order is a prefix test.  Quantifiers can
-optionally range over one representative per orbit over the current
-environment instead of the whole universe (``fast=True``): two candidates
-in one orbit are exchanged by an automorphism fixing the environment, so
-the truth value is unchanged.  The representatives are read off the tree
-closure of the environment (:func:`~treeplan.closure.orbit_reps`), so
-their number and cost do not grow with the expansion size.  Plain mode
-ranges over every node and stays the brute-force path; both modes are
-checked against a substitution-based reference evaluator in the test
-suite.
+Evaluation compiles a formula once, on first use, into generated Python
+source, and keeps the compiled program for as long as the formula lives;
+each call binds it to an expansion and runs it.  A quantifier becomes a
+loop in a function of its own, and an atom an inline test on segment
+tuples: terms evaluate to segment tuples rather than nodes, ``pred`` drops
+the last segment, ``meet`` is the common prefix, and the order is a
+prefix test.  Quantifiers can optionally range over one representative
+per orbit over the current environment instead of the whole universe
+(``fast=True``): two candidates in one orbit are exchanged by an
+automorphism fixing the environment, so the truth value is unchanged.
+The representatives are read off the tree closure of the environment
+(:func:`~treeplan.closure.orbit_reps`), so their number and cost do not
+grow with the expansion size.  Plain mode ranges over every node and
+stays the brute-force path; both modes are checked against a
+substitution-based reference evaluator in the test suite.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from .closure import anchor_in, downset, orbit_reps, tcl
 from .counting import dim_measure, poly_P, poly_Q_rel
@@ -397,112 +400,231 @@ def free_vars(f: Formula) -> frozenset[str]:
 # Evaluation
 
 
-# A compiled term maps a scope (variable names to nodes) to the segment
-# tuple of its value: a variable gives its node, which is one, and a slice
-# gives a plain tuple equal to the node it names.  A compiled formula maps
-# a scope to its truth value.
-Scope = dict[str, Node]
+# A formula compiles once into the source of one Python function per
+# quantifier plus one for the formula, all nested in a ``bind`` function
+# that takes the expansion.  Terms are expressions over segment tuples: a
+# variable is a local slot holding its node, ``eps`` is ``()``, ``pred^k``
+# a slice and ``meet`` a call of :func:`_meet`.  The source is flat: a
+# quantifier is a call of its own function, whose parameters are the
+# variables visible where it stands, and a meet nested in a meet goes to
+# a walrus temporary, so its depth follows the alternation of connectives
+# only.  No name from the formula enters the source except as a string.
 Segs = tuple[Segment, ...]
 
 
-def _compile_term(t: Term) -> Callable[[Scope], Segs]:
-    if isinstance(t, Var):
-        name = t.name
-
-        def var(scope: Scope) -> Segs:
-            try:
-                return scope[name]
-            except KeyError:
-                raise UnboundVariableError(f"unbound variable {name!r}") from None
-
-        return var
-    if isinstance(t, Eps):
-        return lambda scope: ()
-    if isinstance(t, Pred):
-        # pred^k drops the last k segments; a slice clamps at the root.
-        k, inner = 0, t
-        while isinstance(inner, Pred):
-            k += 1
-            inner = inner.arg
-        arg = _compile_term(inner)
-        return lambda scope: arg(scope)[:-k]
-    if isinstance(t, MeetT):
-        left, right = _compile_term(t.left), _compile_term(t.right)
-
-        def meet(scope: Scope) -> Segs:
-            a, b = left(scope), right(scope)
-            i = 0
-            for seg_a, seg_b in zip(a, b):
-                if seg_a != seg_b:
-                    break
-                i += 1
-            return a[:i]
-
-        return meet
-    raise DomainError(f"not a term: {t!r}")
+def _meet(a: Segs, b: Segs) -> Segs:
+    """The common prefix of two segment tuples."""
+    i = 0
+    for seg_a, seg_b in zip(a, b):
+        if seg_a != seg_b:
+            break
+        i += 1
+    return a[:i]
 
 
-def _compile(e: Expansion, f: Formula, fast: bool) -> Callable[[Scope], bool]:
-    """``f`` as nested closures over a scope, built once per call.
+def _unbound(name: str) -> bool:
+    raise UnboundVariableError(f"unbound variable {name!r}")
 
-    Atoms and connectives keep the left-to-right short-circuit order, and
-    an atom raises its unbound-variable or bad-label error only when it is
-    reached.  A quantifier ranges over every node in node order, or with
-    ``fast`` over :func:`~treeplan.closure.orbit_reps` of the scope, and
-    restores the outer binding of its variable on exit.
-    """
-    if isinstance(f, Eq):
-        left, right = _compile_term(f.left), _compile_term(f.right)
-        return lambda scope: left(scope) == right(scope)
-    if isinstance(f, Leq):
-        left, right = _compile_term(f.left), _compile_term(f.right)
 
-        def leq(scope: Scope) -> bool:
-            low = left(scope)
-            return right(scope)[: len(low)] == low
+def _bad_label(path: PlanPath) -> bool:
+    raise DomainError(f"label path {path} is not a node of the plan")
 
-        return leq
-    if isinstance(f, Label):
-        path = f.path
-        if path not in e.plan.nodes:
 
-            def bad_label(scope: Scope) -> bool:
-                raise DomainError(f"label path {path} is not a node of the plan")
+class _Unbound(Exception):
+    """A term names a variable that no quantifier or binding provides."""
 
-            return bad_label
-        arg = _compile_term(f.arg)
-        return lambda scope: tuple([branch for branch, _ in arg(scope)]) == path
-    if isinstance(f, Not):
-        sub = _compile(e, f.sub, fast)
-        return lambda scope: not sub(scope)
-    if isinstance(f, (And, Or, Implies)):
-        left, right = _compile(e, f.left, fast), _compile(e, f.right, fast)
-        if isinstance(f, And):
-            return lambda scope: left(scope) and right(scope)
-        if isinstance(f, Or):
-            return lambda scope: left(scope) or right(scope)
-        return lambda scope: (not left(scope)) or right(scope)
-    if not isinstance(f, (Exists, Forall)):
-        raise DomainError(f"not a formula: {f!r}")
-    body, name, tree = _compile(e, f.body, fast), f.var, e.tree
-    # Exists stops at the first true body, Forall at the first false one.
-    stop = isinstance(f, Exists)
 
-    def quantifier(scope: Scope) -> bool:
-        outer = scope.get(name)
-        result = not stop
-        for x in orbit_reps(e, scope.values()) if fast else tree:
-            scope[name] = x
-            if body(scope) == stop:
-                result = stop
-                break
-        if outer is None:
-            scope.pop(name, None)
+# Precedence of a generated expression, loosest first; a part looser
+# than its place gets parentheses.
+_OR, _AND, _NOT, _ATOM = range(4)
+
+
+def _wrap(code: tuple[str, int], level: int) -> str:
+    text, prec = code
+    return f"({text})" if prec < level else text
+
+
+def _operands(f: Formula, op: type) -> list[Formula]:
+    """The operands of the chain of ``op`` at the top of ``f``, left to
+    right; for ``Or`` an implication is a disjunction with its premise
+    negated."""
+    out, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, op):
+            stack += (g.right, g.left)
+        elif op is Or and isinstance(g, Implies):
+            stack += (g.right, Not(g.left))
         else:
-            scope[name] = outer
-        return result
+            out.append(g)
+    return out
 
-    return quantifier
+
+class _Source:
+    """The generated source of one formula in one mode.
+
+    A scope maps each visible variable to its slot ``v<i>``, in the order
+    of the evaluation scope: an inner quantifier takes over the place of
+    the variable it shadows.  Quantifier functions are ``q<i>``, walrus
+    temporaries ``t<i>``, and ``bad<i>`` says, once the expansion is
+    bound, that label path ``i`` is not a node of its plan.
+    """
+
+    def __init__(self, fast: bool):
+        self.fast = fast
+        self.slots = 0
+        self.temps = 0
+        self.labels: dict[PlanPath, str] = {}
+        self.defs: list[str] = []
+
+    def slot(self) -> str:
+        self.slots += 1
+        return f"v{self.slots - 1}"
+
+    def bound(self, code: str) -> tuple[str, str]:
+        """A name for the value of ``code``, and the expression that binds
+        it where it is first used: the name itself when it is a slot."""
+        if code.isidentifier():
+            return code, code
+        self.temps += 1
+        name = f"t{self.temps - 1}"
+        return name, f"({name} := {code})"
+
+    def term(self, t: Term, scope: dict[str, str], pre: list[str]) -> str:
+        if isinstance(t, Var):
+            if t.name not in scope:
+                raise _Unbound(t.name)
+            return scope[t.name]
+        if isinstance(t, Eps):
+            return "()"
+        if isinstance(t, Pred):
+            # pred^k drops the last k segments; a slice clamps at the root.
+            k = 0
+            while isinstance(t, Pred):
+                k += 1
+                t = t.arg
+            return f"{self.term(t, scope, pre)}[:-{k}]"
+        if isinstance(t, MeetT):
+            args = []
+            for side in (t.left, t.right):
+                code = self.term(side, scope, pre)
+                if code.startswith("_meet"):
+                    code, first = self.bound(code)
+                    pre.append(first)
+                args.append(code)
+            return f"_meet({args[0]}, {args[1]})"
+        raise DomainError(f"not a term: {t!r}")
+
+    def atom(self, f: Formula, scope: dict[str, str]) -> tuple[str, int]:
+        """An atom as one expression; it raises its unbound-variable or
+        bad-label error only when evaluation reaches it."""
+        if isinstance(f, Label):
+            bad = self.labels.setdefault(f.path, f"bad{len(self.labels)}")
+            raising = f"{bad} and _bad_label({f.path!r})"
+        pre: list[str] = []
+        try:
+            if isinstance(f, Eq):
+                code = (f"{self.term(f.left, scope, pre)} == "
+                        f"{self.term(f.right, scope, pre)}", _ATOM)
+            elif isinstance(f, Leq):
+                low, first = self.bound(self.term(f.left, scope, pre))
+                high = self.term(f.right, scope, pre)
+                code = (f"{first} == {high}[:len({low})]", _ATOM)
+            else:
+                arg, first = self.bound(self.term(f.arg, scope, pre))
+                # Only a plan node is ever a node's plan path, so a bad
+                # path fails the test and raises on the false branch.
+                tests = [f"len({first}) == {len(f.path)}"]
+                tests += [f"{arg}[{i}][0] == {b}" for i, b in enumerate(f.path)]
+                code = (" and ".join(tests) + " or " + raising, _OR)
+        except _Unbound as err:
+            text = f"_unbound({err.args[0]!r})"
+            if isinstance(f, Label):
+                return f"{raising} or {text}", _OR
+            return text, _ATOM
+        if pre:
+            return f"({', '.join(pre)},) and {_wrap(code, _AND)}", _AND
+        return code
+
+    def formula(self, f: Formula, scope: dict[str, str]) -> tuple[str, int]:
+        if isinstance(f, (Eq, Leq, Label)):
+            return self.atom(f, scope)
+        if isinstance(f, Not):
+            negate = False
+            while isinstance(f, Not):
+                negate = not negate
+                f = f.sub
+            code = self.formula(f, scope)
+            return (f"not {_wrap(code, _NOT)}", _NOT) if negate else code
+        if isinstance(f, And):
+            parts = (_wrap(self.formula(g, scope), _AND) for g in _operands(f, And))
+            return " and ".join(parts), _AND
+        if isinstance(f, (Or, Implies)):
+            parts = (_wrap(self.formula(g, scope), _OR) for g in _operands(f, Or))
+            return " or ".join(parts), _OR
+        if isinstance(f, (Exists, Forall)):
+            return self.quantifier(f, scope), _ATOM
+        raise DomainError(f"not a formula: {f!r}")
+
+    def quantifier(self, f: Union[Exists, Forall], scope: dict[str, str]) -> str:
+        """A call of the quantifier's function.  It ranges over every node,
+        or with ``fast`` over the orbit representatives of its parameters,
+        and stops at the first body that decides it."""
+        params = ", ".join(scope.values())
+        inner = dict(scope)
+        inner[f.var] = var = self.slot()
+        exists = isinstance(f, Exists)
+        test, _ = self.formula(f.body if exists else Not(f.body), inner)
+        members = params + "," if len(scope) == 1 else params
+        over = f"orbit_reps(e, ({members}))" if self.fast else "tree"
+        name = f"q{len(self.defs)}"
+        self.defs.append(
+            f"    def {name}({params}):\n"
+            f"        for {var} in {over}:\n"
+            f"            if {test}:\n"
+            f"                return {exists}\n"
+            f"        return {not exists}\n"
+        )
+        return f"{name}({params})"
+
+
+def _generate(f: Formula, fast: bool, names: tuple[str, ...]):
+    """``bind(e, orbit_reps)`` for ``f``: it returns the truth function of
+    ``f`` on ``e``, whose arguments are the nodes bound to ``names``."""
+    src = _Source(fast)
+    scope = {name: src.slot() for name in names}
+    code, _ = src.formula(f, scope)
+    lines = ["def bind(e, orbit_reps):", "    tree = e.tree"]
+    lines += [f"    {bad} = {path!r} not in e.plan.nodes" for path, bad in src.labels.items()]
+    lines += src.defs
+    lines += [f"    def holds({', '.join(scope.values())}):", f"        return {code}",
+              "    return holds"]
+    namespace = {"_meet": _meet, "_unbound": _unbound, "_bad_label": _bad_label}
+    try:
+        exec(compile("\n".join(lines), "<formula>", "exec"), namespace)
+    except (SyntaxError, RecursionError, MemoryError) as err:
+        raise RecursionError("formula nested too deeply to compile") from err
+    return namespace["bind"]
+
+
+# The programs of each formula object by mode and bound names, for as
+# long as the object lives.  The key is its identity: hashing a formula
+# walks the whole tree, once per call and as deep as the formula.
+_PROGRAMS: dict[int, dict] = {}
+
+
+def _program(f: Formula, fast: bool, names: tuple[str, ...]):
+    programs = _PROGRAMS.get(id(f))
+    if programs is None:
+        try:
+            weakref.finalize(f, _PROGRAMS.pop, id(f))
+        except TypeError:
+            raise DomainError(f"not a formula: {f!r}") from None
+        programs = _PROGRAMS[id(f)] = {}
+    key = (fast, names)
+    if key not in programs:
+        programs[key] = _generate(f, fast, names)
+    return programs[key]
 
 
 def evaluate(
@@ -513,14 +635,18 @@ def evaluate(
 ) -> bool:
     """Truth value of ``f`` in ``e`` under ``env``.
 
-    ``fast`` restricts quantifier ranges to one representative per orbit
-    over the current environment, listed from its tree closure; sound
-    because members of one orbit are automorphic over it.  A quantifier
-    restores the outer binding of its variable on exit.
+    ``f`` runs as generated Python, compiled on its first evaluation with
+    these mode and variable names and reused after.  Plain mode ranges
+    over every node.  ``fast`` restricts quantifier ranges to one
+    representative per orbit over the current environment, listed from
+    its tree closure; sound because members of one orbit are automorphic
+    over it.  A quantifier restores the outer binding of its variable on
+    exit, and an atom raises its unbound-variable or bad-label error only
+    when evaluation reaches it.
     """
     scope = dict(env or {})
     e.tree.require(*scope.values())
-    return _compile(e, f, fast)(scope)
+    return _program(f, fast, tuple(scope))(e, orbit_reps)(*scope.values())
 
 
 def solution_set(
@@ -536,11 +662,15 @@ def solution_set(
     if missing:
         raise UnboundVariableError(f"unbound variables {sorted(missing)}")
     e.tree.require(*(v for name, v in scope.items() if name != free_var))
-    holds = _compile(e, f, fast)
+    # The free variable's slot follows the parameters, unless it is one.
+    scope[free_var] = ROOT
+    holds = _program(f, fast, tuple(scope))(e, orbit_reps)
+    args = list(scope.values())
+    slot = list(scope).index(free_var)
     out = []
     for x in e.tree:
-        scope[free_var] = x
-        if holds(scope):
+        args[slot] = x
+        if holds(*args):
             out.append(x)
     return frozenset(out)
 

@@ -374,6 +374,14 @@ class TestMalformedInput:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_long_conjunction(self, tmp_path, capsys):
+        # Deeper than the formula walks recurse: an answer or exit 2.
+        plan = tmp_path / "ok.plan"
+        plan.write_text("(1 (inf))")
+        formula = "forall x. " + " & ".join(["x = x"] * 3000)
+        code, out, err = run(capsys, ["check", "--plan", str(plan), "--n", "2", "--formula", formula])
+        assert (code, out, err) in [(0, "true\n", ""), (2, "", "error: input nested too deeply\n")]
+
 
 class TestOutput:
     def test_out_file(self, plan_file, tmp_path, capsys):

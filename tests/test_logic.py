@@ -36,7 +36,7 @@ from treeplan.logic import (
     at_least,
 )
 
-from conftest import PLANS, random_subset
+from conftest import PLANS, evaluate_reference, random_subset
 
 
 def node(text):
@@ -208,6 +208,99 @@ class TestLazyErrors:
         e = expand(PLANS["A"], 2)
         with pytest.raises(DomainError, match="unknown node 0:2"):
             solution_set(e, parse_formula("x = b"), "x", {"b": node("0:2")}, fast=fast)
+
+
+def left_meets(k):
+    """``k`` meets nested on the left: ``meet(...meet(meet(x, y), x)..., y)``."""
+    t = "x"
+    for i in range(k):
+        t = f"meet({t}, {'y' if i % 2 == 0 else 'x'})"
+    return t
+
+
+def right_meets(k):
+    """``k`` meets nested on the right: ``meet(x, meet(x, ...meet(y, y)...))``."""
+    t = "y"
+    for i in range(k - 1):
+        t = f"meet({'x' if i % 2 == 0 else 'y'}, {t})"
+    return f"meet(x, {t})"
+
+
+# Formulas whose size would nest naively generated source past what
+# Python compiles, with the answers of the former closure compiler.
+DEEP_FORMULAS = {
+    "300_conjuncts": ("forall x. " + " & ".join(["x = x"] * 300), True),
+    "700_conjuncts": ("forall x. " + " & ".join(["x = x"] * 699) + " & !(x = x)", False),
+    "300_negations": ("!" * 300 + "eps = eps", True),
+    "301_negations": ("!" * 301 + "eps = eps", False),
+    "700_negations": ("forall x. " + "!" * 700 + "x = x", True),
+    "150_parentheses": ("forall x. " + "(" * 150 + "x <= x" + ")" * 150, True),
+    "150_quantifiers": ("".join(f"exists x{i}. " for i in range(150)) + "!(x0 = x149)", True),
+    "150_forall": ("".join(f"forall x{i}. " for i in range(150)) + "x0 = x149", False),
+    "pred_300": ("forall x. pred^300(x) = eps", True),
+    "100_meets": (
+        f"forall x. forall y. {left_meets(100)} = {right_meets(100)} & {left_meets(100)} <= x",
+        True,
+    ),
+    "100_meets_false": (f"forall x. forall y. {left_meets(100)} = x", False),
+    "300_meets": (f"forall x. forall y. {right_meets(300)} = {left_meets(300)}", True),
+}
+
+
+@pytest.mark.parametrize("fast", [False, True])
+@pytest.mark.parametrize("name", sorted(DEEP_FORMULAS))
+def test_deep_formulas_compile(name, fast):
+    text, expected = DEEP_FORMULAS[name]
+    assert evaluate(expand(PLANS["B"], 2), parse_formula(text), fast=fast) is expected
+
+
+@pytest.mark.parametrize("fast", [False, True])
+class TestVariableNames:
+    """Python keywords and the names of the generated source are plain
+    variable names."""
+
+    @pytest.mark.parametrize(
+        "text, env",
+        [
+            ("exists lambda. forall tree. meet(lambda, tree) <= lambda", {}),
+            ("forall lambda. exists tree. pred(tree) = lambda & !(tree = lambda)", {}),
+            ("exists x. class <= x & !(x = class)", {"class": "0:0"}),
+            ("exists x. class <= x & !(x = class)", {"class": "0:0/0:1"}),
+            ("exists v0. pred(v0) = v1 & !(v0 = t0)", {"v1": "0:0", "t0": "0:0/0:1"}),
+            ("exists v0. pred(v0) = v1 & !(v0 = t0)", {"v1": "0:0/0:0", "t0": "0:0/0:1"}),
+            ("forall v0. exists e. pred(e) = v0 | P[0.0](v0) | v0 = holds", {"holds": "eps"}),
+            ("exists q0. exists orbit_reps. !(meet(q0, orbit_reps) = _meet)", {"_meet": "0:1"}),
+        ],
+    )
+    def test_evaluation_matches_the_reference(self, fast, text, env):
+        e = expand(PLANS["B"], 2)
+        env = {name: node(value) for name, value in env.items()}
+        f = parse_formula(text)
+        assert evaluate(e, f, env, fast=fast) == evaluate_reference(e, f, env)
+
+    def test_keyword_free_variable(self, fast):
+        e = expand(PLANS["B"], 2)
+        f = parse_formula("exists tree. pred(tree) = for & !(tree = bind)")
+        params = {"bind": node("0:1/0:0")}
+        expected = frozenset(
+            x for x in e.nodes() if evaluate_reference(e, f, {**params, "for": x})
+        )
+        assert 0 < len(expected) < len(e)
+        assert solution_set(e, f, "for", params, fast=fast) == expected
+
+
+@pytest.mark.parametrize("fast", [False, True])
+@pytest.mark.parametrize("valid_first", [True, False])
+def test_label_validity_is_read_from_each_plan(valid_first, fast):
+    # One formula object, so one generated program, on two plans.
+    f = parse_formula("exists x. P[1](x)")
+    valid, invalid = expand(PLANS["C"], 2), expand(PLANS["A"], 2)
+    for e in [valid, invalid] if valid_first else [invalid, valid]:
+        if e is valid:
+            assert evaluate(e, f, fast=fast) is True
+        else:
+            with pytest.raises(DomainError, match="label path"):
+                evaluate(e, f, fast=fast)
 
 
 class TestSolutionSet:
