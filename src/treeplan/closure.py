@@ -137,7 +137,10 @@ def orbit_key(picks: tuple[Node, ...]) -> tuple[Node, ...]:
     """The picks with each replicated tag renamed in order of first use
     under its parent and branch: equal for two tuples of one expansion
     exactly when an automorphism carries one to the other, that is, when
-    their labeled quantifier-free types agree."""
+    their labeled quantifier-free types agree.  Tuples of two expansions of
+    one plan have equal keys exactly when their types agree, which makes
+    key equality the games' pick test
+    (:func:`~treeplan.efgame.partial_isomorphism`)."""
     names: dict[tuple[Node, int], dict[int, int]] = {}
     out = []
     for a in picks:

@@ -10,17 +10,13 @@ move orbits, one least representative per orbit over the picks so far,
 read off their tree closure (:func:`~treeplan.closure.orbit_reps`) at a
 cost independent of the expansion size, and memoized by the orbits of the
 picks (:func:`~treeplan.closure.orbit_key`); past its position budget it
-degrades to a seeded random player and says so.  A restriction of a
-partial isomorphism is one, and the search only moves on from positions
-that passed the check, so each position it reaches checks only its newest
-pick pair.  That check reads one pick signature per node
-(:func:`_pick_signature`): its plan path, its first index among the picks,
-and for a new node the first pick index of its meet with each earlier pick
-and the child segments the picks above it lie under.  A pair passes when
-its two signatures are equal, so a position signs each representative of
-each side once and compares signatures for every move and reply.  The full
-check runs once per search entry and at the end of a played game.  Both
-boards must expand one plan.
+degrades to a seeded random player and says so.  The one pick test is
+orbit-key equality: the picks of the two sides correspond exactly when
+their orbit keys are equal, so a move and a reply keep the partial
+isomorphism exactly when they extend the picks to equal keys, and a
+position pairs each move with the one reply of its key.  The full test
+runs once per search entry and at the end of a played game.  Both boards
+must expand one plan.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ from typing import Optional
 from .closure import anchor_in, close_pair, embed_pairs, least_free_child, orbit_key, orbit_reps
 from .errors import BudgetError, DomainError
 from .plan import Expansion, TreePlan
-from .trees import Node, ROOT, Segment, format_node, meet_nodes
+from .trees import Node, ROOT, format_node
 
 
 @dataclass(slots=True)
@@ -58,85 +54,13 @@ def partial_isomorphism(
     picks_left: tuple[Node, ...], picks_right: tuple[Node, ...]
 ) -> bool:
     """Does the pick correspondence (extended by root |-> root) preserve
-    equality, the order, pred- and meet-relations, and plan labels?
+    the labeled quantifier-free type, ``pred`` and ``meet`` terms included?
 
-    The picks pair up as ``zip`` pairs them.  Each prefix of the pairs is
-    checked as an extension of the one before
-    (:func:`_extends_partial_isomorphism`), in O(m^2) for m pairs.
+    The picks pair up as ``zip`` pairs them, and the two tuples of pairs
+    must have equal orbit keys (:func:`~treeplan.closure.orbit_key`).
     """
-    return all(
-        _extends_partial_isomorphism(picks_left[:i], picks_right[:i])
-        for i in range(1, min(len(picks_left), len(picks_right)) + 1)
-    )
-
-
-def _extends_partial_isomorphism(
-    picks_left: tuple[Node, ...], picks_right: tuple[Node, ...]
-) -> bool:
-    """:func:`partial_isomorphism` for picks of equal length whose prefix
-    without the last pair is already one: the newest pair passes exactly
-    when its two pick signatures (:func:`_pick_signature`) are equal.
-    """
-    return _pick_signature(picks_left[:-1], picks_left[-1]) == _pick_signature(
-        picks_right[:-1], picks_right[-1]
-    )
-
-
-def _pick_signature(picks: tuple[Node, ...], a: Node) -> tuple:
-    """What the newest-pair check reads of a pick ``a`` after ``picks``."""
-    return _pick_signatures(picks, (a,))[0]
-
-
-def _pick_signatures(picks: tuple[Node, ...], nodes) -> list[tuple]:
-    """The pick signature of each of ``nodes`` against ``picks``, in O(m)
-    each for m picks once the first-pick map is built.
-
-    The first-pick map sends a node to the index of its first occurrence
-    among the root (index 0) and the picks.  A restriction of a partial
-    isomorphism is one, so no relation among earlier picks can fail but
-    through the new pair (a, b), and paired earlier picks already agree
-    on their first-pick indices.  Then a meet equals the same picks on
-    both sides exactly when it has the same first-pick index.  So a new
-    pair passes exactly when its two signatures are equal:
-
-    - the plan path of ``a`` (labels, and so depths);
-    - the first-pick index of ``a``; for a repeated pick that is the whole
-      signature, since its partner is then fixed;
-    - for a new pick, the first-pick index of the meet of ``a`` with the
-      root and each distinct earlier pick, ``a`` itself counting as the
-      next index and None standing for a meet off the picks.  That covers
-      the prefix relations both ways (a is below x exactly when their meet
-      is a, x below a when it is x), and so the parent relations;
-    - for the picks above ``a``, the child segment of ``a`` each lies
-      under, renamed in order of first use.  Two picks above ``a`` meet at
-      ``a`` exactly when they lie under different children, the one
-      relation among earlier picks that a new pick can change; equal
-      renamings are a bijection between the child segments.
-    """
-    first: dict[Node, int] = {}
-    for i, x in enumerate((ROOT,) + picks):
-        first.setdefault(x, i)
-    new = len(picks) + 1
-    signatures = []
-    for a in nodes:
-        path = a.plan_path
-        index = first.get(a)
-        if index is not None:
-            signatures.append((path, index))
-            continue
-        depth = len(a)
-        meets: list[Optional[int]] = []
-        above: list[int] = []
-        children: dict[Segment, int] = {}
-        for x in first:
-            m = meet_nodes(a, x)
-            if len(m) == depth:
-                meets.append(new)
-                above.append(children.setdefault(x[depth], len(children)))
-            else:
-                meets.append(first.get(m))
-        signatures.append((path, None, tuple(meets), tuple(above)))
-    return signatures
+    m = min(len(picks_left), len(picks_right))
+    return orbit_key(picks_left[:m]) == orbit_key(picks_right[:m])
 
 
 def game_won(state: GameState) -> bool:
@@ -198,15 +122,13 @@ class ClosureDuplicator:
 class _Search:
     """Minimax over pick-orbit representatives, memoized by pick orbits.
 
-    A move only reaches positions whose parent passed the partial
-    isomorphism check, and a restriction of a partial isomorphism is one,
-    so such a position checks only its newest pair.  Each position lists
-    the representatives of both sides once and computes the pick signature
-    (:func:`_pick_signatures`) of each once; a move and a reply pass
-    exactly when their signatures are equal.  A pair that fails is a
-    spoiler win that counts as one visited position, with no state built
-    for it.  The full O(m^2) check runs once, on the state handed to
-    :meth:`spoiler_wins`.
+    Each position lists the representatives of both sides once and keys
+    each by the orbit key of the picks it extends.  The representatives
+    of one side lie in distinct orbits over its picks, so their keys are
+    distinct, and a move has at most one reply that keeps the keys of the
+    two sides equal.  A move whose key the other side lacks wins at once;
+    otherwise only that one pair is solved, so every position visited has
+    equal keys on both sides and is memoized by the key of one.
     """
 
     def __init__(self, budget: int):
@@ -215,66 +137,52 @@ class _Search:
         self.memo: dict = {}
 
     def spoiler_wins(self, state: GameState) -> bool:
-        return self._solve(state, checked=False)
+        if partial_isomorphism(state.picks_left, state.picks_right):
+            return self._solve(state, orbit_key(state.picks_left))
+        # A state handed in already lost counts as one won position.
+        self._visit()
+        return True
 
     def _visit(self) -> None:
         self.visited += 1
         if self.visited > self.budget:
             raise BudgetError(f"game tree exceeded {self.budget} nodes")
 
-    def _solve(self, state: GameState, checked: bool = True) -> bool:
-        # ``checked``: the picks are already known to be a partial isomorphism.
+    def _solve(self, state: GameState, key: tuple[Node, ...]) -> bool:
+        # ``key``: the orbit key of either side's picks; the two are equal.
         self._visit()
-        if not checked and not partial_isomorphism(state.picks_left, state.picks_right):
-            return True
         if state.rounds_left == 0:
             return False
-        key = (
-            state.left.n,
-            state.right.n,
-            orbit_key(state.picks_left),
-            orbit_key(state.picks_right),
-            state.rounds_left,
-        )
-        hit = self.memo.get(key)
+        memo_key = (state.left.n, state.right.n, key, state.rounds_left)
+        hit = self.memo.get(memo_key)
         if hit is not None:
             return hit
         result = self.winning_move(state) is not None
-        self.memo[key] = result
+        self.memo[memo_key] = result
         return result
 
-    def _wins_after(self, state: GameState, left: Node, right: Node, passes: bool) -> bool:
-        if not passes:
-            # The new pair breaks the partial isomorphism: a won position.
-            self._visit()
-            return True
-        return self._solve(state.after(left, right))
-
     def winning_move(self, state: GameState) -> Optional[tuple[str, Node]]:
-        """The first spoiler move, left side first, that wins against every
-        reply; None when there is none.  ``state`` must be a partial
-        isomorphism.
-
-        Moves and replies range over the orbit representatives of each
-        side, listed once for the position with their pick signatures.
+        """The first spoiler move, left side first and in node order, that
+        wins against every reply; None when there is none.  ``state`` must
+        be a partial isomorphism.
         """
-        reps_left = orbit_reps(state.left, state.picks_left)
-        reps_right = orbit_reps(state.right, state.picks_right)
-        signed_left = list(zip(reps_left, _pick_signatures(state.picks_left, reps_left)))
-        signed_right = list(zip(reps_right, _pick_signatures(state.picks_right, reps_right)))
-        for move, sig in signed_left:
-            if all(
-                self._wins_after(state, move, reply, sig == reply_sig)
-                for reply, reply_sig in signed_right
-            ):
+        left = _keyed_reps(state.left, state.picks_left)
+        right = _keyed_reps(state.right, state.picks_right)
+        for key, move in left.items():
+            reply = right.get(key)
+            if reply is None or self._solve(state.after(move, reply), key):
                 return ("L", move)
-        for move, sig in signed_right:
-            if all(
-                self._wins_after(state, reply, move, sig == reply_sig)
-                for reply, reply_sig in signed_left
-            ):
+        for key, move in right.items():
+            reply = left.get(key)
+            if reply is None or self._solve(state.after(reply, move), key):
                 return ("R", move)
         return None
+
+
+def _keyed_reps(e: Expansion, picks: tuple[Node, ...]) -> dict[tuple[Node, ...], Node]:
+    """The orbit representatives over ``picks``, in node order, each keyed
+    by the orbit key of ``picks`` extended by it."""
+    return {orbit_key(picks + (a,)): a for a in orbit_reps(e, picks)}
 
 
 class ExhaustiveSpoiler:

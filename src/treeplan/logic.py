@@ -351,48 +351,42 @@ def formula_text(f: Formula, _prec: int = 0) -> str:
 
 
 def qrank(f: Formula) -> int:
-    """Quantifier rank: nesting depth of quantifiers."""
-    if isinstance(f, (Eq, Leq, Label)):
-        return 0
-    if isinstance(f, Not):
-        return qrank(f.sub)
-    if isinstance(f, (And, Or, Implies)):
-        return max(qrank(f.left), qrank(f.right))
-    return 1 + qrank(f.body)
-
-
-def _term_vars(t: Term, out: set[str]):
-    if isinstance(t, Var):
-        out.add(t.name)
-    elif isinstance(t, Pred):
-        _term_vars(t.arg, out)
-    elif isinstance(t, MeetT):
-        _term_vars(t.left, out)
-        _term_vars(t.right, out)
+    """Quantifier rank: nesting depth of quantifiers.  The walk keeps an
+    explicit stack, as :func:`free_vars` does, so deep formulas do not
+    recurse."""
+    rank = 0
+    stack = [(f, 0)]
+    while stack:
+        g, depth = stack.pop()
+        if isinstance(g, Not):
+            stack.append((g.sub, depth))
+        elif isinstance(g, (And, Or, Implies)):
+            stack += ((g.left, depth), (g.right, depth))
+        elif isinstance(g, (Exists, Forall)):
+            stack.append((g.body, depth + 1))
+        else:
+            rank = max(rank, depth)
+    return rank
 
 
 def free_vars(f: Formula) -> frozenset[str]:
+    """The variables with a free occurrence in ``f``, by one walk over its
+    formulas and terms with an explicit stack of (part, bound names)."""
     out: set[str] = set()
-
-    def walk(g: Formula, bound: frozenset[str]):
-        if isinstance(g, (Eq, Leq)):
-            names: set[str] = set()
-            _term_vars(g.left, names)
-            _term_vars(g.right, names)
-            out.update(names - bound)
-        elif isinstance(g, Label):
-            names = set()
-            _term_vars(g.arg, names)
-            out.update(names - bound)
+    stack: list = [(f, frozenset())]
+    while stack:
+        g, bound = stack.pop()
+        if isinstance(g, Var):
+            if g.name not in bound:
+                out.add(g.name)
+        elif isinstance(g, (Pred, Label)):
+            stack.append((g.arg, bound))
         elif isinstance(g, Not):
-            walk(g.sub, bound)
-        elif isinstance(g, (And, Or, Implies)):
-            walk(g.left, bound)
-            walk(g.right, bound)
-        else:
-            walk(g.body, bound | {g.var})
-
-    walk(f, frozenset())
+            stack.append((g.sub, bound))
+        elif isinstance(g, (Eq, Leq, MeetT, And, Or, Implies)):
+            stack += ((g.left, bound), (g.right, bound))
+        elif isinstance(g, (Exists, Forall)):
+            stack.append((g.body, bound | {g.var}))
     return frozenset(out)
 
 

@@ -46,7 +46,7 @@ from treeplan.logic import (
     Pred,
     Var,
 )
-from treeplan.trees import meet_nodes, path_text, prefixes
+from treeplan.trees import path_text, prefixes
 
 PLAN_TEXTS = {
     "A": "(1 (inf))",
@@ -219,62 +219,16 @@ def orbit_bruteforce(e, a: Node, members) -> frozenset[Node]:
     return frozenset(x for x in e.nodes() if tuple_code(e, (x,) + params) == target)
 
 
-def partial_isomorphism_cubic(picks_left, picks_right) -> bool:
-    """The pick correspondence test, checking every meet against every pick."""
-    pairs = [(ROOT, ROOT)] + list(zip(picks_left, picks_right))
-    for a, b in pairs:
-        if a.plan_path != b.plan_path:
-            return False
-        for a2, b2 in pairs:
-            if (a == a2) != (b == b2):
-                return False
-            if a.is_prefix_of(a2) != b.is_prefix_of(b2):
-                return False
-            if (a.parent() == a2) != (b.parent() == b2):
-                return False
-            for a3, b3 in pairs:
-                if (meet_nodes(a, a2) == a3) != (meet_nodes(b, b2) == b3):
-                    return False
-    return True
-
-
-def extends_partial_isomorphism_reference(picks_left, picks_right) -> bool:
-    """The newest-pair check as a walk over the earlier pairs: the meet of
-    the new pair with each earlier pair must land on the same first pick,
-    and the earlier picks above the new pair must fall under its children
-    through one bijection of child segments, built as two dicts.  The
-    prefix without the last pair must be a partial isomorphism."""
-    a, b = picks_left[-1], picks_right[-1]
-    if a.plan_path != b.plan_path:
-        return False
-    pairs = [(ROOT, ROOT)] + list(zip(picks_left[:-1], picks_right[:-1]))
-    where_l: dict[Node, int] = {}
-    where_r: dict[Node, int] = {}
-    for i, (x, y) in enumerate(pairs):
-        where_l.setdefault(x, i)
-        where_r.setdefault(y, i)
-    first = where_l.get(a)
-    if first != where_r.get(b):
-        return False
-    if first is not None:
-        return True
-    new = where_l[a] = where_r[b] = len(pairs)
-    child_of_b: dict = {}
-    child_of_a: dict = {}
-    for x, y in pairs:
-        i = where_l.get(meet_nodes(a, x))
-        if i != where_r.get(meet_nodes(b, y)):
-            return False
-        if i == new:
-            cx, cy = x[a.depth], y[b.depth]
-            if child_of_b.setdefault(cx, cy) != cy or child_of_a.setdefault(cy, cx) != cx:
-                return False
-    return True
+def same_type(left, picks_left, right, picks_right) -> bool:
+    """Do the two pick tuples, each in its own expansion, have one labeled
+    quantifier-free type (:func:`tuple_code`)?"""
+    return tuple_code(left, picks_left) == tuple_code(right, picks_right)
 
 
 class _PairwiseSearch:
-    """The spoiler minimax with one ``GameState`` and one newest-pair check
-    per pair of representatives."""
+    """The spoiler minimax over every (move, reply) pair of representatives,
+    one type comparison per pair; a pair whose types differ is a spoiler
+    win, and only the pairs that agree are entered as positions."""
 
     def __init__(self, budget: int):
         self.budget = budget
@@ -285,17 +239,9 @@ class _PairwiseSearch:
         self.visited += 1
         if self.visited > self.budget:
             raise BudgetError(f"game tree exceeded {self.budget} nodes")
-        if not extends_partial_isomorphism_reference(state.picks_left, state.picks_right):
-            return True
         if state.rounds_left == 0:
             return False
-        key = (
-            state.left.n,
-            state.right.n,
-            orbit_key(state.picks_left),
-            orbit_key(state.picks_right),
-            state.rounds_left,
-        )
+        key = (state.left.n, state.right.n, orbit_key(state.picks_left), state.rounds_left)
         hit = self.memo.get(key)
         if hit is not None:
             return hit
@@ -303,14 +249,20 @@ class _PairwiseSearch:
         self.memo[key] = result
         return result
 
+    def wins_after(self, state, left, right) -> bool:
+        after = state.after(left, right)
+        if not same_type(state.left, after.picks_left, state.right, after.picks_right):
+            return True
+        return self.solve(after)
+
     def winning_move(self, state):
         reps_left = orbit_reps(state.left, state.picks_left)
         reps_right = orbit_reps(state.right, state.picks_right)
         for move in reps_left:
-            if all(self.solve(state.after(move, reply)) for reply in reps_right):
+            if all(self.wins_after(state, move, reply) for reply in reps_right):
                 return ("L", move)
         for move in reps_right:
-            if all(self.solve(state.after(reply, move)) for reply in reps_left):
+            if all(self.wins_after(state, reply, move) for reply in reps_left):
                 return ("R", move)
         return None
 

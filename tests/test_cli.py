@@ -307,11 +307,11 @@ class TestGoldenTranscripts:
             ),
             (
                 "B",
-                ["ef", "--n1", "3", "--n2", "4", "--k", "3", "--game-budget", "50"],
+                ["ef", "--n1", "3", "--n2", "4", "--k", "3", "--game-budget", "10"],
                 0,
                 "1;R;0:2/0:1\n1;L;0:0/0:0\n2;R;0:0/0:3\n2;L;0:1/0:0\n"
                 "3;R;0:2/0:0\n3;L;0:0/0:1\n"
-                + "# budget 50 exceeded; random fallback with seed 0\n" * 3
+                + "# budget 10 exceeded; random fallback with seed 0\n" * 3
                 + "winner=D\n",
             ),
             (
@@ -375,12 +375,21 @@ class TestMalformedInput:
         assert len(err.strip().splitlines()) == 1
 
     def test_long_conjunction(self, tmp_path, capsys):
-        # Deeper than the formula walks recurse: an answer or exit 2.
+        # The formula walks keep explicit stacks, so a chain of 3,000
+        # connectives is answered, not refused as nested too deeply.
         plan = tmp_path / "ok.plan"
         plan.write_text("(1 (inf))")
         formula = "forall x. " + " & ".join(["x = x"] * 3000)
         code, out, err = run(capsys, ["check", "--plan", str(plan), "--n", "2", "--formula", formula])
-        assert (code, out, err) in [(0, "true\n", ""), (2, "", "error: input nested too deeply\n")]
+        assert (code, out, err) == (0, "true\n", "")
+
+    def test_long_conjunction_with_a_free_variable(self, tmp_path, capsys):
+        plan = tmp_path / "ok.plan"
+        plan.write_text("(1 (inf))")
+        # The root and its two children: the root is its own predecessor.
+        formula = " & ".join(["pred(x) = eps"] * 3000)
+        code, out, err = run(capsys, ["check", "--plan", str(plan), "--n", "2", "--formula", formula])
+        assert (code, out, err) == (0, "3\n", "")
 
 
 class TestOutput:

@@ -17,6 +17,7 @@ from treeplan import (
     induced_automorphism,
     parse_node,
     parse_plan,
+    parse_formula,
     partial_isomorphism,
     play,
     separating_family,
@@ -29,8 +30,7 @@ from treeplan.trees import meet_nodes
 from conftest import (
     PLANS,
     closure_answer_reference,
-    extends_partial_isomorphism_reference,
-    partial_isomorphism_cubic,
+    same_type,
     search_outcome,
     winning_move_reference,
 )
@@ -84,8 +84,6 @@ class TestGameWon:
         # leaves may meet at depth 1 on one side and at depth 2 on the other.
         # Every two-leaf partial isomorphism (the first left leaf fixed, as
         # all leaves are in one orbit), extended by every pair of inner nodes.
-        # The expected answers come from the cubic check, since
-        # partial_isomorphism is itself a fold of the newest-pair check.
         e = expand(PLANS["chain3"], 2)
         leaves = e.fiber((0, 0, 0))
         inner = [v for v in e.nodes() if v.depth < 3]
@@ -93,24 +91,23 @@ class TestGameWon:
         for second in leaves:
             for right in itertools.product(leaves, repeat=2):
                 left = (leaves[0], second)
-                if not partial_isomorphism_cubic(left, right):
+                if not same_type(e, left, e, right):
                     continue
                 for a in inner:
                     for b in e.fiber(a.plan_path):
                         picks = (left + (a,), right + (b,))
-                        expected = partial_isomorphism_cubic(*picks)
-                        assert efgame._extends_partial_isomorphism(*picks) == expected
+                        assert partial_isomorphism(*picks) == same_type(e, picks[0], e, picks[1])
                         checked += 1
         assert checked > 2_000
 
     @pytest.mark.parametrize("name", sorted(PLANS))
     def test_signatures_on_random_extensions(self, name):
-        # Prefixes are random picks paired with their images under a tag
-        # permutation, or with random nodes on the same plan paths, when
-        # they pass the cubic check.  Each is extended by a random node,
-        # often the meet of two earlier picks so that picks above it may
-        # split between its children, paired with every node on its plan
-        # path.
+        # A tuple's signature is its orbit key.  Prefixes are random picks
+        # paired with their images under a tag permutation, or with random
+        # nodes on the same plan paths, when their types agree.  Each is
+        # extended by a random node, often the meet of two earlier picks so
+        # that picks above it may split between its children, paired with
+        # every node on its plan path.
         rng = random.Random(name)
         e = expand(PLANS[name], 3)
         nodes = e.nodes()
@@ -125,27 +122,37 @@ class TestGameWon:
             else:
                 partner = {x: rng.choice(e.fiber(x.plan_path)) for x in left}
                 right = tuple(partner[x] for x in left)
-            if not partial_isomorphism_cubic(left, right):
+            if not same_type(e, left, e, right):
                 continue
             a = rng.choice(nodes)
             if left and rng.random() < 0.5:
                 a = meet_nodes(rng.choice(left), rng.choice(left))
             for b in e.fiber(a.plan_path):
                 picks = (left + (a,), right + (b,))
-                expected = partial_isomorphism_cubic(*picks)
-                assert extends_partial_isomorphism_reference(*picks) == expected
-                same = efgame._pick_signature(left, a) == efgame._pick_signature(right, b)
-                assert same == expected, picks
+                assert partial_isomorphism(*picks) == same_type(e, picks[0], e, picks[1]), picks
                 checked += 1
         assert checked > 30
 
-    def test_meets_off_the_picks_may_differ_in_depth(self):
-        # Only meets that land on a pick (or the root) are compared, so a
-        # meet at depth 1 may answer a meet at depth 2.
+    def test_meets_off_the_picks_must_agree_in_depth(self):
+        # pred(pred(x)) = meet(x, y) on the left only: the meet is a term,
+        # even where it lands on no pick.
         left = (node("0:0/0:0/0:0"), node("0:0/0:1/0:0"))
         right = (node("0:0/0:0/0:0"), node("0:0/0:0/0:1"))
-        assert partial_isomorphism(left, right)
+        assert not partial_isomorphism(left, right)
         assert not partial_isomorphism(left + (node("0:0"),), right + (node("0:0"),))
+
+    def test_pred_terms_checked(self):
+        # pred(x) = pred(y) holds on the left and fails on the right, though
+        # the picks relate alike: neither is below the other, and they meet
+        # off the picks.
+        e = expand(PLANS["chain3"], 2)
+        left = (node("0:0/0:0/0:0"), node("0:0/0:0/0:1"))
+        right = (node("0:0/0:0/0:0"), node("0:0/0:1/0:0"))
+        same_pred = parse_formula("pred(x) = pred(y)")
+        assert evaluate(e, same_pred, dict(zip("xy", left)))
+        assert not evaluate(e, same_pred, dict(zip("xy", right)))
+        assert not partial_isomorphism(left, right)
+        assert not game_won(GameState(e, expand(PLANS["chain3"], 3), left, right, 0))
 
     def test_unequal_pick_counts_pair_the_shorter_prefix(self):
         # Picks pair up as zip pairs them: the longer side's extra picks
@@ -396,7 +403,7 @@ class TestSearch:
         left, right = expand(PLANS["B"], 2), expand(PLANS["B"], 3)
         picks_left, picks_right = (node("0:0/0:0"), node("eps")), (node("0:0"), node("eps"))
         state = GameState(left, right, picks_left, picks_right, 1)
-        assert efgame._extends_partial_isomorphism(state.picks_left, state.picks_right)
+        assert partial_isomorphism(state.picks_left[1:], state.picks_right[1:])
         search = efgame._Search(100_000)
         assert search.spoiler_wins(state)
         assert search.visited == 1
@@ -414,16 +421,33 @@ class TestSearch:
         assert calls == [()]
 
     @pytest.mark.parametrize(
-        "name, n1, n2, k, value, visited",
-        [("A", 1, 2, 2, True, 18), ("B", 3, 4, 3, False, 755), ("inf_one_inf", 2, 3, 3, True, 550)],
+        "name, n1, n2, k, value, visited, solved",
+        [
+            ("A", 1, 2, 2, True, 11, 3),
+            ("B", 3, 4, 3, False, 209, 18),
+            ("inf_one_inf", 2, 3, 3, True, 140, 12),
+        ],
     )
-    def test_positions_visited(self, name, n1, n2, k, value, visited):
-        # Pinned to the counts of the search that checked every pair at every
-        # position: the newest-pair check visits exactly the same positions.
+    def test_positions_visited(self, name, n1, n2, k, value, visited, solved):
+        # Only pairs whose keys agree are visited.  The memo sizes are those
+        # of the search that visited every pair of representatives: the
+        # same positions are solved.
         left, right = expand(PLANS[name], n1), expand(PLANS[name], n2)
         search = efgame._Search(100_000)
         assert search.spoiler_wins(GameState(left, right, (), (), k)) == value
         assert search.visited == visited
+        assert len(search.memo) == solved
+
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_extended_keys_of_the_reps_are_distinct(self, name):
+        # Representatives lie in distinct orbits over the picks, so a move
+        # has at most one reply with its key.
+        rng = random.Random(name)
+        for _ in range(20):
+            e = expand(PLANS[name], rng.randint(1, 3))
+            picks = tuple(rng.choice(e.nodes()) for _ in range(rng.randint(0, 3)))
+            reps = orbit_reps(e, picks)
+            assert len({orbit_key(picks + (a,)) for a in reps}) == len(reps), picks
 
 
 class TestSearchAgainstReference:
@@ -481,6 +505,21 @@ class TestGameValue:
         for k in (3, 2, 1):
             out = play(left, right, k, ExhaustiveSpoiler(), ClosureDuplicator())
             assert out.winner == "D"
+
+
+class TestMeasuredThreshold:
+    @pytest.mark.parametrize("name", sorted(n for n, p in PLANS.items() if p.inf_nodes))
+    def test_k_rounds_separate_sizes_below_k_only(self, name):
+        # The measured threshold is k: far below the proven bound
+        # size_threshold = k + ell * height on every plan of the corpus.
+        p = PLANS[name]
+        for k in (1, 2, 3):
+            if k > 1:
+                assert game_value(expand(p, k - 1), expand(p, k), k) == "S", k
+            for n in range(k, k + 4):
+                for m in range(n, k + 4):
+                    assert game_value(expand(p, n), expand(p, m), k) == "D", (k, n, m)
+            assert size_threshold(p, k) > k
 
 
 class TestSoundnessLink:

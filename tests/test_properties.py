@@ -32,7 +32,6 @@ from treeplan import (
 from treeplan.analysis import _assemble, _infer_known
 from treeplan.closure import orbit_reps
 from treeplan.counting import Polynomial
-from treeplan.efgame import _extends_partial_isomorphism
 from treeplan.logic import free_vars
 from treeplan.trees import FiniteTree, meet_nodes, subtree_codes
 
@@ -44,8 +43,8 @@ from conftest import (
     lcp_oracle,
     orbit_bruteforce,
     orbit_reps_bruteforce,
-    partial_isomorphism_cubic,
     random_embedding,
+    same_type,
 )
 
 
@@ -294,10 +293,10 @@ def paired_picks(draw, left, right, max_size=4):
 
 @given(corpus_expansions(max_n=3), st.data())
 @settings(max_examples=150, deadline=None)
-def test_partial_isomorphism_matches_the_cubic_check(left, data):
+def test_partial_isomorphism_matches_the_type_codes(left, data):
     right = expand(left.plan, data.draw(st.integers(left.n, left.n + 1)))
     picks_left, picks_right = data.draw(paired_picks(left, right))
-    expected = partial_isomorphism_cubic(picks_left, picks_right)
+    expected = same_type(left, picks_left, right, picks_right)
     assert partial_isomorphism(picks_left, picks_right) == expected
 
 
@@ -306,10 +305,10 @@ def test_partial_isomorphism_matches_the_cubic_check(left, data):
 def test_newest_pair_check_matches_the_full_checks(left, data):
     right = expand(left.plan, data.draw(st.integers(left.n, left.n + 1)))
     picks_left, picks_right = data.draw(paired_picks(left, right))
-    # All drawn pairs but the last, cut to their longest prefix that is a
-    # partial isomorphism (every shorter prefix is one too).
+    # All drawn pairs but the last, cut to their longest prefix whose types
+    # agree (every shorter prefix's types agree too).
     m = max(len(picks_left) - 1, 0)
-    while not partial_isomorphism(picks_left[:m], picks_right[:m]):
+    while not same_type(left, picks_left[:m], right, picks_right[:m]):
         m -= 1
     base_left, base_right = picks_left[:m], picks_right[:m]
     earlier_left, earlier_right = (ROOT,) + base_left, (ROOT,) + base_right
@@ -326,9 +325,8 @@ def test_newest_pair_check_matches_the_full_checks(left, data):
         # A repeat of earlier picks, the root included, often of one pair.
         a, b = earlier_left[i], earlier_right[data.draw(st.sampled_from([i, j]))]
     extended_left, extended_right = base_left + (a,), base_right + (b,)
-    expected = partial_isomorphism(extended_left, extended_right)
-    assert partial_isomorphism_cubic(extended_left, extended_right) == expected
-    assert _extends_partial_isomorphism(extended_left, extended_right) == expected
+    expected = same_type(left, extended_left, right, extended_right)
+    assert partial_isomorphism(extended_left, extended_right) == expected
 
 
 @st.composite
