@@ -7,9 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .closure import (
-    NodeSet, anchor_in, close_pair, embed_pairs, least_free_child, orbit, orbit_key, tcl,
-)
+from .closure import NodeSet, anchor_in, embed_pairs, extend_least, orbit, orbit_key, tcl
 from .errors import CapacityError, DomainError, InferenceError
 from .plan import Expansion, TreePlan, _parse_plan_source, expand, make_plan, strip_comments
 from .trees import (
@@ -63,10 +61,10 @@ def extend_embedding(
     """Extend an embedding of a tree-closed set by one node above it.
 
     For a singleton-branch node nothing changes (it is already in the
-    closure).  Otherwise the image is the least fresh sibling with the
-    right projection under the image of the predecessor, and the closure
-    above the new node follows canonically.  Raises CapacityError when the
-    target fiber has no fresh member.
+    closure).  Otherwise the node maps by one
+    :func:`~treeplan.closure.extend_least` step: to the least fresh sibling
+    under the image of its predecessor, with the closure above it.  Raises
+    CapacityError when every sibling is taken.
     """
     src.tree.require(c)
     if frozenset(f.keys()) != closed:
@@ -76,17 +74,9 @@ def extend_embedding(
     if c.parent() not in closed:
         raise DomainError("predecessor of the new node must be in the base")
     _check_partial_embedding(dst, f)
-    if c in closed:
-        return dict(f)
-    branch = c[-1][0]
-    d = f[c.parent()]
-    fresh = least_free_child(dst, d, branch, set(f.values()))
-    if fresh is None:
-        raise CapacityError(
-            f"no fresh sibling under {format_node(d)} for branch {branch}"
-        )
     out = dict(f)
-    close_pair(dst.plan, out, c, fresh)
+    for d, branch in extend_least(dst, out, set(f.values()), [c]):  # a forced step
+        raise CapacityError(f"no fresh sibling under {format_node(d)} for branch {branch}")
     return out
 
 
@@ -95,21 +85,16 @@ def extend_to_automorphism(e: Expansion, f: dict[Node, Node]) -> dict[Node, Node
 
     Each unmapped node, in node order, goes to the least fresh sibling
     under the image of its predecessor, as :func:`extend_embedding` would
-    map it, and the closure above it follows.  Always succeeds: fibers on
+    map it, and the closure above it follows, in one
+    :func:`~treeplan.closure.extend_least` call.  Always succeeds: fibers on
     both sides have equal size, so a fresh sibling exists at every step; a
     total injection of a finite structure into itself is onto.
     """
-    closed = frozenset(f)
-    if tcl(e, closed) != closed:
+    if tcl(e, f) != frozenset(f):
         raise DomainError("base set is not tree-closed")
     _check_partial_embedding(e, f)
     out = dict(f)
-    used = set(out.values())
-    # A predecessor comes first in node order, so it is mapped by now.
-    for c in e.nodes():
-        if c not in out:
-            fresh = least_free_child(e, out[c.parent()], c[-1][0], used)
-            used.update(close_pair(e.plan, out, c, fresh))
+    extend_least(e, out, set(out.values()), e.nodes())
     return out
 
 

@@ -5,9 +5,10 @@ fixed by two things: its anchor (the largest node of ``tcl(B)`` below it)
 and its plan path.  Orbits are therefore read off the closure, at a cost
 that depends on the closure and the plan but not on the size ``n``.
 
-Tuples likewise: :func:`orbit_key` names a tuple's orbit, and
-:func:`embed_pairs` builds the closure embedding between paired tuples;
-the games and the automorphisms share both.
+Tuples likewise: :func:`orbit_key` names a tuple's orbit,
+:func:`embed_pairs` builds the closure embedding between paired tuples,
+and :func:`extend_least` grows such an embedding by least fresh nodes;
+the games and the automorphisms share all three.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Container, Iterable, Optional
 
 from .errors import DomainError
 from .plan import Expansion, TreePlan
-from .trees import STAR, Node, PlanPath, ROOT, prefixes, qftp
+from .trees import STAR, Node, ROOT, prefixes, qftp
 
 NodeSet = frozenset[Node]
 
@@ -89,22 +90,28 @@ def orbit_reps(e: Expansion, members: Iterable[Node]) -> list[Node]:
     """
     closed = tcl(e, members)
     reps = set(closed)
+    children, inf = e.plan.children, e.plan.inf_nodes
+    stack = []
     for c in closed:
-        for tau in e.plan.children(c.plan_path):
-            if tau not in e.plan.inf_nodes:
-                continue
-            fresh = least_free_child(e, c, tau[-1], closed)
-            if fresh is not None:
-                _add_least_above(e, fresh, tau, reps)
+        for tau in children(c.plan_path):
+            if tau in inf:
+                fresh = least_free_child(e, c, tau[-1], closed)
+                if fresh is not None:
+                    stack.append((fresh, tau))
+    while stack:
+        v, sigma = stack.pop()
+        reps.add(v)
+        for rho in children(sigma):
+            stack.append((v.child(rho[-1], 0 if rho in inf else STAR), rho))
     return sorted(reps)
 
 
 def least_free_child(
-    e: Expansion, v: Node, branch: int, taken: Container[Node]
+    e: Expansion, v: Node, branch: int, taken: Container[Node], start: int = 0
 ) -> Optional[Node]:
-    """The child of ``v`` on the replicated ``branch`` with the least tag
-    outside ``taken``; None when all ``n`` of them are taken."""
-    for tag in range(e.n):
+    """The child of ``v`` on the replicated ``branch`` with the least tag,
+    from ``start`` up, outside ``taken``; None when all of them are taken."""
+    for tag in range(start, e.n):
         cand = v.child(branch, tag)
         if cand not in taken:
             return cand
@@ -186,12 +193,35 @@ def embed_pairs(
     return f, img
 
 
-def _add_least_above(e: Expansion, v: Node, sigma: PlanPath, out: set[Node]) -> None:
-    # ``v`` and, for every plan node above ``sigma``, its least realization above ``v``.
-    out.add(v)
-    for tau in e.plan.children(sigma):
-        tag = 0 if tau in e.plan.inf_nodes else STAR
-        _add_least_above(e, v.child(tau[-1], tag), tau, out)
+def extend_least(
+    dst: Expansion, f: dict[Node, Node], img: set[Node], nodes: Iterable[Node]
+) -> list[tuple[Node, int]]:
+    """Grow the closure embedding ``f``, with image ``img``, until it maps
+    each of ``nodes`` in turn; both grow in place.
+
+    Each unmapped prefix, from the node's anchor in ``f`` upward, goes to
+    the least child on its branch, under its parent's image, outside
+    ``img``; the singleton closure above it follows (:func:`close_pair`).
+    A step whose ``n`` children are all taken is forced onto tag 0.
+    Returns the (parent image, branch) of each forced step.
+    """
+    # ``img`` only grows, so a tag found taken stays taken: each scan under
+    # an image parent and branch resumes where the last one stopped.
+    cursor: dict[tuple[Node, int], int] = {}
+    forced = []
+    for node in nodes:
+        for d in range(anchor_in(f, node).depth + 1, node.depth + 1):
+            u = node.prefix(d)
+            if u in f:  # pulled in by the singleton closure of a step before
+                continue
+            v, branch = f[u.parent()], u[-1][0]
+            fresh = least_free_child(dst, v, branch, img, cursor.get((v, branch), 0))
+            if fresh is None:
+                forced.append((v, branch))
+                fresh = v.child(branch, 0)
+            cursor[v, branch] = fresh[-1][1]
+            img.update(close_pair(dst.plan, f, u, fresh))
+    return forced
 
 
 def tuple_code(e: Expansion, tup: tuple[Node, ...]) -> str:

@@ -5,11 +5,14 @@ of its picks, replayed from the pick pairs by
 :func:`~treeplan.closure.embed_pairs`: answers inside the closure are read
 off the embedding, and fresh picks are answered by a fresh realization of
 the same quantifier-free type over the anchor, lexicographically least for
-determinism.  The exhaustive spoiler is a memoized minimax search over
-move orbits, one least representative per orbit over the picks so far,
-read off their tree closure (:func:`~treeplan.closure.orbit_reps`) at a
-cost independent of the expansion size, and memoized by the orbits of the
-picks (:func:`~treeplan.closure.orbit_key`); past its position budget it
+determinism (:func:`~treeplan.closure.extend_least`).  Below the size
+threshold a fresh node may not exist; the forced repeat that follows
+always loses, since no reply keeps the orbit keys equal, and is noted.
+The exhaustive spoiler is a memoized minimax search over move orbits, one
+least representative per orbit over the picks so far, read off their tree
+closure (:func:`~treeplan.closure.orbit_reps`) at a cost independent of
+the expansion size, and memoized by the orbits of the picks
+(:func:`~treeplan.closure.orbit_key`); past its position budget it
 degrades to a seeded random player and says so.  The one pick test is
 orbit-key equality: the picks of the two sides correspond exactly when
 their orbit keys are equal, so a move and a reply keep the partial
@@ -25,7 +28,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .closure import anchor_in, close_pair, embed_pairs, least_free_child, orbit_key, orbit_reps
+from .closure import embed_pairs, extend_least, orbit_key, orbit_reps
 from .errors import BudgetError, DomainError
 from .plan import Expansion, TreePlan
 from .trees import Node, ROOT, format_node
@@ -82,36 +85,13 @@ class ClosureDuplicator:
 
     def respond(self, state: GameState, side: str, node: Node) -> Node:
         f, img = embed_pairs(state.left.plan, zip(state.picks_left, state.picks_right))
-        if side == "L":
-            return self._answer(state.right, f, img, node)
-        inverse = {v: u for u, v in f.items()}
-        return self._answer(state.left, inverse, set(f), node)
-
-    def _answer(
-        self,
-        dst: Expansion,
-        f: dict[Node, Node],
-        img: set[Node],
-        node: Node,
-    ) -> Node:
-        # Each step above the anchor takes the least child outside the image
-        # under its parent's image, as extend_to_automorphism does; a step
-        # looks only under the step before, so the image needs no update.
-        for d in range(anchor_in(f, node).depth + 1, node.depth + 1):
-            u = node.prefix(d)
-            if u in f:
-                continue
-            v = f[u.parent()]
-            branch = u[-1][0]
-            fresh = least_free_child(dst, v, branch, img)
-            if fresh is None:
-                # Capacity exhausted below the threshold; forced into a
-                # (likely losing) repeat, reported rather than masked.
-                self.notes.append(
-                    f"capacity exhausted at {format_node(v)} branch {branch}"
-                )
-                fresh = v.child(branch, 0)
-            close_pair(dst.plan, f, u, fresh)
+        dst = state.right
+        if side == "R":
+            f, img, dst = {v: u for u, v in f.items()}, set(f), state.left
+        for v, branch in extend_least(dst, f, img, [node]):
+            # Capacity exhausted below the threshold: the forced repeat
+            # always loses, and is reported rather than masked.
+            self.notes.append(f"capacity exhausted at {format_node(v)} branch {branch}")
         return f[node]
 
 
@@ -132,6 +112,8 @@ class _Search:
     """
 
     def __init__(self, budget: int):
+        if budget < 0:
+            raise DomainError("the game budget must be non-negative")
         self.budget = budget
         self.visited = 0
         self.memo: dict = {}
@@ -190,20 +172,21 @@ class ExhaustiveSpoiler:
 
     ``budget`` bounds the minimax positions visited for one pick: the count
     restarts at every pick, while the memo of solved positions is kept
-    across picks of games on the same plan.
+    across picks of games on the same plan.  A budget of 0 falls back at
+    once; a negative one raises :class:`DomainError`.
     """
 
     def __init__(self, budget: int = 100_000, seed: int = 0):
         self.budget = budget
         self.seed = seed
         self.notes: list[str] = []
-        self._search: Optional[_Search] = None
+        self._search = _Search(budget)  # checks the budget
         self._search_plan: Optional[TreePlan] = None
 
     def _searcher(self, state: GameState) -> _Search:
         # Memo keys name plan nodes, so they are only sound for one plan.
-        if self._search is None or self._search_plan != state.left.plan:
-            self._search = _Search(self.budget)
+        if self._search_plan != state.left.plan:
+            self._search.memo.clear()
             self._search_plan = state.left.plan
         self._search.visited = 0
         return self._search
@@ -250,12 +233,11 @@ def game_value(
 ) -> str:
     """Theoretical winner under optimal play: "S" or "D".
 
-    Raises :class:`DomainError` for ``k < 0`` or boards of two plans.
+    Raises :class:`DomainError` for ``k < 0``, a negative budget or boards
+    of two plans.
     """
     _require_game(left, right, k)
-    search = _Search(budget)
-    state = GameState(left, right, (), (), k)
-    return "S" if search.spoiler_wins(state) else "D"
+    return "S" if _Search(budget).spoiler_wins(GameState(left, right, (), (), k)) else "D"
 
 
 # --------------------------------------------------------------------------

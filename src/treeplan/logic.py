@@ -55,7 +55,15 @@ class Eps:
 
 @dataclass(frozen=True)
 class Pred:
+    """``pred^power`` of ``arg``: the prefix ``power`` steps below it,
+    clamped at the root."""
+
     arg: "Term"
+    power: int = 1
+
+    def __post_init__(self):
+        if self.power < 1:
+            raise DomainError("a pred power must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -134,9 +142,12 @@ def conj(parts: Iterable[Formula]) -> Formula:
 
 
 def pred_power(t: Term, k: int) -> Term:
-    for _ in range(k):
-        t = Pred(t)
-    return t
+    """``pred^k`` of ``t`` as one term node; ``t`` itself when k = 0."""
+    if k == 0:
+        return t
+    if isinstance(t, Pred):
+        return Pred(t.arg, t.power + k)
+    return Pred(t, k)
 
 
 # --------------------------------------------------------------------------
@@ -272,7 +283,7 @@ class _Parser:
                 self.expect("sym", "(")
                 inner = self.term()
                 self.expect("sym", ")")
-                return Pred(inner)
+                return pred_power(inner, 1)
             if value == "meet":
                 self.expect("sym", "(")
                 left = self.term()
@@ -311,7 +322,7 @@ def _term_text(t: Term) -> str:
     if isinstance(t, Pred):
         k, inner = 0, t
         while isinstance(inner, Pred):
-            k += 1
+            k += inner.power
             inner = inner.arg
         head = "pred" if k == 1 else f"pred^{k}"
         return f"{head}({_term_text(inner)})"
@@ -334,10 +345,16 @@ def formula_text(f: Formula, _prec: int = 0) -> str:
         if isinstance(f.sub, (Label, Not)):
             return "!" + formula_text(f.sub, 4)
         return f"!({formula_text(f.sub)})"
-    if isinstance(f, And):
-        return wrap(f"{formula_text(f.left, 3)} & {formula_text(f.right, 3)}", 2)
-    if isinstance(f, Or):
-        return wrap(f"{formula_text(f.left, 2)} | {formula_text(f.right, 2)}", 1)
+    if isinstance(f, (And, Or)):
+        # One loop down the left spine of the chain; a right operand of the
+        # same connective keeps its parentheses, so the text parses back.
+        op, sym, level = (And, " & ", 2) if isinstance(f, And) else (Or, " | ", 1)
+        parts = []
+        while isinstance(f, op):
+            parts.append(f.right)
+            f = f.left
+        parts.append(f)
+        return wrap(sym.join(formula_text(g, level + 1) for g in reversed(parts)), level)
     if isinstance(f, Implies):
         return wrap(f"{formula_text(f.left, 1)} -> {formula_text(f.right, 0)}", 0)
     if isinstance(f, (Exists, Forall)):
@@ -495,7 +512,7 @@ class _Source:
             # pred^k drops the last k segments; a slice clamps at the root.
             k = 0
             while isinstance(t, Pred):
-                k += 1
+                k += t.power
                 t = t.arg
             return f"{self.term(t, scope, pre)}[:-{k}]"
         if isinstance(t, MeetT):
@@ -922,12 +939,15 @@ def asymptotic_check(
     the relative fiber polynomials (meaningful for quantifier-free
     formulas), and the report flags class-set instability and a
     non-shrinking remainder.  ``all_pass`` needs stable classes, exact
-    class counts and the top within tolerance.
+    class counts and the top within tolerance.  Raises
+    :class:`DomainError` for a tolerance that is negative or not finite.
     """
     param_spec = dict(param_spec or {})
     points = sorted(set(ladder))
     if not points or points[0] < 1:
         raise DomainError("ladder must contain sizes >= 1")
+    if not 0 <= tol < float("inf"):
+        raise DomainError(f"tolerance must be finite and non-negative, got {tol}")
     size_poly = poly_P(p)
 
     delta: Optional[Fraction] = None

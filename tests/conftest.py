@@ -310,7 +310,7 @@ def substitute(f, name: str, node: Node):
         if isinstance(t, Var):
             return NodeConstant(node) if t.name == name else t
         if isinstance(t, Pred):
-            return Pred(term(t.arg))
+            return Pred(term(t.arg), t.power)
         if isinstance(t, MeetT):
             return MeetT(term(t.left), term(t.right))
         return t
@@ -346,7 +346,8 @@ def evaluate_reference(e, f, env=None) -> bool:
         if isinstance(t, Eps):
             return ROOT
         if isinstance(t, Pred):
-            return value(t.arg).parent()
+            node = value(t.arg)
+            return node.prefix(max(node.depth - t.power, 0))
         return lcp_oracle(value(t.left), value(t.right))
 
     def holds(g) -> bool:

@@ -128,6 +128,14 @@ class TestCheck:
         )
         assert code == 0 and out.strip() == "3"
 
+    def test_pred_power_with_a_20_digit_exponent(self, plan_file, capsys):
+        # pred^k is one term node, so the exponent costs nothing to parse
+        # and clamps at the root as pred^2 already does.
+        argv = ["check", "--plan", plan_file("A"), "--n", "3", "--formula"]
+        for power in ("2", "99999999999999999999"):
+            code, out, err = run(capsys, argv + [f"pred^{power}(x) = eps"])
+            assert (code, out, err) == (0, "4\n", "")
+
     def test_false_sentence(self, plan_file, capsys):
         code, out, _ = run(
             capsys,
@@ -382,6 +390,31 @@ class TestMalformedInput:
         formula = "forall x. " + " & ".join(["x = x"] * 3000)
         code, out, err = run(capsys, ["check", "--plan", str(plan), "--n", "2", "--formula", formula])
         assert (code, out, err) == (0, "true\n", "")
+
+    def test_long_conjunction_in_the_asymptotic_report(self, tmp_path, capsys):
+        # The report renders the formula, with one loop per chain.
+        plan = tmp_path / "ok.plan"
+        plan.write_text("(1 (inf))")
+        formula = " & ".join(["P[0](x)"] * 3000)
+        code, out, err = run(capsys, ["asymptotic", "--plan", str(plan), "--formula", formula])
+        assert code in (0, 1) and err == ""
+        assert out.startswith("n,observed,")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["asymptotic", "--plan", "{plan}", "--formula", "P[0](x)", "--tol", "nan"],
+            ["asymptotic", "--plan", "{plan}", "--formula", "P[0](x)", "--tol", "-0.5"],
+            ["ef", "--plan", "{plan}", "--n1", "2", "--n2", "3", "--k", "2", "--game-budget", "-5"],
+        ],
+        ids=["tol_nan", "tol_negative", "game_budget_negative"],
+    )
+    def test_bad_numeric_option_exits_2(self, tmp_path, capsys, argv):
+        plan = tmp_path / "ok.plan"
+        plan.write_text("(1 (inf))")
+        code, out, err = run(capsys, [arg.format(plan=plan) for arg in argv])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
     def test_long_conjunction_with_a_free_variable(self, tmp_path, capsys):
         plan = tmp_path / "ok.plan"

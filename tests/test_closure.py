@@ -15,7 +15,7 @@ from treeplan import (
     tcl,
 )
 
-from treeplan.closure import orbit_reps
+from treeplan.closure import embed_pairs, extend_least, orbit_reps
 
 from conftest import PLANS, random_subset
 
@@ -170,3 +170,27 @@ class TestOrbitReps:
         e = expand(PLANS["A"], 2)
         with pytest.raises(DomainError):
             orbit_reps(e, [node("0:5")])
+
+
+class TestExtendLeast:
+    def test_least_fresh_steps_then_a_forced_one(self):
+        # inf_one at n = 2: the two children of the root go in order of
+        # first use, a third child (of a larger expansion) is forced onto
+        # tag 0, and the star child of each mapped node follows it.
+        e = expand(PLANS["inf_one"], 2)
+        f, img = embed_pairs(e.plan, [])
+        assert f == {ROOT: ROOT}
+        nodes = [node(t) for t in ("0:1/0:*", "0:0", "0:1", "0:2")]
+        forced = extend_least(e, f, img, nodes)
+        assert forced == [(ROOT, 0)]
+        pairs = [
+            ("eps", "eps"),
+            ("0:1", "0:0"), ("0:1/0:*", "0:0/0:*"),
+            ("0:0", "0:1"), ("0:0/0:*", "0:1/0:*"),
+            ("0:2", "0:0"), ("0:2/0:*", "0:0/0:*"),
+        ]
+        assert f == {node(a): node(b) for a, b in pairs}
+        assert img == set(f.values())
+        # Nothing left to map: no step, and nothing grows.
+        assert extend_least(e, f, img, nodes) == []
+        assert len(f) == len(pairs) and len(img) == 5

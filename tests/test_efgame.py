@@ -79,7 +79,7 @@ class TestGameWon:
         )
         assert not partial_isomorphism(state.picks_left, state.picks_right)
 
-    def test_newest_pair_check_on_every_extension(self):
+    def test_partial_isomorphism_on_every_inner_extension(self):
         # Chain plans are where an old meet can become the new pick: two
         # leaves may meet at depth 1 on one side and at depth 2 on the other.
         # Every two-leaf partial isomorphism (the first left leaf fixed, as
@@ -255,6 +255,18 @@ class TestPlay:
         spoiler = ScriptedSpoiler([("R", "0:0/0:*/0:0"), ("R", "0:0/0:*/0:1")])
         out = play(expand(p, n0), expand(p, n0 + 1), 2, spoiler, ClosureDuplicator())
         assert out.transcript.endswith("winner=D\n")
+
+    def test_negative_budget_rejected(self):
+        left, right = expand(PLANS["A"], 1), expand(PLANS["A"], 2)
+        with pytest.raises(DomainError, match="budget"):
+            game_value(left, right, 2, budget=-1)
+        with pytest.raises(DomainError, match="budget"):
+            ExhaustiveSpoiler(budget=-5)
+
+    def test_zero_budget_falls_back_at_once(self):
+        left, right = expand(PLANS["A"], 2), expand(PLANS["A"], 3)
+        out = play(left, right, 2, ExhaustiveSpoiler(budget=0), ClosureDuplicator())
+        assert out.transcript.count("# budget 0 exceeded; random fallback with seed 0") == 2
 
     def test_two_plans_rejected(self):
         left, right = expand(PLANS["A"], 2), expand(PLANS["B"], 2)

@@ -34,6 +34,7 @@ from treeplan.logic import (
     Var,
     asymptotic_check,
     at_least,
+    conj,
 )
 
 from conftest import PLANS, evaluate_reference, random_subset
@@ -60,8 +61,13 @@ class TestParseFormula:
         assert parse_formula("P[](x)") == Label((), Var("x"))
 
     def test_pred_power_sugar(self):
-        assert parse_formula("pred^2(x) = eps") == Eq(Pred(Pred(Var("x"))), Eps())
+        # One term node for the whole power, however it is written.
+        assert parse_formula("pred^2(x) = eps") == Eq(Pred(Var("x"), 2), Eps())
+        assert parse_formula("pred(pred(x)) = eps") == Eq(Pred(Var("x"), 2), Eps())
+        assert parse_formula("pred^2(pred^3(x)) = eps") == Eq(Pred(Var("x"), 5), Eps())
         assert parse_formula("pred^0(x) = eps") == Eq(Var("x"), Eps())
+        with pytest.raises(DomainError):
+            Pred(Var("x"), 0)
 
     def test_precedence(self):
         f = parse_formula("x = eps | x = eps & !(x = eps) -> x = eps")
@@ -70,6 +76,25 @@ class TestParseFormula:
         assert text.endswith("-> x = eps")
         g = parse_formula("x = eps -> x = eps -> x = eps")
         assert formula_text(g) == "x = eps -> x = eps -> x = eps"
+
+    def test_chains_render_flat(self):
+        # A left-nested chain renders without parentheses; a right operand
+        # of the same connective keeps them, so each text parses back.
+        cases = {
+            "(x = x & y = y) & z = z": "x = x & y = y & z = z",
+            "x = x & (y = y & z = z)": "x = x & (y = y & z = z)",
+            "(x = x | y = y) | z = z & x = x": "x = x | y = y | z = z & x = x",
+            "(x = x | y = y) & z = z": "(x = x | y = y) & z = z",
+        }
+        for text, rendered in cases.items():
+            f = parse_formula(text)
+            assert formula_text(f) == rendered
+            assert parse_formula(rendered) == f
+        # Far deeper than the recursion limit; comparing such trees would
+        # recurse, so the texts are compared.
+        text = " & ".join(["x = x"] * 5000)
+        assert formula_text(conj([Eq(Var("x"), Var("x"))] * 5000)) == text
+        assert formula_text(parse_formula(text)) == text
 
     def test_roundtrip_through_text(self):
         samples = [
@@ -513,6 +538,11 @@ class TestAsymptoticCheck:
                 param_spec={"b": node("0:5")},
                 ladder=(2, 3),
             )
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -0.1])
+    def test_bad_tolerance(self, tol):
+        with pytest.raises(DomainError, match="tolerance"):
+            asymptotic_check(PLANS["A"], parse_formula("P[0](x)"), "x", ladder=(2, 3), tol=tol)
 
     def test_free_vars_helper(self):
         f = parse_formula("exists y. meet(x, y) = b")

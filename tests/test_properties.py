@@ -33,7 +33,7 @@ from treeplan.analysis import _assemble, _infer_known
 from treeplan.closure import orbit_reps
 from treeplan.counting import Polynomial
 from treeplan.logic import free_vars
-from treeplan.trees import FiniteTree, meet_nodes, subtree_codes
+from treeplan.trees import FiniteTree, Node, meet_nodes, subtree_codes
 
 from conftest import (
     PLANS,
@@ -238,8 +238,8 @@ def test_formula_render_parse_roundtrip(text):
 
 
 @st.composite
-def corpus_expansions(draw, max_n=4):
-    p = PLANS[draw(st.sampled_from(sorted(PLANS)))]
+def corpus_expansions(draw, max_n=4, names=tuple(sorted(PLANS))):
+    p = PLANS[draw(st.sampled_from(names))]
     return expand(p, draw(st.integers(min_value=1, max_value=max_n)))
 
 
@@ -271,9 +271,10 @@ def test_orbit_matches_the_type_filter(e, data):
 @st.composite
 def paired_picks(draw, left, right, max_size=4):
     """Picks on ``left`` and as many partner picks on ``right``: images
-    under an embedding, same-label redraws, or unrelated picks."""
+    under an embedding, same-label redraws, copies with one tag redrawn
+    inside a shared prefix, or unrelated picks."""
     picks_left = draw(pick_tuples(left, max_size=max_size))
-    mode = draw(st.sampled_from(["embedding", "fiber", "any"]))
+    mode = draw(st.sampled_from(["embedding", "fiber", "prefix", "any"]))
     if mode == "embedding":
         # Images under an embedding: isomorphic, unless perturbed.
         f = random_embedding(draw(st.randoms(use_true_random=False)), left, right)
@@ -284,6 +285,22 @@ def paired_picks(draw, left, right, max_size=4):
     elif mode == "fiber":
         # Same labels, tags redrawn: meets move while labels still agree.
         picks_right = [draw(st.sampled_from(right.fiber(a.plan_path))) for a in picks_left]
+    elif mode == "prefix":
+        # A pick a and a sibling b end the left picks; the partners are the
+        # same picks with one tag of b redrawn, to another value, strictly
+        # inside the prefix the two share.  The relations among the picks
+        # often survive while a meet or a pred term moves.
+        a = draw(st.sampled_from(left.nodes()))
+        siblings = [x for x in left.fiber(a.plan_path) if x != a and x.parent() == a.parent()]
+        b = draw(st.sampled_from(siblings)) if siblings else a
+        picks_left = picks_left[: max_size - 2] + (a, b)
+        picks_right = list(picks_left)
+        steps = [d for d in range(a.depth - 1) if b[d][1] != STAR]
+        if steps:
+            d = draw(st.sampled_from(steps))
+            tags = [t for t in range(right.n) if t != b[d][1]] or [b[d][1]]
+            tag = draw(st.sampled_from(tags))
+            picks_right[-1] = Node(b[:d] + ((b[d][0], tag),) + b[d + 1:])
     else:
         picks_right = list(draw(pick_tuples(right, max_size=max_size)))
     # Both checks pair the picks up with zip.
@@ -291,7 +308,17 @@ def paired_picks(draw, left, right, max_size=4):
     return picks_left[:m], tuple(picks_right[:m])
 
 
-@given(corpus_expansions(max_n=3), st.data())
+# The corpus plans with three replicated steps on one branch.  A scan of
+# all two-pick tuples at n <= 3 finds only there two tuples whose picks
+# agree on every relation but which a meet or pred term off the picks
+# tells apart, so half the boards of the pick tests come from them.
+DEEP_PLANS = ("chain3", "chain3_one")
+pick_test_boards = st.one_of(
+    corpus_expansions(max_n=3), corpus_expansions(max_n=3, names=DEEP_PLANS)
+)
+
+
+@given(pick_test_boards, st.data())
 @settings(max_examples=150, deadline=None)
 def test_partial_isomorphism_matches_the_type_codes(left, data):
     right = expand(left.plan, data.draw(st.integers(left.n, left.n + 1)))
@@ -300,9 +327,9 @@ def test_partial_isomorphism_matches_the_type_codes(left, data):
     assert partial_isomorphism(picks_left, picks_right) == expected
 
 
-@given(corpus_expansions(max_n=3), st.data())
+@given(pick_test_boards, st.data())
 @settings(max_examples=200, deadline=None)
-def test_newest_pair_check_matches_the_full_checks(left, data):
+def test_partial_isomorphism_on_one_pair_extensions(left, data):
     right = expand(left.plan, data.draw(st.integers(left.n, left.n + 1)))
     picks_left, picks_right = data.draw(paired_picks(left, right))
     # All drawn pairs but the last, cut to their longest prefix whose types
