@@ -66,7 +66,7 @@ def extend_embedding(
     under the image of its predecessor, with the closure above it.  Raises
     CapacityError when every sibling is taken.
     """
-    src.tree.require(c)
+    src.require(c)
     if frozenset(f.keys()) != closed:
         raise DomainError("map domain must equal the closed set")
     if tcl(src, closed) != closed:
@@ -133,7 +133,7 @@ def automorphism_over(
 
     Equal orbit keys give a label-preserving bijection of the downsets,
     which the closure embedding of the pairs extends."""
-    e.tree.require(*tup_a, *tup_b)
+    e.require(*tup_a, *tup_b)
     if orbit_key(tup_a) != orbit_key(tup_b):
         return None
     f, _ = embed_pairs(e.plan, zip(tup_a, tup_b))
@@ -353,7 +353,7 @@ class DividingVerdict:
 def instance_solutions(e: Expansion, witness: Node, k: int) -> frozenset[Node]:
     """Solutions of "the k-fold predecessor of x is the witness": the tests
     and the benchmark check conjugate families against these scans."""
-    e.tree.require(witness)
+    e.require(witness)
     depth = witness.depth + k
     return frozenset(
         x for x in e.nodes() if x.depth == depth and witness.is_prefix_of(x)
@@ -379,7 +379,7 @@ def check_dividing(
     set_c = frozenset(members_c)
     if not set_c <= set_b:
         raise DomainError("C must be contained in B")
-    e.tree.require(a, *set_b)
+    e.require(a, *set_b)
     closed_c = tcl(e, set_c)
     if a in closed_c:
         return DividingVerdict(False)

@@ -26,7 +26,7 @@ def downset(e: Expansion, members: Iterable[Node]) -> NodeSet:
     """All prefixes of the given nodes of ``e``, members included
     (:func:`~treeplan.trees.prefixes`, after checking membership)."""
     members = list(members)
-    e.tree.require(*members)
+    e.require(*members)
     return prefixes(members)
 
 
@@ -51,7 +51,7 @@ def anchor(e: Expansion, a: Node, members: Iterable[Node]) -> Node:
     Equals ``a`` exactly when ``a`` is in the closure; the root always
     qualifies, so the maximum exists.
     """
-    e.tree.require(a)
+    e.require(a)
     closed = tcl(e, members)
     return anchor_in(closed, a)
 
@@ -74,7 +74,7 @@ def orbit(e: Expansion, a: Node, members: Iterable[Node]) -> NodeSet:
     automorphisms fixing the parameters pointwise: the nodes with the plan
     path and the anchor of ``a``.
     """
-    e.tree.require(a)
+    e.require(a)
     closed = tcl(e, members)
     target = anchor_in(closed, a)
     return frozenset(x for x in e.fiber(a.plan_path) if anchor_in(closed, x) == target)

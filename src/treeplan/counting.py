@@ -277,5 +277,5 @@ def verify_Q(p: TreePlan, n_max: int, budget: Optional[int] = None) -> CountRepo
 
 def fiber_above(e: Expansion, b: Node, sigma_p: PlanPath) -> list[Node]:
     """Members of the ``sigma_p`` fiber extending the witness ``b``."""
-    e.tree.require(b)
+    e.require(b)
     return [a for a in e.fiber(sigma_p) if b.is_prefix_of(a)]

@@ -30,7 +30,7 @@ from typing import Optional
 
 from .closure import embed_pairs, extend_least, orbit_key, orbit_reps
 from .errors import BudgetError, DomainError
-from .plan import Expansion, TreePlan
+from .plan import Expansion, TreePlan, predicted_size
 from .trees import Node, ROOT, format_node
 
 
@@ -218,7 +218,8 @@ class RandomSpoiler:
         rng = random.Random(self.seed * 1_000_003 + len(state.picks_left))
         side = rng.choice(("L", "R"))
         e = state.left if side == "L" else state.right
-        return (side, rng.choice(e.nodes()))
+        # The draw of ``rng.choice(e.nodes())``, without listing the nodes.
+        return (side, e.node_at(rng.randrange(predicted_size(e.plan, e.n))))
 
 
 def _require_game(left: Expansion, right: Expansion, k: int) -> None:

@@ -605,7 +605,7 @@ def _generate(f: Formula, fast: bool, names: tuple[str, ...]):
     src = _Source(fast)
     scope = {name: src.slot() for name in names}
     code, _ = src.formula(f, scope)
-    lines = ["def bind(e, orbit_reps):", "    tree = e.tree"]
+    lines = ["def bind(e, orbit_reps):"] + ([] if fast else ["    tree = e.tree"])
     lines += [f"    {bad} = {path!r} not in e.plan.nodes" for path, bad in src.labels.items()]
     lines += src.defs
     lines += [f"    def holds({', '.join(scope.values())}):", f"        return {code}",
@@ -656,7 +656,7 @@ def evaluate(
     when evaluation reaches it.
     """
     scope = dict(env or {})
-    e.tree.require(*scope.values())
+    e.require(*scope.values())
     return _program(f, fast, tuple(scope))(e, orbit_reps)(*scope.values())
 
 
@@ -672,7 +672,7 @@ def solution_set(
     missing = free_vars(f) - set(scope) - {free_var}
     if missing:
         raise UnboundVariableError(f"unbound variables {sorted(missing)}")
-    e.tree.require(*(v for name, v in scope.items() if name != free_var))
+    e.require(*(v for name, v in scope.items() if name != free_var))
     # The free variable's slot follows the parameters, unless it is one.
     scope[free_var] = ROOT
     holds = _program(f, fast, tuple(scope))(e, orbit_reps)
@@ -755,9 +755,9 @@ def principal_formula(e: Expansion, a: Node, members: Iterable[Node]) -> Princip
     closure, pinned to its anchor with meet guards against parameters
     sitting above the anchor.
     """
-    e.tree.require(a)
+    e.require(a)
     bs = sorted(set(members))
-    e.tree.require(*bs)
+    e.require(*bs)
     names = {b: f"b{i}" for i, b in enumerate(bs)}
     params = {names[b]: b for b in bs}
     x = Var("x")

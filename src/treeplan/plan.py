@@ -13,20 +13,28 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .errors import BudgetError, DomainError, PlanSyntaxError
-from .trees import STAR, FiniteTree, Node, PlanPath, ROOT
+from .trees import STAR, FiniteTree, Node, PlanPath, ROOT, require_members
 
 DEFAULT_NODE_BUDGET = 2_000_000
 
 
 def node_budget(override: Optional[int] = None) -> int:
+    """``override``, else ``TREEPLAN_BUDGET``, else the default; a negative
+    override is a usage error (:class:`DomainError`), and a negative or
+    non-integer environment value a :class:`BudgetError`."""
     if override is not None:
+        if override < 0:
+            raise DomainError(f"the node budget must be non-negative, got {override}")
         return override
     env = os.environ.get("TREEPLAN_BUDGET")
     if env:
         try:
-            return int(env)
+            limit = int(env)
         except ValueError:
             raise BudgetError(f"TREEPLAN_BUDGET is not an integer: {env!r}")
+        if limit < 0:
+            raise BudgetError(f"TREEPLAN_BUDGET is negative: {env!r}")
+        return limit
     return DEFAULT_NODE_BUDGET
 
 
@@ -239,68 +247,143 @@ def predicted_size(p: TreePlan, n: int) -> int:
 class Expansion:
     """The finite structure obtained from a plan at size ``n``.
 
-    Carries the plan, the tree of tagged paths and per-plan-node fibers.
+    Membership is arithmetic on the plan: a node belongs exactly when its
+    branch paths are plan nodes, its tags on replicated branches lie in
+    ``range(n)`` and its tags on singleton branches are ``STAR``.  The tree
+    of tagged paths and the per-plan-node fibers are built together, in
+    one walk, on the first use of :attr:`tree`, :meth:`nodes`,
+    :meth:`fiber` or ``len``; that build raises :class:`BudgetError` when
+    :func:`predicted_size` exceeds the budget resolved by :func:`expand`.
     """
 
-    __slots__ = ("plan", "n", "tree", "_fibers")
+    __slots__ = ("plan", "n", "_budget", "_tree", "_fibers", "_sizes")
 
-    def __init__(self, plan: TreePlan, n: int, tree: FiniteTree, fibers: dict):
+    def __init__(self, plan: TreePlan, n: int, budget: int):
         self.plan = plan
         self.n = n
-        self.tree = tree
+        self._budget = budget
+        self._tree: Optional[FiniteTree] = None
+        self._fibers: dict[PlanPath, list[Node]] = {}
+        self._sizes: Optional[dict[PlanPath, int]] = None
+
+    @property
+    def tree(self) -> FiniteTree:
+        if self._tree is None:
+            self._build()
+        return self._tree
+
+    def _build(self) -> None:
+        # Every mark-1 plan child contributes one star-tagged copy per
+        # parent; every inf child contributes ``n`` tagged copies.
+        p, n = self.plan, self.n
+        size = predicted_size(p, n)
+        if size > self._budget:
+            raise BudgetError(f"expansion would have {size} nodes; budget is {self._budget}")
+        nodes: list[Node] = []
+        fibers: dict[PlanPath, list[Node]] = {sigma: [] for sigma in p.nodes}
+
+        def grow(node: Node, sigma: PlanPath):
+            nodes.append(node)
+            fibers[sigma].append(node)
+            for tau in p.children(sigma):
+                branch = tau[-1]
+                if tau in p.inf_nodes:
+                    for t in range(n):
+                        grow(node.child(branch, t), tau)
+                else:
+                    grow(node.child(branch, STAR), tau)
+
+        grow(ROOT, ())
         self._fibers = fibers
+        self._tree = FiniteTree(nodes)
 
     def fiber(self, sigma: PlanPath) -> list[Node]:
         if sigma not in self.plan.nodes:
             raise DomainError(f"unknown plan node {sigma}")
+        if self._tree is None:
+            self._build()
         return list(self._fibers[sigma])
 
     def nodes(self) -> list[Node]:
         return self.tree.sorted_nodes()
 
-    def __contains__(self, node: Node) -> bool:
-        return node in self.tree
+    def __contains__(self, node: object) -> bool:
+        # Agrees with a lookup in the built tree's dict, so a plain tuple
+        # spelling a node is in; anything else malformed is out.
+        if not isinstance(node, tuple):
+            return False
+        nodes, inf, tags = self.plan.nodes, self.plan.inf_nodes, range(self.n)
+        sigma: PlanPath = ()
+        try:
+            for seg in node:
+                if not isinstance(seg, tuple) or len(seg) != 2:
+                    return False
+                branch, tag = seg
+                sigma += (branch,)
+                if sigma not in nodes:
+                    return False
+                if not (tag in tags if sigma in inf else tag == STAR):
+                    return False
+        except TypeError:  # an unhashable branch index
+            return False
+        return True
 
     def __len__(self) -> int:
         return len(self.tree)
+
+    def require(self, *nodes: Node) -> None:
+        """Raise :class:`DomainError` unless every argument is a :class:`Node`
+        of the expansion; a plain tuple is refused, as by
+        :meth:`FiniteTree.require <treeplan.trees.FiniteTree.require>`."""
+        require_members(self, nodes)
+
+    def node_at(self, i: int) -> Node:
+        """``nodes()[i]`` for ``0 <= i < predicted_size(plan, n)``, without
+        building the tree: the index is read in the mixed radix of the
+        subtree sizes, one plan node per digit."""
+        if self._sizes is None:
+            p, n = self.plan, self.n
+            sizes: dict[PlanPath, int] = {}
+            for sigma in reversed(p.sorted_nodes()):
+                sizes[sigma] = 1 + sum(
+                    (n if tau in p.inf_nodes else 1) * sizes[tau] for tau in p.children(sigma)
+                )
+            self._sizes = sizes
+        sizes = self._sizes
+        if not 0 <= i < sizes[()]:
+            raise DomainError(f"node index {i} is out of range 0..{sizes[()] - 1}")
+        v, sigma = ROOT, ()
+        while i:
+            i -= 1  # past ``v`` itself, into the blocks of its children
+            for tau in self.plan.children(sigma):
+                inf = tau in self.plan.inf_nodes
+                span = (self.n if inf else 1) * sizes[tau]
+                if i < span:
+                    tag, i = divmod(i, sizes[tau])
+                    v, sigma = v.child(tau[-1], tag if inf else STAR), tau
+                    break
+                i -= span
+        return v
 
     def mark_is_inf(self, node: Node) -> bool:
         return node.plan_path in self.plan.inf_nodes
 
     def __repr__(self) -> str:
-        return f"Expansion({plan_text(self.plan)!r}, n={self.n}, size={len(self)})"
+        size = predicted_size(self.plan, self.n)
+        return f"Expansion({plan_text(self.plan)!r}, n={self.n}, size={size})"
 
 
 def expand(p: TreePlan, n: int, budget: Optional[int] = None) -> Expansion:
-    """Materialize the expansion of ``p`` at size ``n``: one walk fills its tree and fibers.
+    """The expansion of ``p`` at size ``n``, as a membership view whose
+    tree is built on first use (:class:`Expansion`).
 
-    Every mark-1 plan child contributes one star-tagged copy per parent;
-    every inf child contributes ``n`` tagged copies.  Rejects ``n < 1`` and
-    anything above the node budget.
+    Rejects ``n < 1`` and a negative ``budget``.  The node budget
+    (``budget``, else ``TREEPLAN_BUDGET``, else :data:`DEFAULT_NODE_BUDGET`)
+    is resolved here and applies when the tree is built.
     """
     if n < 1:
         raise DomainError("expansion size must be at least 1")
-    limit = node_budget(budget)
-    size = predicted_size(p, n)
-    if size > limit:
-        raise BudgetError(f"expansion would have {size} nodes; budget is {limit}")
-
-    nodes: list[Node] = []
-    fibers: dict[PlanPath, list[Node]] = {sigma: [] for sigma in p.nodes}
-
-    def grow(node: Node, sigma: PlanPath):
-        nodes.append(node)
-        fibers[sigma].append(node)
-        for tau in p.children(sigma):
-            branch = tau[-1]
-            if tau in p.inf_nodes:
-                for t in range(n):
-                    grow(node.child(branch, t), tau)
-            else:
-                grow(node.child(branch, STAR), tau)
-
-    grow(ROOT, ())
-    return Expansion(p, n, FiniteTree(nodes), fibers)
+    return Expansion(p, n, node_budget(budget))
 
 
 def induced_automorphism(e: Expansion, perm: Mapping[int, int]) -> dict[Node, Node]:

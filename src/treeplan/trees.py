@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Container, Iterable, Optional
 
 from .errors import DomainError
 
@@ -151,10 +151,20 @@ class FiniteTree:
         return max(v.depth for v in self._children)
 
     def require(self, *nodes: Node) -> None:
-        for v in nodes:
-            # A plain tuple equals the node it spells but has no node methods.
-            if not isinstance(v, Node) or v not in self._children:
-                raise DomainError(f"unknown node {v}")
+        require_members(self._children, nodes)
+
+
+def require_members(members: Container, nodes: Iterable[object]) -> None:
+    """Raise :class:`DomainError` unless each of ``nodes`` is a :class:`Node`
+    in ``members``."""
+    for v in nodes:
+        # A plain tuple equals the node it spells but has no node methods.
+        if not isinstance(v, Node) or v not in members:
+            try:
+                text = str(v)
+            except (TypeError, ValueError):  # a Node whose segments are not pairs
+                text = repr(tuple(v))
+            raise DomainError(f"unknown node {text}")
 
 
 def meet(tree: FiniteTree, a: Node, b: Node) -> Node:

@@ -299,6 +299,33 @@ class TestDividing:
         assert code == 0 and out.strip() == "divides=false"
 
 
+class TestAtAMillion:
+    """Games and sentences need only membership, so they run at sizes whose
+    trees are far over the node budget; listing the nodes still is not."""
+
+    def test_ef(self, plan_file, capsys):
+        code, out, err = run(
+            capsys,
+            ["ef", "--plan", plan_file("B"), "--n1", "1000000", "--n2", "1000001", "--k", "3"],
+        )
+        assert (code, err) == (0, "") and out.endswith("winner=D\n")
+
+    def test_check_sentence(self, plan_file, capsys):
+        sentence = "exists x. exists y. !(x = y) & pred(x) = pred(y)"
+        argv = ["check", "--plan", plan_file("B"), "--n", "1000000", "--formula", sentence]
+        assert run(capsys, argv) == (0, "true\n", "")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["expand", "--n", "1000000"], ["check", "--n", "1000000", "--formula", "pred(x) = eps"]],
+        ids=["expand", "check_count"],
+    )
+    def test_listing_exits_3(self, plan_file, capsys, argv):
+        code, out, err = run(capsys, argv[:1] + ["--plan", plan_file("B")] + argv[1:])
+        assert (code, out) == (3, "")
+        assert err == "budget error: expansion would have 1000001000001 nodes; budget is 2000000\n"
+
+
 class TestGoldenTranscripts:
     """Whole stdout and exit code of one run per command family, so a
     change that should keep output byte-identical is checked line by line."""
@@ -415,6 +442,28 @@ class TestMalformedInput:
         code, out, err = run(capsys, [arg.format(plan=plan) for arg in argv])
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["expand", "--plan", "{plan}", "--n", "2"],
+            ["verify", "--plan", "{plan}", "--n", "2"],
+            ["ef", "--plan", "{plan}", "--n1", "2", "--n2", "3", "--k", "2"],
+            ["check", "--plan", "{plan}", "--n", "2", "--formula", "exists x. pred(x) = eps"],
+            ["check", "--plan", "{plan}", "--n", "2", "--formula", "pred(x) = eps"],
+            ["asymptotic", "--plan", "{plan}", "--formula", "P[0](x)"],
+            ["dividing", "--plan", "{plan}", "--n", "2", "--a", "0:1", "--b", "0:1"],
+        ],
+        ids=["expand", "verify", "ef", "check_sentence", "check_count", "asymptotic", "dividing"],
+    )
+    def test_negative_budget_exits_2(self, tmp_path, capsys, argv):
+        # Refused when expanding, before any tree is built or game played.
+        plan = tmp_path / "ok.plan"
+        plan.write_text("(1 (inf))")
+        argv = [arg.format(plan=plan) for arg in argv] + ["--budget", "-5"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "error: the node budget must be non-negative, got -5\n"
 
     def test_long_conjunction_with_a_free_variable(self, tmp_path, capsys):
         plan = tmp_path / "ok.plan"

@@ -342,6 +342,59 @@ class TestPlay:
         assert "budget" in out.transcript
 
 
+# RandomSpoiler transcripts from before the spoiler drew node indices
+# instead of listing the nodes: boards (3, 5), keyed by (plan, seed, k).
+RANDOM_TRANSCRIPTS = {
+    ("A", 3, 2): "1;L;eps\n1;R;eps\n2;R;0:2\n2;L;0:0\nwinner=D\n",
+    ("A", 3, 3): "1;L;eps\n1;R;eps\n2;R;0:2\n2;L;0:0\n3;L;0:0\n3;R;0:2\nwinner=D\n",
+    ("A", 11, 2): "1;R;0:2\n1;L;0:0\n2;L;0:1\n2;R;0:0\nwinner=D\n",
+    ("A", 11, 3): "1;R;0:2\n1;L;0:0\n2;L;0:1\n2;R;0:0\n3;R;0:4\n3;L;0:2\nwinner=D\n",
+    ("B", 3, 2): "1;L;eps\n1;R;eps\n2;R;0:1/0:4\n2;L;0:0/0:0\nwinner=D\n",
+    ("B", 3, 3): "1;L;eps\n1;R;eps\n2;R;0:1/0:4\n2;L;0:0/0:0\n3;L;0:2/0:2\n3;R;0:0/0:0\n"
+    "winner=D\n",
+    ("B", 11, 2): "1;R;0:2\n1;L;0:0\n2;L;0:2/0:1\n2;R;0:0/0:0\nwinner=D\n",
+    ("B", 11, 3): "1;R;0:2\n1;L;0:0\n2;L;0:2/0:1\n2;R;0:0/0:0\n3;R;0:3/0:1\n3;L;0:1/0:0\n"
+    "winner=D\n",
+    ("inf_one_inf", 3, 2): "1;L;eps\n1;R;eps\n2;R;0:3/0:*/0:0\n2;L;0:0/0:*/0:0\nwinner=D\n",
+    ("inf_one_inf", 3, 3): "1;L;eps\n1;R;eps\n2;R;0:3/0:*/0:0\n2;L;0:0/0:*/0:0\n3;L;0:1\n"
+    "3;R;0:0\nwinner=D\n",
+    ("inf_one_inf", 11, 2): "1;R;0:3/0:*/0:2\n1;L;0:0/0:*/0:0\n2;L;0:1/0:*/0:2\n"
+    "2;R;0:0/0:*/0:0\nwinner=D\n",
+    ("inf_one_inf", 11, 3): "1;R;0:3/0:*/0:2\n1;L;0:0/0:*/0:0\n2;L;0:1/0:*/0:2\n"
+    "2;R;0:0/0:*/0:0\n3;R;0:2/0:*/0:2\n3;L;0:2/0:*/0:0\nwinner=D\n",
+}
+
+
+class TestPinnedTranscripts:
+    """Games on boards whose budget of 0 forbids building their trees:
+    every move, answer and check runs on membership alone."""
+
+    @pytest.mark.parametrize("key", sorted(RANDOM_TRANSCRIPTS), ids=str)
+    def test_random_spoiler(self, key):
+        name, seed, k = key
+        left, right = expand(PLANS[name], 3, budget=0), expand(PLANS[name], 5, budget=0)
+        out = play(left, right, k, RandomSpoiler(seed), ClosureDuplicator())
+        assert out.transcript == RANDOM_TRANSCRIPTS[key]
+
+    def test_exhaustive_spoiler_random_fallback(self):
+        # The transcript of ``ef --n1 3 --n2 4 --k 3 --game-budget 10`` on B.
+        left, right = expand(PLANS["B"], 3, budget=0), expand(PLANS["B"], 4, budget=0)
+        out = play(left, right, 3, ExhaustiveSpoiler(budget=10), ClosureDuplicator())
+        assert out.transcript == (
+            "1;R;0:2/0:1\n1;L;0:0/0:0\n2;R;0:0/0:3\n2;L;0:1/0:0\n"
+            "3;R;0:2/0:0\n3;L;0:0/0:1\n"
+            + "# budget 10 exceeded; random fallback with seed 0\n" * 3
+            + "winner=D\n"
+        )
+
+    def test_games_at_a_million(self):
+        for name in ("B", "inf_one_inf"):
+            left, right = expand(PLANS[name], 10**6), expand(PLANS[name], 10**6 + 1)
+            assert game_value(left, right, 3) == "D"
+            out = play(left, right, 3, RandomSpoiler(7), ClosureDuplicator())
+            assert out.winner == "D"
+
+
 class TestExhaustiveSpoiler:
     @pytest.mark.parametrize("n2", [2, 3])
     def test_reused_on_a_reordered_plan(self, n2):

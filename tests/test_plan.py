@@ -20,6 +20,7 @@ from treeplan import (
 )
 from treeplan.analysis import check_embedding
 from treeplan.plan import predicted_size
+from treeplan.trees import STAR, Node
 
 from conftest import PLANS
 
@@ -113,18 +114,40 @@ class TestExpand:
             expand(PLANS["A"], 0)
 
     def test_budget(self):
+        # The budget applies when the tree is built, not when expanding.
+        e = expand(PLANS["B"], 10, budget=50)
         with pytest.raises(BudgetError):
-            expand(PLANS["B"], 10, budget=50)
+            e.nodes()
 
     def test_budget_env(self, monkeypatch):
         monkeypatch.setenv("TREEPLAN_BUDGET", "3")
+        e = expand(PLANS["B"], 2)
         with pytest.raises(BudgetError):
+            e.nodes()
+
+    @pytest.mark.parametrize("value", ["-1", "abc"])
+    def test_bad_budget_env(self, monkeypatch, value):
+        monkeypatch.setenv("TREEPLAN_BUDGET", value)
+        with pytest.raises(BudgetError, match="TREEPLAN_BUDGET"):
             expand(PLANS["B"], 2)
+
+    def test_negative_budget_is_a_usage_error(self):
+        with pytest.raises(DomainError, match="non-negative"):
+            expand(PLANS["B"], 2, budget=-5)
+        assert len(expand(PLANS["A"], 1, budget=2)) == 2
+
+    def test_large_expansion_is_not_built(self):
+        e = expand(PLANS["B"], 10**6)
+        assert repr(e) == "Expansion('(1 (inf (inf)))', n=1000000, size=1000001000001)"
+        assert parse_node("0:999999/0:999999") in e and parse_node("0:1000000") not in e
+        for listing in (e.nodes, lambda: e.tree, lambda: e.fiber((0,)), lambda: len(e)):
+            with pytest.raises(BudgetError):
+                listing()
 
     def test_predicted_size_matches(self):
         for p in PLANS.values():
             for n in (1, 2, 3):
-                assert predicted_size(p, n) == len(expand(p, n))
+                assert predicted_size(p, n) == len(expand(p, n).nodes())
 
     @pytest.mark.parametrize("name", sorted(PLANS))
     def test_monotone_substructure(self, name):
@@ -148,6 +171,84 @@ class TestExpand:
             for tau in p.children(sigma):
                 matching = [c for c in kids if c.plan_path == tau]
                 assert len(matching) == (n if tau in p.inf_nodes else 1)
+
+
+def membership_inputs(e):
+    """Every node of ``e`` with its plain-tuple twin, and near misses built
+    from each node: segments of the wrong arity or not tuples at all,
+    negative tags, tag ``n``, ``bool`` tags, ``STAR`` on a replicated
+    branch, an int tag on a singleton branch, unknown branch indices."""
+    n = e.n
+    out = [None, 0, "eps", (), ((),), (0, 0), ("a",), ((0, 0, 0),)]
+    for v in e.nodes():
+        out += [v, tuple(v)]
+        for i, (branch, tag) in enumerate(v):
+            head, tail = v[:i], v[i + 1:]
+            inf = tag != STAR
+            swaps = [
+                (branch,), (branch, tag, 0), [branch, tag], branch,
+                (branch, -1 if inf else 0), (branch, n), (branch, n - 1),
+                (branch, True), (branch, False), ([branch], tag),
+                (branch, STAR if inf else 0), (branch + 1, tag), (-1, tag), (branch, "0"),
+            ]
+            for seg in swaps:
+                out.append(Node(head + (seg,) + tail))
+                out.append(head + (seg,) + tail)
+        for branch in range(3):
+            for tag in (STAR, 0, n):
+                out.append(v.child(branch, tag))
+    return out
+
+
+class TestLazyExpansion:
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_node_at_lists_the_nodes_in_order(self, name):
+        for n in range(1, 5):
+            fresh = expand(PLANS[name], n, budget=0)  # building would raise
+            listed = [fresh.node_at(i) for i in range(predicted_size(fresh.plan, n))]
+            assert listed == expand(PLANS[name], n).nodes()
+            assert all(type(v) is Node for v in listed)
+            for i in (-1, len(listed)):
+                with pytest.raises(DomainError):
+                    fresh.node_at(i)
+
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_membership_agrees_with_the_built_tree(self, name):
+        for n in range(1, 4):
+            lazy = expand(PLANS[name], n, budget=0)
+            built = expand(PLANS[name], n).tree
+            for x in membership_inputs(expand(PLANS[name], n)):
+                try:
+                    hash(x)
+                except TypeError:
+                    assert (x in lazy) is False
+                    continue
+                assert (x in lazy) is (x in built), x
+                refused = []
+                for holder in (lazy, built):
+                    try:
+                        holder.require(x)
+                    except DomainError as err:
+                        refused.append(str(err))
+                assert len(refused) in (0, 2) and refused[:1] == refused[1:], x
+                if isinstance(x, Node) and x in built:
+                    assert not refused
+                else:
+                    assert refused and refused[0].startswith("unknown node ")
+
+    def test_bool_tags_equal_their_ints(self):
+        # True == 1 and hash(True) == hash(1): as in a dict, (0, True) is 0:1.
+        e = expand(PLANS["A"], 2)
+        assert Node([(0, True)]) in e and Node([(0, True)]) in e.tree
+        assert Node([(0, True)]) not in expand(PLANS["A"], 1)
+
+    def test_membership_at_a_million(self):
+        e = expand(PLANS["inf_one_inf"], 10**6, budget=0)
+        assert parse_node("0:999999/0:*/0:0") in e
+        for text in ("0:1000000", "0:0/0:0", "0:*", "0:5/0:*/0:1000000", "1:0"):
+            assert parse_node(text) not in e
+        e.require(parse_node("0:999999/0:*/0:999999"))
+        assert e.node_at(predicted_size(e.plan, e.n) - 1) == parse_node("0:999999/0:*/0:999999")
 
 
 class TestInducedAutomorphism:

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from treeplan import (
     DomainError,
+    GameState,
     InferenceError,
     ROOT,
     STAR,
@@ -15,6 +16,7 @@ from treeplan import (
     expand,
     formula_text,
     format_node,
+    game_value,
     inf_count,
     make_plan,
     meet,
@@ -45,6 +47,7 @@ from conftest import (
     orbit_reps_bruteforce,
     random_embedding,
     same_type,
+    winning_move_reference,
 )
 
 
@@ -406,6 +409,34 @@ def test_fast_evaluation_matches_plain(e, data):
     names = sorted(free_vars(f) | data.draw(st.sets(st.sampled_from(["x", "y"]))))
     env = {v: data.draw(st.sampled_from(e.nodes())) for v in names}
     assert evaluate(e, f, env, fast=True) == evaluate(e, f, env)
+
+
+@given(corpus_expansions(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_lazy_and_built_expansions_agree(built, data):
+    # A budget of 0 makes any build raise: the lazy side runs on membership.
+    p, n = built.plan, built.n
+    lazy = expand(p, n, budget=0)
+    built.nodes()
+    picks = data.draw(pick_tuples(built))
+    for v in picks:
+        for x in (v, v.parent(), v.child(0, 0), v.child(0, STAR), v.child(1, n)):
+            assert (x in lazy) == (x in built.tree)
+    assert tcl(lazy, picks) == tcl(built, picks)
+    assert orbit_reps(lazy, picks) == orbit_reps(built, picks) == orbit_reps_bruteforce(built, picks)
+    f = data.draw(shadowing_formulas(p))
+    env = {v: data.draw(st.sampled_from(built.nodes())) for v in sorted(free_vars(f))}
+    expected = outcome(lambda: evaluate_reference(built, f, env))
+    if isinstance(expected, bool):
+        assert evaluate(lazy, f, env, fast=True) == expected
+    assert outcome(lambda: evaluate(lazy, f, env, fast=True)) == outcome(
+        lambda: evaluate(built, f, env, fast=True)
+    )
+    m = data.draw(st.integers(min_value=1, max_value=4))
+    k = data.draw(st.integers(min_value=0, max_value=2))
+    state = GameState(built, expand(p, m), (), (), k)
+    move, _, _ = winning_move_reference(state) if k else (None, 0, {})
+    assert game_value(lazy, expand(p, m, budget=0), k) == ("D" if move is None else "S")
 
 
 def outcome(run):
