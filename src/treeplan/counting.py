@@ -239,8 +239,14 @@ def verify_Q(p: TreePlan, n_max: int, budget: Optional[int] = None) -> CountRepo
         raise DomainError("n_max must be at least 1")
     text = plan_text(p)
     rows = []
+    # Each prefix pair with its row label up to the witness and its polynomial.
     pairs = [
-        (sigma, sigma_p)
+        (
+            sigma,
+            sigma_p,
+            f"Qrel[{path_text(sigma) or '<>'}->{path_text(sigma_p) or '<>'}]@",
+            poly_Q_rel(p, sigma, sigma_p),
+        )
         for sigma in p.sorted_nodes()
         for sigma_p in p.sorted_nodes()
         if sigma_p[: len(sigma)] == sigma
@@ -256,21 +262,14 @@ def verify_Q(p: TreePlan, n_max: int, budget: Optional[int] = None) -> CountRepo
                     observed == predicted,
                 )
             )
-        for sigma, sigma_p in pairs:
-            predicted = poly_Q_rel(p, sigma, sigma_p)(n)
+        for sigma, sigma_p, label, poly in pairs:
+            predicted = poly(n)
             # A witness's extensions are the upper-fiber members with that prefix.
             tally = Counter(a.prefix(len(sigma)) for a in e.fiber(sigma_p))
             for b in e.fiber(sigma):
                 observed = tally[b]
                 rows.append(
-                    CountRow(
-                        text,
-                        f"Qrel[{path_text(sigma) or '<>'}->{path_text(sigma_p) or '<>'}]@{b}",
-                        n,
-                        observed,
-                        predicted,
-                        observed == predicted,
-                    )
+                    CountRow(text, f"{label}{b}", n, observed, predicted, observed == predicted)
                 )
     return CountReport(tuple(rows))
 

@@ -605,7 +605,10 @@ def _generate(f: Formula, fast: bool, names: tuple[str, ...]):
     src = _Source(fast)
     scope = {name: src.slot() for name in names}
     code, _ = src.formula(f, scope)
-    lines = ["def bind(e, orbit_reps):"] + ([] if fast else ["    tree = e.tree"])
+    lines = ["def bind(e, orbit_reps):"]
+    if src.defs and not fast:
+        # Only a plain quantifier ranges over the tree, so only it builds one.
+        lines.append("    tree = e.tree")
     lines += [f"    {bad} = {path!r} not in e.plan.nodes" for path, bad in src.labels.items()]
     lines += src.defs
     lines += [f"    def holds({', '.join(scope.values())}):", f"        return {code}",

@@ -146,7 +146,8 @@ def _parse_plan_source(src: str) -> dict[PlanPath, bool]:
             raise PlanSyntaxError(f"expected {ch!r}", pos)
         pos += 1
 
-    def parse_node(path: PlanPath):
+    def open_node(path: PlanPath):
+        # ``"(" mark``: the node's children and ``")"`` follow.
         nonlocal pos
         expect("(")
         skip_ws()
@@ -161,17 +162,22 @@ def _parse_plan_source(src: str) -> dict[PlanPath, bool]:
         if path == () and mark_inf:
             raise PlanSyntaxError("the root must carry mark 1", pos)
         marked[path] = mark_inf
-        branch = 0
-        while True:
-            skip_ws()
-            if pos < len(src) and src[pos] == "(":
-                parse_node(path + (branch,))
-                branch += 1
-            else:
-                break
-        expect(")")
 
-    parse_node(())
+    # The open nodes, innermost last, each with the branch index of its
+    # next child.
+    open_node(())
+    stack: list[list] = [[(), 0]]
+    while stack:
+        skip_ws()
+        if pos < len(src) and src[pos] == "(":
+            top = stack[-1]
+            path = top[0] + (top[1],)
+            top[1] += 1
+            open_node(path)
+            stack.append([path, 0])
+        else:
+            expect(")")
+            stack.pop()
     skip_ws()
     if pos != len(src):
         raise PlanSyntaxError("trailing input after plan", pos)
@@ -274,28 +280,41 @@ class Expansion:
 
     def _build(self) -> None:
         # Every mark-1 plan child contributes one star-tagged copy per
-        # parent; every inf child contributes ``n`` tagged copies.
+        # parent; every inf child contributes ``n`` tagged copies.  A
+        # preorder walk with children pushed in reverse visits the nodes in
+        # node order, so the child map and the fibers fill in order as they
+        # are, and the tree takes the map without a sort or a check.
         p, n = self.plan, self.n
         size = predicted_size(p, n)
         if size > self._budget:
             raise BudgetError(f"expansion would have {size} nodes; budget is {self._budget}")
-        nodes: list[Node] = []
         fibers: dict[PlanPath, list[Node]] = {sigma: [] for sigma in p.nodes}
-
-        def grow(node: Node, sigma: PlanPath):
-            nodes.append(node)
-            fibers[sigma].append(node)
+        # Per plan node: the child segments in order, the steps of the
+        # children in reverse order, and where its copies are recorded.
+        steps = {}
+        for sigma in sorted(p.nodes, key=len, reverse=True):
+            segments, below = [], []
             for tau in p.children(sigma):
-                branch = tau[-1]
-                if tau in p.inf_nodes:
-                    for t in range(n):
-                        grow(node.child(branch, t), tau)
-                else:
-                    grow(node.child(branch, STAR), tau)
-
-        grow(ROOT, ())
+                tags = range(n) if tau in p.inf_nodes else (STAR,)
+                segments += [((tau[-1], t),) for t in tags]
+                below += [steps[tau]] * len(tags)
+            below.reverse()
+            steps[sigma] = (segments, below, fibers[sigma].append)
+        children: dict[Node, list[Node]] = {}
+        stack = [(ROOT, steps[()])]
+        pop, push = stack.pop, stack.extend
+        while stack:
+            v, (segments, below, record) = pop()
+            record(v)
+            if segments:
+                kids = children[v] = [Node(v + seg) for seg in segments]
+                push(zip(reversed(kids), below))
+            else:
+                children[v] = []
+        if len(children) != size:
+            raise AssertionError(f"the walk made {len(children)} nodes, not {size}")
         self._fibers = fibers
-        self._tree = FiniteTree(nodes)
+        self._tree = FiniteTree._from_children(children)
 
     def fiber(self, sigma: PlanPath) -> list[Node]:
         if sigma not in self.plan.nodes:

@@ -111,7 +111,7 @@ class FiniteTree:
 
     def __init__(self, nodes: Iterable[Node]):
         # A parent precedes its children, so one walk in node order fills every
-        # child list in order; `expand` gives node order, which sorts in one run.
+        # child list in order.  A slice hashes and compares as the parent node.
         children: dict[Node, list[Node]] = dict.fromkeys(sorted(nodes))
         if ROOT not in children:
             raise DomainError("a tree must contain the root")
@@ -119,12 +119,21 @@ class FiniteTree:
             if not isinstance(v, Node):
                 raise DomainError(f"unknown node {v}")
             children[v] = []
-            if v.depth:
-                kids = children.get(v.parent())
+            if v:
+                kids = children.get(v[:-1])
                 if kids is None:
                     raise DomainError(f"tree is not prefix-closed at {v}")
                 kids.append(v)
         self._children = children
+
+    @classmethod
+    def _from_children(cls, children: dict[Node, list[Node]]) -> "FiniteTree":
+        """The tree whose child map is ``children``, stored as is: the caller
+        vouches that it is prefix-closed, with the nodes and every child list
+        in node order."""
+        tree = cls.__new__(cls)
+        tree._children = children
+        return tree
 
     @property
     def nodes(self):

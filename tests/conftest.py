@@ -132,6 +132,36 @@ def brute_force_isomorphic(t1: FiniteTree, t2: FiniteTree, labeled: bool = False
     return match(ROOT, ROOT)
 
 
+def expand_reference(p: TreePlan, n: int) -> tuple[FiniteTree, dict]:
+    """The tree and the fibers of the expansion of ``p`` at size ``n``, by a
+    recursive walk down the plan, one call per node, into a flat node list
+    that the validating ``FiniteTree(nodes)`` sorts and checks."""
+    nodes: list[Node] = []
+    fibers: dict = {sigma: [] for sigma in p.nodes}
+
+    def grow(node: Node, sigma) -> None:
+        nodes.append(node)
+        fibers[sigma].append(node)
+        for tau in p.children(sigma):
+            tags = range(n) if tau in p.inf_nodes else (STAR,)
+            for t in tags:
+                grow(node.child(tau[-1], t), tau)
+
+    grow(ROOT, ())
+    return FiniteTree(nodes), fibers
+
+
+def assert_expansion_matches_reference(e) -> None:
+    """The built child map and every fiber of ``e`` equal those of
+    :func:`expand_reference`, order and node types included."""
+    tree, fibers = expand_reference(e.plan, e.n)
+    built = list(e.tree._children.items())
+    assert built == list(tree._children.items())
+    assert all(type(v) is Node and all(type(c) is Node for c in kids) for v, kids in built)
+    for sigma in e.plan.nodes:
+        assert e.fiber(sigma) == fibers[sigma]
+
+
 def random_tree(rng: random.Random, max_nodes: int = 12) -> FiniteTree:
     """A random plain tree, at most ``max_nodes`` nodes."""
     nodes = [ROOT]

@@ -326,6 +326,16 @@ class TestAtAMillion:
         assert err == "budget error: expansion would have 1000001000001 nodes; budget is 2000000\n"
 
 
+class TestDeepPlan:
+    # The plan parser keeps an explicit stack, so a 5,000-deep chain plan
+    # is read and checked, not refused as nested too deeply.
+    def test_check(self, tmp_path, capsys):
+        deep_plan = tmp_path / "deep.plan"
+        deep_plan.write_text("(1 " * 5000 + ")" * 5000)
+        argv = ["check", "--plan", str(deep_plan), "--n", "1", "--formula", "exists x. x = eps"]
+        assert run(capsys, argv) == (0, "true\n", "")
+
+
 class TestGoldenTranscripts:
     """Whole stdout and exit code of one run per command family, so a
     change that should keep output byte-identical is checked line by line."""
@@ -373,7 +383,9 @@ class TestGoldenTranscripts:
         assert run(capsys, argv) == (code, expected, "")
 
 
-DEEP = "(1 " * 3000 + ")" * 3000
+# A deep plan parses now (see TestDeepPlan), so the deep inputs refused
+# here are unbalanced: the error names the position of the missing ")".
+DEEP_UNCLOSED = "(1 " * 3000 + ")" * 2999
 NOT_UTF8 = b"(1 (\xff))"
 
 
@@ -381,8 +393,8 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "content, argv",
         [
-            (DEEP, ["expand", "--plan", "{bad}", "--n", "1"]),
-            (DEEP, ["infer", "{bad}", "{tree}"]),
+            (DEEP_UNCLOSED, ["expand", "--plan", "{bad}", "--n", "1"]),
+            (DEEP_UNCLOSED, ["infer", "{bad}", "{tree}"]),
             (None, ["check", "--plan", "{plan}", "--n", "1", "--formula", "!" * 3000 + "eps = eps"]),
             (NOT_UTF8, ["expand", "--plan", "{bad}", "--n", "1"]),
             (NOT_UTF8, ["infer", "{tree}", "{bad}"]),

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from treeplan import (
+    BudgetError,
     DomainError,
     FormulaSyntaxError,
     ROOT,
@@ -165,6 +166,20 @@ class TestEvaluate:
         env = {"u": node("0:0/0:1"), "v": node("0:0/0:0")}
         assert evaluate(e, parse_formula("meet(u, v) = pred(u)"), env)
         assert evaluate(e, parse_formula("pred^2(u) = eps"), env)
+
+    @pytest.mark.parametrize("fast", [False, True])
+    def test_quantifier_free_formula_builds_no_tree(self, fast):
+        # Only a plain quantifier lists the nodes, so a formula without one
+        # is decided on an expansion far over the node budget.
+        e = expand(PLANS["B"], 10**6)
+        assert evaluate(e, parse_formula("x = x"), {"x": ROOT}, fast=fast)
+        env = {"x": ROOT, "y": node("0:999999/0:5")}
+        assert evaluate(e, parse_formula("pred^2(y) = x & P[0.0](y)"), env, fast=fast)
+
+    def test_plain_quantifier_builds_the_tree(self):
+        e = expand(PLANS["B"], 10**6)
+        with pytest.raises(BudgetError):
+            evaluate(e, parse_formula("exists y. y = x"), {"x": ROOT})
 
     @pytest.mark.parametrize("fast", [False, True])
     def test_inner_quantifier_restores_outer_binding(self, fast):

@@ -7,6 +7,7 @@ from treeplan import (
     BudgetError,
     DomainError,
     PlanSyntaxError,
+    TreePlan,
     ell,
     expand,
     height,
@@ -22,7 +23,7 @@ from treeplan.analysis import check_embedding
 from treeplan.plan import predicted_size
 from treeplan.trees import STAR, Node
 
-from conftest import PLANS
+from conftest import PLANS, assert_expansion_matches_reference
 
 
 class TestParsePlan:
@@ -171,6 +172,28 @@ class TestExpand:
             for tau in p.children(sigma):
                 matching = [c for c in kids if c.plan_path == tau]
                 assert len(matching) == (n if tau in p.inf_nodes else 1)
+
+
+class TestBuild:
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_matches_the_reference(self, name):
+        for n in range(1, 5):
+            assert_expansion_matches_reference(expand(PLANS[name], n))
+
+    def test_plan_b_at_199(self):
+        e = expand(PLANS["B"], 199)
+        assert_expansion_matches_reference(e)
+        assert len(e) == 39801
+
+    def test_deep_chain(self):
+        # The plan parser and the walk keep their own stacks, so a chain far
+        # deeper than the recursion limit parses and builds.
+        depth = 5000
+        p = parse_plan("(1 " * depth + ")" * depth)
+        assert p == TreePlan(frozenset((0,) * k for k in range(depth)), frozenset())
+        e = expand(p, 3)
+        assert len(e) == predicted_size(p, 3) == depth
+        assert e.fiber((0,) * (depth - 1)) == [Node(((0, STAR),) * (depth - 1))]
 
 
 def membership_inputs(e):

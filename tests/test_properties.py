@@ -39,6 +39,7 @@ from treeplan.trees import FiniteTree, Node, meet_nodes, subtree_codes
 
 from conftest import (
     PLANS,
+    assert_expansion_matches_reference,
     brute_force_isomorphic,
     evaluate_reference,
     generated_nodes,
@@ -181,6 +182,12 @@ def test_size_polynomial_counts_nodes(p, n):
         total = total + Polynomial.monomial(inf_count(p, sigma))
     assert total == poly_P(p)
     assert poly_P(p)(n) == len(expand(p, n))
+
+
+@given(plans(max_nodes=9, max_height=4), st.integers(min_value=1, max_value=4))
+@settings(max_examples=80, deadline=None)
+def test_build_matches_the_reference(p, n):
+    assert_expansion_matches_reference(expand(p, n))
 
 
 @given(plans(), st.integers(min_value=1, max_value=3))

@@ -143,15 +143,21 @@ class TestNodeOrder:
             orbit_reps(e, [((0, 0),)])
 
     def test_tree_must_be_prefix_closed_and_rooted(self):
-        with pytest.raises(DomainError):
-            FiniteTree([ROOT, node("0:0/0:1")])
-        with pytest.raises(DomainError):
-            FiniteTree([node("0:*")])
-        with pytest.raises(DomainError):
-            FiniteTree([])
-        # A plain tuple equals the root it spells but is not a node.
-        with pytest.raises(DomainError, match="unknown node"):
-            FiniteTree([()])
+        cases = [
+            ([ROOT, node("0:0/0:1")], "tree is not prefix-closed at 0:0/0:1"),
+            ([ROOT, node("0:0"), node("0:0/1:2"), node("1:*/0:0")],
+             "tree is not prefix-closed at 1:*/0:0"),
+            ([node("0:*")], "a tree must contain the root"),
+            ([], "a tree must contain the root"),
+            # A plain tuple equals the node it spells but is not a node.
+            ([()], "unknown node ()"),
+            ([ROOT, ((0, 0),)], "unknown node ((0, 0),)"),
+            ([ROOT, node("0:0"), ((0, 0), (1, 2))], "unknown node ((0, 0), (1, 2))"),
+        ]
+        for nodes, message in cases:
+            with pytest.raises(DomainError) as err:
+                FiniteTree(nodes)
+            assert str(err.value) == message
 
 
 class TestMeet:
