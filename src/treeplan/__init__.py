@@ -15,7 +15,7 @@ from .analysis import (
     parse_tree_text,
     rearrange,
 )
-from .closure import anchor, downset, orbit, tcl
+from .closure import anchor, downset, orbit, tcl, type_count
 from .counting import (
     DimMeasure,
     Polynomial,

@@ -298,24 +298,39 @@ def infer_plan(t1: FiniteTree, t2: FiniteTree) -> TreePlan:
     preferred over coincidence).  The plan of a matched class expands to
     that class's subtrees at both sizes by construction, so no edge is
     re-expanded; the assembled plan is checked against both samples once,
-    as a whole, before it is returned.
+    as a whole, before it is returned.  On failure, the error lists each
+    run of consecutive sizes that failed for one reason once, as
+    ``n=hi..lo: reason``.
     """
     codes1, codes2 = subtree_codes(t1), subtree_codes(t2)
     shape1, shape2 = codes1[ROOT], codes2[ROOT]
-    errors: list[str] = []
+    # Runs of consecutive sizes that failed for one reason:
+    # [largest n, smallest n, reason].
+    errors: list[list] = []
+
+    def fail(n: int, reason: str) -> None:
+        if errors and errors[-1][2] == reason:
+            errors[-1][1] = n
+        else:
+            errors.append([n, n, reason])
+
     for n in range(len(t1), 0, -1):
         try:
             p = _assemble(_infer_known((t1, codes1), ROOT, (t2, codes2), ROOT, n))
         except InferenceError as err:
-            errors.append(f"n={n}: {err}")
+            fail(n, str(err))
             continue
         if canonical(expand(p, n).tree).code == shape1 and (
             canonical(expand(p, n + 1).tree).code == shape2
         ):
             return p
-        errors.append(f"n={n}: reconstruction does not reproduce the samples")
+        fail(n, "reconstruction does not reproduce the samples")
     raise InferenceError(
-        "samples admit no consistent plan", offending=errors
+        "samples admit no consistent plan",
+        offending=[
+            f"n={hi}: {reason}" if hi == lo else f"n={hi}..{lo}: {reason}"
+            for hi, lo, reason in errors
+        ],
     )
 
 

@@ -8,7 +8,11 @@ that depends on the closure and the plan but not on the size ``n``.
 Tuples likewise: :func:`orbit_key` names a tuple's orbit,
 :func:`embed_pairs` builds the closure embedding between paired tuples,
 and :func:`extend_least` grows such an embedding by least fresh nodes;
-the games and the automorphisms share all three.
+the games and the automorphisms share all three.  A :class:`PickFrame`
+holds the closure and the key of a pick tuple together, lists the orbit
+representatives over the picks with their keys, and steps by one more
+pick; the closure, the representatives, the game search and
+:func:`type_count` all go through it.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from __future__ import annotations
 from typing import Container, Iterable, Optional
 
 from .errors import DomainError
-from .plan import Expansion, TreePlan
-from .trees import STAR, Node, ROOT, prefixes, qftp
+from .plan import Expansion, TreePlan, expand
+from .trees import STAR, Node, PlanPath, ROOT, Segment, prefixes, qftp
 
 NodeSet = frozenset[Node]
 
@@ -32,17 +36,9 @@ def downset(e: Expansion, members: Iterable[Node]) -> NodeSet:
 
 def tcl(e: Expansion, members: Iterable[Node]) -> NodeSet:
     """Tree closure: the least superset of the downset (plus the root) that
-    contains every mark-1 child of each of its members.
-
-    Each node of the downset and the root brings in the singleton-branch
-    nodes above it, as the identity map that :func:`close_pair` builds;
-    the closure is that map's domain.
-    """
-    closed: dict[Node, Node] = {}
-    for v in downset(e, members) | {ROOT}:
-        if v not in closed:
-            close_pair(e.plan, closed, v, v)
-    return frozenset(closed)
+    contains every mark-1 child of each of its members: the closure of the
+    members' :class:`PickFrame`."""
+    return frozenset(PickFrame(e, members).closed)
 
 
 def anchor(e: Expansion, a: Node, members: Iterable[Node]) -> Node:
@@ -81,29 +77,9 @@ def orbit(e: Expansion, a: Node, members: Iterable[Node]) -> NodeSet:
 
 
 def orbit_reps(e: Expansion, members: Iterable[Node]) -> list[Node]:
-    """The least member of each orbit over the parameters, in node order.
-
-    Every closure node is its own orbit.  Every other orbit is a pair
-    (anchor c, plan path): its least member leaves c on an inf branch by
-    the least tag whose node is outside the closure, then takes tag 0 or
-    ``*`` at every step above that.
-    """
-    closed = tcl(e, members)
-    reps = set(closed)
-    children, inf = e.plan.children, e.plan.inf_nodes
-    stack = []
-    for c in closed:
-        for tau in children(c.plan_path):
-            if tau in inf:
-                fresh = least_free_child(e, c, tau[-1], closed)
-                if fresh is not None:
-                    stack.append((fresh, tau))
-    while stack:
-        v, sigma = stack.pop()
-        reps.add(v)
-        for rho in children(sigma):
-            stack.append((v.child(rho[-1], 0 if rho in inf else STAR), rho))
-    return sorted(reps)
+    """The least member of each orbit over the parameters, in node order:
+    the representatives of the members' :class:`PickFrame`."""
+    return [v for v, _ in PickFrame(e, members).reps()]
 
 
 def least_free_child(
@@ -118,26 +94,66 @@ def least_free_child(
     return None
 
 
-def close_pair(plan: TreePlan, f: dict[Node, Node], u: Node, v: Node) -> list[Node]:
-    """Map ``u`` to ``v`` in ``f``, then every singleton-branch node above
-    a newly mapped node to the matching node above its image.
+def close_pair(
+    plan: TreePlan,
+    f: dict[Node, Node],
+    u: Node,
+    v: Node,
+    sigma: PlanPath,
+    paths: Optional[list[tuple[Node, PlanPath]]] = None,
+) -> list[Node]:
+    """Map ``u``, at plan node ``sigma``, to ``v`` in ``f``, then every
+    singleton-branch node above it to the matching node above its image;
+    with ``paths``, append each new node with its plan path there.
 
-    Nodes already in ``f`` keep their images.  Returns the images added.
+    ``u`` must be new to ``f``, and its parent, unless ``u`` is the root,
+    mapped, as in every caller: the domain of ``f`` stays closed under
+    prefixes, so every node above ``u`` is new as well.  Returns the images
+    added.
     """
     f[u] = v
+    if paths is not None:
+        paths.append((u, sigma))
     added = [v]
-    stack = [(u, v)]
+    stack = [(u, v, sigma)]
+    children, inf = plan.children, plan.inf_nodes
     while stack:
-        cu, cv = stack.pop()
-        for tau in plan.children(cu.plan_path):
-            if tau in plan.inf_nodes:
+        cu, cv, sigma = stack.pop()
+        for tau in children(sigma):
+            if tau in inf:
                 continue
-            nu, nv = cu.child(tau[-1], STAR), cv.child(tau[-1], STAR)
-            if nu not in f:
-                f[nu] = nv
-                added.append(nv)
-                stack.append((nu, nv))
+            segment = ((tau[-1], STAR),)
+            nu = Node(cu + segment)
+            # An identity map shares its nodes: a deep chain is stored once.
+            nv = f[nu] = nu if cv is cu else Node(cv + segment)
+            if paths is not None:
+                paths.append((nu, tau))
+            added.append(nv)
+            stack.append((nu, nv, tau))
     return added
+
+
+Names = dict[tuple[Node, int], dict[int, int]]
+
+
+def _rename(names: Names, v: Node, segments: Iterable[Segment]) -> Node:
+    """``v`` extended by ``segments``, each replicated tag renamed in order
+    of first use under its (renamed) parent and branch.  A table that gains
+    a tag is replaced in ``names`` by a grown copy, never changed in place,
+    so frames that share a table never see each other's picks."""
+    for branch, tag in segments:
+        if tag != STAR:
+            seen = names.get((v, branch))
+            if seen is None:
+                names[v, branch] = {tag: 0}
+                tag = 0
+            elif tag in seen:
+                tag = seen[tag]
+            else:
+                names[v, branch] = {**seen, tag: len(seen)}
+                tag = len(seen)
+        v = v.child(branch, tag)
+    return v
 
 
 def orbit_key(picks: tuple[Node, ...]) -> tuple[Node, ...]:
@@ -148,17 +164,126 @@ def orbit_key(picks: tuple[Node, ...]) -> tuple[Node, ...]:
     one plan have equal keys exactly when their types agree, which makes
     key equality the games' pick test
     (:func:`~treeplan.efgame.partial_isomorphism`)."""
-    names: dict[tuple[Node, int], dict[int, int]] = {}
-    out = []
-    for a in picks:
-        v = ROOT
-        for branch, tag in a:
-            if tag != STAR:
-                seen = names.setdefault((v, branch), {})
-                tag = seen.setdefault(tag, len(seen))
-            v = v.child(branch, tag)
-        out.append(v)
-    return tuple(out)
+    names: Names = {}
+    return tuple([_rename(names, ROOT, a) for a in picks])
+
+
+class PickFrame:
+    """One side's state in a walk over pick tuples of an expansion ``e``.
+
+    ``closed`` maps each node of the picks' tree closure to its renamed
+    image (renamed as :func:`orbit_key` renames the picks), ``paths``
+    lists each with its plan path, ``names`` holds the renaming tables and
+    ``key`` is the picks' orbit key.  A frame is not changed after it is
+    built: :meth:`step` returns a new one, sharing the name tables it does
+    not grow.
+    """
+
+    __slots__ = ("e", "closed", "paths", "names", "key")
+
+    def __init__(self, e: Expansion, picks: Iterable[Node] = ()):
+        picks = tuple(picks)
+        e.require(*picks)
+        self.e = e
+        self.closed: dict[Node, Node] = {}
+        self.paths: list[tuple[Node, PlanPath]] = []
+        self.names: Names = {}
+        close_pair(e.plan, self.closed, ROOT, ROOT, (), self.paths)
+        self.key = tuple([self._add(a) for a in picks])
+
+    def step(self, a: Node) -> "PickFrame":
+        """The frame of the picks extended by ``a``, a node of ``e``."""
+        new = PickFrame.__new__(PickFrame)
+        new.e = self.e
+        new.closed, new.paths, new.names = dict(self.closed), list(self.paths), dict(self.names)
+        new.key = self.key + (new._add(a),)
+        return new
+
+    def _add(self, a: Node) -> Node:
+        # Rename the part of ``a`` above its anchor and close each of its
+        # new prefixes; a node already in the closure changes nothing.
+        closed = self.closed
+        if a in closed:
+            return closed[a]
+        # The search of :func:`anchor_in`, on slices (a slice hashes and
+        # compares as the prefix it spells): this runs twice per memo miss.
+        d = len(a) - 1
+        while a[:d] not in closed:
+            d -= 1
+        r = _rename(self.names, closed[a[:d]], a[d:])
+        same, path, plan = r == a, a.plan_path, self.e.plan
+        for i in range(d + 1, len(a) + 1):
+            u = Node(a[:i])
+            if u not in closed:  # else closed with its parent, as a star child
+                close_pair(plan, closed, u, u if same else Node(r[:i]), path[:i], self.paths)
+        return r
+
+    def reps(self) -> list[tuple[Node, Node]]:
+        """The least member of each orbit over the picks, in node order,
+        each with its renamed image: the last entry of the orbit key of the
+        picks extended by it.
+
+        Every closure node is its own orbit.  Every other orbit is a pair
+        (anchor c, plan path): its least member leaves c on an inf branch
+        by the least tag whose node is outside the closure, a tag the picks
+        never used there, then takes tag 0 or ``*`` at every step above
+        that.  So only that first tag is renamed, to the number of tags the
+        picks used under c on that branch.
+        """
+        closed, names, e = self.closed, self.names, self.e
+        children, inf = e.plan.children, e.plan.inf_nodes
+        renamed = dict(closed)
+        stack = []
+        for c, sigma in self.paths:
+            for tau in children(sigma):
+                if tau in inf:
+                    branch = tau[-1]
+                    fresh = least_free_child(e, c, branch, closed)
+                    if fresh is not None:
+                        rc = closed[c]
+                        name = len(names.get((rc, branch), ()))
+                        stack.append((fresh, rc.child(branch, name), tau))
+        while stack:
+            v, r, sigma = stack.pop()
+            renamed[v] = r
+            for rho in children(sigma):
+                segment = ((rho[-1], 0 if rho in inf else STAR),)
+                stack.append((Node(v + segment), Node(r + segment), rho))
+        # The closure comes in close to node order, so the sort is cheap
+        # even on a deep chain.
+        return sorted(renamed.items())
+
+    def keyed_reps(self) -> dict[tuple[Node, ...], Node]:
+        """The representatives of :meth:`reps`, in node order, each keyed
+        by the orbit key of the picks extended by it."""
+        key = self.key
+        return {key + (r,): v for v, r in self.reps()}
+
+
+def type_count(p: TreePlan, k: int) -> int:
+    """The number of k-types of the generic model Γ(ω) of ``p``: the
+    orbits of k-tuples, each named by its :func:`orbit_key`.
+
+    They are the leaves of the depth-k walk that steps a
+    :class:`PickFrame` by each of its representatives in turn.  A k-tuple
+    uses at most k tags under any parent, so the walk on the expansion at
+    size k sees every type of every size from k up, Γ(ω) included.
+    Raises :class:`DomainError` for ``k < 0``.
+    """
+    if k < 0:
+        raise DomainError("a type count needs k >= 0")
+    if k == 0:
+        return 1
+    leaves = 0
+    stack = [(PickFrame(expand(p, k)), k)]
+    while stack:
+        frame, rounds = stack.pop()
+        reps = frame.reps()
+        if rounds == 1:
+            leaves += len(reps)
+        else:
+            stack.extend((frame.step(a), rounds - 1) for a, _ in reps)
+    return leaves
 
 
 def embed_pairs(
@@ -171,7 +296,7 @@ def embed_pairs(
     it conflicts; pairs of tuples with equal :func:`orbit_key` never do.
     """
     f: dict[Node, Node] = {}
-    img = set(close_pair(plan, f, ROOT, ROOT))
+    img = set(close_pair(plan, f, ROOT, ROOT, ()))
     for a, b in pairs:
         if a in f or b in img:
             continue
@@ -180,16 +305,18 @@ def embed_pairs(
         k = a.depth - pa.depth
         if b.depth - pb.depth != k or not pb.is_prefix_of(b):
             continue
-        for d in range(1, k + 1):
-            u, v = a.prefix(pa.depth + d), b.prefix(pb.depth + d)
+        path_a, path_b = a.plan_path, b.plan_path
+        for d in range(pa.depth + 1, a.depth + 1):
+            u, v = a.prefix(d), b.prefix(d - pa.depth + pb.depth)
             if u in f:
                 # Pulled in by the singleton closure of an earlier step.
                 if f[u] != v:
                     break
                 continue
-            if u.plan_path != v.plan_path or v in img:
+            sigma = path_a[:d]
+            if sigma != path_b[: d - pa.depth + pb.depth] or v in img:
                 break
-            img.update(close_pair(plan, f, u, v))
+            img.update(close_pair(plan, f, u, v, sigma))
     return f, img
 
 
@@ -210,6 +337,7 @@ def extend_least(
     cursor: dict[tuple[Node, int], int] = {}
     forced = []
     for node in nodes:
+        path = node.plan_path
         for d in range(anchor_in(f, node).depth + 1, node.depth + 1):
             u = node.prefix(d)
             if u in f:  # pulled in by the singleton closure of a step before
@@ -220,12 +348,14 @@ def extend_least(
                 forced.append((v, branch))
                 fresh = v.child(branch, 0)
             cursor[v, branch] = fresh[-1][1]
-            img.update(close_pair(dst.plan, f, u, fresh))
+            img.update(close_pair(dst.plan, f, u, fresh, path[:d]))
     return forced
 
 
 def tuple_code(e: Expansion, tup: tuple[Node, ...]) -> str:
     """Labeled quantifier-free type code of a tuple of nodes of ``e``: the
     reference the tests check :func:`orbit_key` against, and a name the
-    benchmark traces."""
-    return qftp(e.tree, tup, use_labels=True).code
+    benchmark traces.  The code depends only on the tuple's downset, so
+    ``e`` only checks membership and the tree of that downset is the one
+    built, whatever the size of ``e``."""
+    return qftp(e, tup, use_labels=True).code

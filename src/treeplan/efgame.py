@@ -10,12 +10,13 @@ threshold a fresh node may not exist; the forced repeat that follows
 always loses, since no reply keeps the orbit keys equal, and is noted.
 The exhaustive spoiler is a memoized minimax search over move orbits, one
 least representative per orbit over the picks so far, read off their tree
-closure (:func:`~treeplan.closure.orbit_reps`) at a cost independent of
-the expansion size, and memoized by the orbits of the picks
-(:func:`~treeplan.closure.orbit_key`); past its position budget it
-degrades to a seeded random player and says so.  The one pick test is
-orbit-key equality: the picks of the two sides correspond exactly when
-their orbit keys are equal, so a move and a reply keep the partial
+closure at a cost independent of the expansion size, and memoized by the
+orbits of the picks (:func:`~treeplan.closure.orbit_key`).  Each side's
+closure and key live in a :class:`~treeplan.closure.PickFrame` that grows
+by one node per round instead of being rebuilt; past its position budget
+the search degrades to a seeded random player and says so.  The one pick
+test is orbit-key equality: the picks of the two sides correspond exactly
+when their orbit keys are equal, so a move and a reply keep the partial
 isomorphism exactly when they extend the picks to equal keys, and a
 position pairs each move with the one reply of its key.  The full test
 runs once per search entry and at the end of a played game.  Both boards
@@ -28,7 +29,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .closure import embed_pairs, extend_least, orbit_key, orbit_reps
+from .closure import PickFrame, embed_pairs, extend_least, orbit_key
 from .errors import BudgetError, DomainError
 from .plan import Expansion, TreePlan, predicted_size
 from .trees import Node, ROOT, format_node
@@ -102,9 +103,11 @@ class ClosureDuplicator:
 class _Search:
     """Minimax over pick-orbit representatives, memoized by pick orbits.
 
-    Each position lists the representatives of both sides once and keys
-    each by the orbit key of the picks it extends.  The representatives
-    of one side lie in distinct orbits over its picks, so their keys are
+    Each side's picks are a :class:`~treeplan.closure.PickFrame`, built
+    once at the search's entry and stepped by one node per round.  Each
+    position lists the representatives of both sides once, each keyed by
+    the orbit key of the picks it extends.  The representatives of one
+    side lie in distinct orbits over its picks, so their keys are
     distinct, and a move has at most one reply that keeps the keys of the
     two sides equal.  A move whose key the other side lacks wins at once;
     otherwise only that one pair is solved, so every position visited has
@@ -120,7 +123,8 @@ class _Search:
 
     def spoiler_wins(self, state: GameState) -> bool:
         if partial_isomorphism(state.picks_left, state.picks_right):
-            return self._solve(state, orbit_key(state.picks_left))
+            left, right = _frames(state)
+            return self._solve(left, right, state.rounds_left, left.key)
         # A state handed in already lost counts as one won position.
         self._visit()
         return True
@@ -130,16 +134,29 @@ class _Search:
         if self.visited > self.budget:
             raise BudgetError(f"game tree exceeded {self.budget} nodes")
 
-    def _solve(self, state: GameState, key: tuple[Node, ...]) -> bool:
-        # ``key``: the orbit key of either side's picks; the two are equal.
+    def _solve(
+        self,
+        left: PickFrame,
+        right: PickFrame,
+        rounds: int,
+        key: tuple[Node, ...],
+        move: Optional[Node] = None,
+        reply: Optional[Node] = None,
+    ) -> bool:
+        # The position with ``rounds`` left whose picks are the frames',
+        # extended by ``move`` on the left and ``reply`` on the right when
+        # they are given; ``key``: the orbit key of either side's picks, the
+        # two being equal.  The frames are stepped only when the memo misses.
         self._visit()
-        if state.rounds_left == 0:
+        if rounds == 0:
             return False
-        memo_key = (state.left.n, state.right.n, key, state.rounds_left)
+        memo_key = (left.e.n, right.e.n, key, rounds)
         hit = self.memo.get(memo_key)
         if hit is not None:
             return hit
-        result = self.winning_move(state) is not None
+        if move is not None:
+            left, right = left.step(move), right.step(reply)
+        result = self._winning_move(left, right, rounds) is not None
         self.memo[memo_key] = result
         return result
 
@@ -148,23 +165,25 @@ class _Search:
         wins against every reply; None when there is none.  ``state`` must
         be a partial isomorphism.
         """
-        left = _keyed_reps(state.left, state.picks_left)
-        right = _keyed_reps(state.right, state.picks_right)
-        for key, move in left.items():
-            reply = right.get(key)
-            if reply is None or self._solve(state.after(move, reply), key):
+        return self._winning_move(*_frames(state), state.rounds_left)
+
+    def _winning_move(
+        self, left: PickFrame, right: PickFrame, rounds: int
+    ) -> Optional[tuple[str, Node]]:
+        moves, replies = left.keyed_reps(), right.keyed_reps()
+        for key, move in moves.items():
+            reply = replies.get(key)
+            if reply is None or self._solve(left, right, rounds - 1, key, move, reply):
                 return ("L", move)
-        for key, move in right.items():
-            reply = left.get(key)
-            if reply is None or self._solve(state.after(reply, move), key):
+        for key, move in replies.items():
+            reply = moves.get(key)
+            if reply is None or self._solve(left, right, rounds - 1, key, reply, move):
                 return ("R", move)
         return None
 
 
-def _keyed_reps(e: Expansion, picks: tuple[Node, ...]) -> dict[tuple[Node, ...], Node]:
-    """The orbit representatives over ``picks``, in node order, each keyed
-    by the orbit key of ``picks`` extended by it."""
-    return {orbit_key(picks + (a,)): a for a in orbit_reps(e, picks)}
+def _frames(state: GameState) -> tuple[PickFrame, PickFrame]:
+    return PickFrame(state.left, state.picks_left), PickFrame(state.right, state.picks_right)
 
 
 class ExhaustiveSpoiler:

@@ -64,19 +64,24 @@ class TreePlan:
         kids: dict[PlanPath, list[PlanPath]] = {sigma: [] for sigma in self.nodes}
         for sigma in self.nodes:
             if sigma:
-                if sigma[:-1] not in kids:
+                below = kids.get(sigma[:-1])
+                if below is None:
                     raise DomainError(f"plan is not prefix-closed at {sigma}")
-                kids[sigma[:-1]].append(sigma)
+                below.append(sigma)
         for sigma, below in kids.items():
             below.sort()
             if [tau[-1] for tau in below] != list(range(len(below))):
                 raise DomainError(f"branch indices below {sigma} are not consecutive")
-        object.__setattr__(
-            self, "_children", {sigma: tuple(below) for sigma, below in kids.items()}
-        )
+        children = {sigma: tuple(below) for sigma, below in kids.items()}
+        object.__setattr__(self, "_children", children)
+        # Down from the root, each count from its parent's: no path is sliced.
         counts = {(): 0}
-        for sigma in sorted(self.nodes, key=len)[1:]:
-            counts[sigma] = counts[sigma[:-1]] + (sigma in self.inf_nodes)
+        stack = [((), 0)]
+        while stack:
+            sigma, count = stack.pop()
+            for tau in children[sigma]:
+                counts[tau] = above = count + (tau in self.inf_nodes)
+                stack.append((tau, above))
         object.__setattr__(self, "_inf_counts", counts)
 
     def __contains__(self, sigma: PlanPath) -> bool:

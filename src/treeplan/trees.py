@@ -268,7 +268,10 @@ def qftp(tree: FiniteTree, tup: tuple[Node, ...], use_labels: bool = True) -> Tu
 
     Two tuples get equal values exactly when the entrywise correspondence
     extends to an isomorphism of their generated substructures (respecting
-    plan labels when ``use_labels`` is set).
+    plan labels when ``use_labels`` is set).  The type depends on the
+    tuple's downset alone, so ``tree`` is only asked to ``require`` the
+    tuple's members: an :class:`~treeplan.plan.Expansion` serves as well,
+    without building its tree.
     """
     tree.require(*tup)
     # The generated substructure holds the root even for the empty tuple.

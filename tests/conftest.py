@@ -228,6 +228,20 @@ def generated_nodes(tup) -> frozenset[Node]:
     return frozenset(out)
 
 
+def tcl_bruteforce(e, members) -> frozenset[Node]:
+    """Tree closure as a fixpoint over the built tree: the generated nodes
+    of the members, grown by every star-tagged child until none is new."""
+    closed = set(generated_nodes(members))
+    frontier = list(closed)
+    while frontier:
+        v = frontier.pop()
+        for c in e.tree.children(v):
+            if c[-1][1] == STAR and c not in closed:
+                closed.add(c)
+                frontier.append(c)
+    return frozenset(closed)
+
+
 def orbit_reps_bruteforce(e, picks) -> list[Node]:
     """Orbit representatives by scanning the universe: the first node of each
     labeled quantifier-free type over the picks, in node order."""
@@ -558,19 +572,25 @@ def infer_plan_rerooted(t1: FiniteTree, t2: FiniteTree) -> TreePlan:
     """Two-sample plan inference that re-roots a copy of every child
     subtree and codes it afresh, at every node, class pair and size."""
     shape1, shape2 = canonical_recursive(t1), canonical_recursive(t2)
-    errors: list[str] = []
+    errors: list[tuple[int, str]] = []
     for n in range(len(t1), 0, -1):
         try:
             p = _infer_known_rerooted(t1, t2, n)
         except InferenceError as err:
-            errors.append(f"n={n}: {err}")
+            errors.append((n, str(err)))
             continue
         if canonical_recursive(expand(p, n).tree) == shape1 and (
             canonical_recursive(expand(p, n + 1).tree) == shape2
         ):
             return p
-        errors.append(f"n={n}: reconstruction does not reproduce the samples")
-    raise InferenceError("samples admit no consistent plan", offending=errors)
+        errors.append((n, "reconstruction does not reproduce the samples"))
+    # One line per run of consecutive sizes with one reason.
+    lines = []
+    for reason, run in itertools.groupby(errors, key=lambda item: item[1]):
+        sizes = [n for n, _ in run]
+        span = f"{sizes[0]}..{sizes[-1]}" if len(sizes) > 1 else f"{sizes[0]}"
+        lines.append(f"n={span}: {reason}")
+    raise InferenceError("samples admit no consistent plan", offending=lines)
 
 
 def infer_plan_threshold_rerooted(t: FiniteTree, threshold: int) -> TreePlan:

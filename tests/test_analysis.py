@@ -301,14 +301,12 @@ class TestDeepChain:
     def test_infer_plan(self):
         # Two chains against three one node longer: sizes 1 and 2 match the
         # counts, and inference then walks the chains down to the last level.
+        # Every size fails for one reason, so the error is one line.
         t1 = parse_tree_text("(1 " + 2 * chain(DEEP - 1) + ")")
         t2 = parse_tree_text("(1 " + 3 * chain(DEEP) + ")")
         with pytest.raises(InferenceError) as err:
             infer_plan(t1, t2)
-        assert err.value.offending[-2:] == [
-            "n=2: no consistent class matching",
-            "n=1: no consistent class matching",
-        ]
+        assert err.value.offending == [f"n={len(t1)}..1: no consistent class matching"]
 
     def test_infer_plan_succeeds(self):
         t = parse_tree_text(chain(DEEP))

@@ -336,6 +336,20 @@ class TestDeepPlan:
         assert run(capsys, argv) == (0, "true\n", "")
 
 
+class TestDeepTreeInference:
+    def test_failure_prints_one_line_per_reason(self, tmp_path, capsys):
+        # 3,000 sizes fail for one reason: one range, not one line each.
+        (tmp_path / "deep.tree").write_text("(1 " * 3000 + ")" * 3000)
+        (tmp_path / "two.tree").write_text("(1 (1) (1))")
+        argv = ["infer", str(tmp_path / "deep.tree"), str(tmp_path / "two.tree")]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (4, "")
+        assert err.splitlines() == [
+            "inference error: samples admit no consistent plan",
+            "  class: n=3000..1: no consistent class matching",
+        ]
+
+
 class TestGoldenTranscripts:
     """Whole stdout and exit code of one run per command family, so a
     change that should keep output byte-identical is checked line by line."""

@@ -5,6 +5,7 @@ import pytest
 from treeplan import (
     DomainError,
     ROOT,
+    STAR,
     anchor,
     downset,
     ell,
@@ -12,10 +13,13 @@ from treeplan import (
     height,
     orbit,
     parse_node,
+    parse_plan,
     tcl,
+    type_count,
 )
 
-from treeplan.closure import embed_pairs, extend_least, orbit_reps
+from treeplan.closure import embed_pairs, extend_least, orbit_reps, tuple_code
+from treeplan.trees import Node
 
 from conftest import PLANS, random_subset
 
@@ -170,6 +174,85 @@ class TestOrbitReps:
         e = expand(PLANS["A"], 2)
         with pytest.raises(DomainError):
             orbit_reps(e, [node("0:5")])
+
+    def test_plan_paths_not_rebuilt_on_deep_chains(self, monkeypatch):
+        # A mark-1 chain with a replicated leaf at every level, over the
+        # root and a leaf at the top.  The closure walk carries each node's
+        # plan path, so the only path asked for is the pick's, at any depth.
+        plan_path = Node.plan_path
+        calls = []
+
+        def counted(v):
+            calls.append(v.depth)
+            return plan_path.fget(v)
+
+        counts = []
+        for depth in (50, 200, 800):
+            e = expand(parse_plan("(1 (inf) " + "(1 (inf) " * depth + ")" * (depth + 1)), 2)
+            leaf = Node(((1, STAR),) * depth + ((0, 1),))
+            monkeypatch.setattr(Node, "plan_path", property(counted))
+            reps = orbit_reps(e, [leaf, ROOT])
+            monkeypatch.setattr(Node, "plan_path", plan_path)
+            # The chain, the pick and a fresh leaf at every level.
+            assert len(reps) == 2 * depth + 3
+            counts.append(len(calls))
+            calls.clear()
+        assert counts == [1, 1, 1]
+
+
+class TestTupleCode:
+    def test_reads_the_downset_only(self):
+        # Plan B at n = 10**6 has 10**12 nodes, far over the node budget:
+        # only the tuple's downset is built.
+        tup = (node("0:1/0:2"),)
+        assert tuple_code(expand(PLANS["B"], 10**6), tup) == tuple_code(expand(PLANS["B"], 3), tup)
+
+    def test_unknown_member(self):
+        with pytest.raises(DomainError):
+            tuple_code(expand(PLANS["B"], 3), (node("0:3"),))
+
+
+def distinct_type_codes(e, k):
+    """The number of distinct :func:`tuple_code`s of the j-tuples of ``e``
+    for j = 1..k.  Tuples of one type are automorphic, so extending one
+    tuple of each type by every node meets every type of the longer
+    tuples."""
+    reps = {"": ()}
+    counts = []
+    for _ in range(k):
+        longer = {}
+        for t in reps.values():
+            for x in e.nodes():
+                longer.setdefault(tuple_code(e, t + (x,)), t + (x,))
+        reps = longer
+        counts.append(len(reps))
+    return counts
+
+
+class TestTypeCount:
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_matches_the_distinct_type_codes(self, name):
+        # At every size from k up, the k-tuples have type_count(p, k) types.
+        p = PLANS[name]
+        expected = [type_count(p, k) for k in (1, 2, 3)]
+        for n in range(1, 6):
+            ks = [k for k in (1, 2, 3) if k <= n <= k + 2]
+            counts = distinct_type_codes(expand(p, n), max(ks))
+            assert [counts[k - 1] for k in ks] == [expected[k - 1] for k in ks], n
+
+    def test_plan_a_gives_the_bell_numbers(self):
+        # A k-type of plan A is a partition of the k picks by equality
+        # (the root or one leaf each): B(k + 1) counts them.
+        assert [type_count(PLANS["A"], k) for k in range(1, 7)] == [2, 5, 15, 52, 203, 877]
+
+    def test_plan_b(self):
+        assert [type_count(PLANS["B"], k) for k in range(1, 5)] == [3, 14, 87, 658]
+
+    def test_small_and_bad_k(self):
+        assert type_count(PLANS["B"], 0) == 1
+        assert type_count(PLANS["single"], 3) == 1
+        with pytest.raises(DomainError):
+            type_count(PLANS["B"], -1)
 
 
 class TestExtendLeast:

@@ -24,7 +24,7 @@ from treeplan import (
     size_threshold,
 )
 from treeplan import efgame
-from treeplan.closure import embed_pairs, orbit_key, orbit_reps, tuple_code
+from treeplan.closure import PickFrame, embed_pairs, orbit_key, orbit_reps, tuple_code
 from treeplan.trees import meet_nodes
 
 from conftest import (
@@ -410,18 +410,20 @@ class TestExhaustiveSpoiler:
         assert reused.winner == game_value(left, right, 2) == "S"
 
     def test_representatives_listed_once_per_position(self, monkeypatch):
+        # The search lists representatives through its frames only.
         calls = []
+        keyed_reps = PickFrame.keyed_reps
 
-        def counted(e, picks):
-            calls.append(picks)
-            return orbit_reps(e, picks)
+        def counted(frame):
+            calls.append(frame.key)
+            return keyed_reps(frame)
 
-        monkeypatch.setattr(efgame, "orbit_reps", counted)
+        monkeypatch.setattr(PickFrame, "keyed_reps", counted)
         p = parse_plan("(1 (inf (inf)) (1 (inf)))")
         left, right = expand(p, 3), expand(p, 4)
         search = efgame._Search(100_000)
         assert not search.spoiler_wins(GameState(left, right, (), (), 3))
-        assert len(calls) <= 4 * len(search.memo)
+        assert 0 < len(calls) <= 4 * len(search.memo)
         assert game_value(left, right, 3) == "D"
 
 

@@ -32,7 +32,7 @@ from treeplan import (
     tcl,
 )
 from treeplan.analysis import _assemble, _infer_known
-from treeplan.closure import orbit_reps
+from treeplan.closure import PickFrame, orbit_key, orbit_reps
 from treeplan.counting import Polynomial
 from treeplan.logic import free_vars
 from treeplan.trees import FiniteTree, Node, meet_nodes, subtree_codes
@@ -48,6 +48,7 @@ from conftest import (
     orbit_reps_bruteforce,
     random_embedding,
     same_type,
+    tcl_bruteforce,
     winning_move_reference,
 )
 
@@ -268,6 +269,34 @@ def pick_tuples(draw, e, max_size=3):
 def test_orbit_reps_match_the_scan(e, data):
     picks = data.draw(pick_tuples(e))
     assert orbit_reps(e, picks) == orbit_reps_bruteforce(e, picks)
+
+
+def frame_state(frame):
+    return frame.closed, sorted(frame.paths), frame.names, frame.key
+
+
+@given(corpus_expansions(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_frame_step_matches_a_rebuild(e, data):
+    # Stepping a frame by each representative, or by any node, gives the
+    # closure and key of the longer tuple, each closure node with its
+    # plan path and its image under that key's renaming; the frame stepped
+    # from is left as it was built.
+    picks = data.draw(pick_tuples(e))
+    frame = PickFrame(e, picks)
+    keyed = frame.keyed_reps()
+    assert list(keyed.values()) == orbit_reps_bruteforce(e, picks)
+    steps = list(keyed.items()) + [(None, data.draw(st.sampled_from(e.nodes())))]
+    for key, a in steps:
+        longer = picks + (a,)
+        stepped = frame.step(a)
+        assert stepped.key == orbit_key(longer) == (key or orbit_key(longer))
+        assert frozenset(stepped.closed) == tcl(e, longer) == tcl_bruteforce(e, longer)
+        assert frame_state(stepped) == frame_state(PickFrame(e, longer))
+        assert sorted(stepped.paths) == sorted((v, v.plan_path) for v in stepped.closed)
+        for v, image in stepped.closed.items():
+            assert image == orbit_key(longer + (v,))[-1]
+    assert frame_state(frame) == frame_state(PickFrame(e, picks))
 
 
 @given(corpus_expansions(), st.data())
