@@ -84,7 +84,6 @@ from .trees import (
     ROOT,
     STAR,
     canonical,
-    find_embedding,
     format_node,
     meet,
     parse_node,

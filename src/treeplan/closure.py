@@ -82,6 +82,13 @@ def orbit_reps(e: Expansion, members: Iterable[Node]) -> list[Node]:
     return [v for v, _ in PickFrame(e, members).reps()]
 
 
+def _orbit_reps(e: Expansion, picks: tuple[Node, ...]) -> list[Node]:
+    """:func:`orbit_reps` of picks known to be nodes of ``e``, without the
+    membership check: fast evaluation's quantifier range, whose picks were
+    checked on entry or listed here."""
+    return [v for v, _ in PickFrame(e, picks, check=False).reps()]
+
+
 def least_free_child(
     e: Expansion, v: Node, branch: int, taken: Container[Node], start: int = 0
 ) -> Optional[Node]:
@@ -176,14 +183,16 @@ class PickFrame:
     lists each with its plan path, ``names`` holds the renaming tables and
     ``key`` is the picks' orbit key.  A frame is not changed after it is
     built: :meth:`step` returns a new one, sharing the name tables it does
-    not grow.
+    not grow.  The picks must be nodes of ``e``; ``check=False`` skips
+    that test for picks already known to be.
     """
 
     __slots__ = ("e", "closed", "paths", "names", "key")
 
-    def __init__(self, e: Expansion, picks: Iterable[Node] = ()):
+    def __init__(self, e: Expansion, picks: Iterable[Node] = (), check: bool = True):
         picks = tuple(picks)
-        e.require(*picks)
+        if check:
+            e.require(*picks)
         self.e = e
         self.closed: dict[Node, Node] = {}
         self.paths: list[tuple[Node, PlanPath]] = []

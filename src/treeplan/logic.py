@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
-from .closure import anchor_in, downset, orbit_reps, tcl
+from .closure import _orbit_reps, anchor_in, downset, tcl
 from .counting import dim_measure, poly_P, poly_Q_rel
 from .errors import (
     DomainError,
@@ -37,7 +37,7 @@ from .errors import (
     UnboundVariableError,
 )
 from .plan import Expansion, TreePlan, ell, expand, height, strip_comments
-from .trees import Node, PlanPath, ROOT, Segment, path_text
+from .trees import Node, PlanPath, ROOT, _common_prefix, path_text
 
 # --------------------------------------------------------------------------
 # Abstract syntax
@@ -415,22 +415,14 @@ def free_vars(f: Formula) -> frozenset[str]:
 # quantifier plus one for the formula, all nested in a ``bind`` function
 # that takes the expansion.  Terms are expressions over segment tuples: a
 # variable is a local slot holding its node, ``eps`` is ``()``, ``pred^k``
-# a slice and ``meet`` a call of :func:`_meet`.  The source is flat: a
-# quantifier is a call of its own function, whose parameters are the
-# variables visible where it stands, and a meet nested in a meet goes to
-# a walrus temporary, so its depth follows the alternation of connectives
-# only.  No name from the formula enters the source except as a string.
-Segs = tuple[Segment, ...]
-
-
-def _meet(a: Segs, b: Segs) -> Segs:
-    """The common prefix of two segment tuples."""
-    i = 0
-    for seg_a, seg_b in zip(a, b):
-        if seg_a != seg_b:
-            break
-        i += 1
-    return a[:i]
+# a slice and ``meet`` a call of ``_meet``, the index walk of
+# ``trees._common_prefix``.  A fast quantifier ranges over ``_reps``, the
+# orbit representatives listed without a membership check: its picks were
+# checked on entry or listed there.  The source is flat: a quantifier is a
+# call of its own function, whose parameters are the variables visible
+# where it stands, and a meet nested in a meet goes to a walrus temporary,
+# so its depth follows the alternation of connectives only.  No name from
+# the formula enters the source except as a string.
 
 
 def _unbound(name: str) -> bool:
@@ -587,7 +579,7 @@ class _Source:
         exists = isinstance(f, Exists)
         test, _ = self.formula(f.body if exists else Not(f.body), inner)
         members = params + "," if len(scope) == 1 else params
-        over = f"orbit_reps(e, ({members}))" if self.fast else "tree"
+        over = f"_reps(e, ({members}))" if self.fast else "tree"
         name = f"q{len(self.defs)}"
         self.defs.append(
             f"    def {name}({params}):\n"
@@ -600,12 +592,12 @@ class _Source:
 
 
 def _generate(f: Formula, fast: bool, names: tuple[str, ...]):
-    """``bind(e, orbit_reps)`` for ``f``: it returns the truth function of
-    ``f`` on ``e``, whose arguments are the nodes bound to ``names``."""
+    """``bind(e)`` for ``f``: it returns the truth function of ``f`` on
+    ``e``, whose arguments are the nodes bound to ``names``."""
     src = _Source(fast)
     scope = {name: src.slot() for name in names}
     code, _ = src.formula(f, scope)
-    lines = ["def bind(e, orbit_reps):"]
+    lines = ["def bind(e):"]
     if src.defs and not fast:
         # Only a plain quantifier ranges over the tree, so only it builds one.
         lines.append("    tree = e.tree")
@@ -613,7 +605,8 @@ def _generate(f: Formula, fast: bool, names: tuple[str, ...]):
     lines += src.defs
     lines += [f"    def holds({', '.join(scope.values())}):", f"        return {code}",
               "    return holds"]
-    namespace = {"_meet": _meet, "_unbound": _unbound, "_bad_label": _bad_label}
+    namespace = {"_meet": _common_prefix, "_reps": _orbit_reps,
+                 "_unbound": _unbound, "_bad_label": _bad_label}
     try:
         exec(compile("\n".join(lines), "<formula>", "exec"), namespace)
     except (SyntaxError, RecursionError, MemoryError) as err:
@@ -660,7 +653,7 @@ def evaluate(
     """
     scope = dict(env or {})
     e.require(*scope.values())
-    return _program(f, fast, tuple(scope))(e, orbit_reps)(*scope.values())
+    return _program(f, fast, tuple(scope))(e)(*scope.values())
 
 
 def solution_set(
@@ -678,7 +671,7 @@ def solution_set(
     e.require(*(v for name, v in scope.items() if name != free_var))
     # The free variable's slot follows the parameters, unless it is one.
     scope[free_var] = ROOT
-    holds = _program(f, fast, tuple(scope))(e, orbit_reps)
+    holds = _program(f, fast, tuple(scope))(e)
     args = list(scope.values())
     slot = list(scope).index(free_var)
     out = []

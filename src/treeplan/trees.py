@@ -183,11 +183,21 @@ def meet(tree: FiniteTree, a: Node, b: Node) -> Node:
 
 
 def meet_nodes(a: Node, b: Node) -> Node:
+    return Node(_common_prefix(a, b))
+
+
+def _common_prefix(a: tuple, b: tuple) -> tuple:
+    """The longest common prefix of two segment tuples, as a slice of
+    ``a``: the library's one common-prefix loop, also plain evaluation's
+    ``meet``.  The walk stops at the first differing segment or, by
+    ``IndexError``, at the end of the shorter tuple."""
     i = 0
-    limit = min(len(a), len(b))
-    while i < limit and a[i] == b[i]:
-        i += 1
-    return Node(a[:i])
+    try:
+        while a[i] == b[i]:
+            i += 1
+    except IndexError:
+        pass
+    return a[:i]
 
 
 def predk(tree: FiniteTree, a: Node, k: int) -> Node:
@@ -296,66 +306,3 @@ def subtree(tree: FiniteTree, at: Node) -> FiniteTree:
     return FiniteTree(
         Node(v[k:]) for v in tree.nodes if at.is_prefix_of(v)
     )
-
-
-def find_embedding(
-    src: FiniteTree,
-    dst: FiniteTree,
-    partial: Optional[dict[Node, Node]] = None,
-    use_labels: bool = True,
-) -> Optional[dict[Node, Node]]:
-    """Search for an injective structure-preserving map extending ``partial``.
-
-    Preserves the root, pred, meet, the prefix order, and (when asked) plan
-    labels.  Returns None when no embedding exists.
-    """
-    partial = dict(partial or {})
-    assignment: dict[Node, Node] = {ROOT: ROOT}
-    for a, b in partial.items():
-        src.require(a)
-        dst.require(b)
-    for a, b in partial.items():
-        # Embeddings preserve depth; pin down every prefix that follows.
-        if a.depth != b.depth:
-            raise DomainError(f"partial map does not preserve depth at {a}")
-        for i in range(a.depth, -1, -1):
-            pa, pb = a.prefix(i), b.prefix(i)
-            if pa in assignment and assignment[pa] != pb:
-                raise DomainError(f"inconsistent partial map at {pa}")
-            assignment[pa] = pb
-    if use_labels:
-        for a, b in assignment.items():
-            if a.plan_path != b.plan_path:
-                raise DomainError(f"partial map breaks labels at {a}")
-    used = set(assignment.values())
-    if len(used) != len(assignment):
-        raise DomainError("partial map is not injective")
-
-    order = [v for v in src.sorted_nodes() if v.depth]
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        a = order[i]
-        pa = a.parent()
-        image_parent = assignment[pa]
-        if a in assignment:
-            if assignment[a].parent() != image_parent:
-                return False
-            return extend(i + 1)
-        for cand in dst.children(image_parent):
-            if cand in used:
-                continue
-            if use_labels and cand.plan_path != a.plan_path:
-                continue
-            assignment[a] = cand
-            used.add(cand)
-            if extend(i + 1):
-                return True
-            del assignment[a]
-            used.discard(cand)
-        return False
-
-    if not extend(0):
-        return None
-    return dict(assignment)

@@ -115,6 +115,17 @@ def lcp_oracle(a: Node, b: Node) -> Node:
     return best
 
 
+def common_prefix_zip(a: tuple, b: tuple) -> tuple:
+    """The common prefix of two segment tuples by a ``zip`` loop, as a
+    slice of ``a``: plain evaluation's ``meet`` before the index walk."""
+    i = 0
+    for seg_a, seg_b in zip(a, b):
+        if seg_a != seg_b:
+            break
+        i += 1
+    return a[:i]
+
+
 def brute_force_isomorphic(t1: FiniteTree, t2: FiniteTree, labeled: bool = False) -> bool:
     """Rooted-tree isomorphism by exhaustive children matching."""
 

@@ -174,6 +174,8 @@ class TestOrbitReps:
         e = expand(PLANS["A"], 2)
         with pytest.raises(DomainError):
             orbit_reps(e, [node("0:5")])
+        with pytest.raises(DomainError):
+            tcl(e, [ROOT, node("0:5")])
 
     def test_plan_paths_not_rebuilt_on_deep_chains(self, monkeypatch):
         # A mark-1 chain with a replicated leaf at every level, over the

@@ -249,6 +249,17 @@ class TestLazyErrors:
         with pytest.raises(DomainError, match="unknown node 0:2"):
             solution_set(e, parse_formula("x = b"), "x", {"b": node("0:2")}, fast=fast)
 
+    def test_non_member_refused_before_any_quantifier(self, fast):
+        # Quantifiers list their range unchecked, so the entry check is the
+        # one that refuses a bound node outside the expansion.
+        e = expand(PLANS["B"], 2)
+        f = parse_formula("exists z. pred(z) = y & x <= z")
+        for bad in (node("0:2"), node("0:0/0:2"), node("0:*"), ((0, 0),)):
+            with pytest.raises(DomainError, match="unknown node"):
+                evaluate(e, f, {"x": ROOT, "y": bad}, fast=fast)
+            with pytest.raises(DomainError, match="unknown node"):
+                solution_set(e, f, "x", {"y": bad}, fast=fast)
+
 
 def left_meets(k):
     """``k`` meets nested on the left: ``meet(...meet(meet(x, y), x)..., y)``."""
@@ -310,6 +321,7 @@ class TestVariableNames:
             ("exists v0. pred(v0) = v1 & !(v0 = t0)", {"v1": "0:0/0:0", "t0": "0:0/0:1"}),
             ("forall v0. exists e. pred(e) = v0 | P[0.0](v0) | v0 = holds", {"holds": "eps"}),
             ("exists q0. exists orbit_reps. !(meet(q0, orbit_reps) = _meet)", {"_meet": "0:1"}),
+            ("exists _reps. forall e. meet(_reps, e) <= _meet", {"_meet": "0:1"}),
         ],
     )
     def test_evaluation_matches_the_reference(self, fast, text, env):

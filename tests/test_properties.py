@@ -35,12 +35,13 @@ from treeplan.analysis import _assemble, _infer_known
 from treeplan.closure import PickFrame, orbit_key, orbit_reps
 from treeplan.counting import Polynomial
 from treeplan.logic import free_vars
-from treeplan.trees import FiniteTree, Node, meet_nodes, subtree_codes
+from treeplan.trees import FiniteTree, Node, _common_prefix, meet_nodes, subtree_codes
 
 from conftest import (
     PLANS,
     assert_expansion_matches_reference,
     brute_force_isomorphic,
+    common_prefix_zip,
     evaluate_reference,
     generated_nodes,
     lcp_oracle,
@@ -167,6 +168,26 @@ def test_meet_matches_prefix_oracle(e, data):
     a = nodes[data.draw(st.integers(0, len(nodes) - 1))]
     b = nodes[data.draw(st.integers(0, len(nodes) - 1))]
     assert meet(e.tree, a, b) == lcp_oracle(a, b)
+
+
+@given(st.sampled_from(sorted(PLANS)), st.integers(1, 3), st.data())
+@settings(max_examples=100, deadline=None)
+def test_common_prefix_matches_the_zip_loop(name, n, data):
+    nodes = expand(PLANS[name], n).nodes()
+    a = nodes[data.draw(st.integers(0, len(nodes) - 1))]
+    b = nodes[data.draw(st.integers(0, len(nodes) - 1))]
+    k = data.draw(st.integers(0, a.depth))
+    j = data.draw(st.integers(1, 3))
+    # The drawn pair, the root and eps's (), equal and prefix-related pairs
+    # in both orders, and the plain tuples that pred slices leave.
+    pairs = [(a, b), (b, a), (ROOT, a), (a, ROOT), ((), a), (a, ()), (a, a),
+             (Node(a[:k]), a), (a, Node(a[:k])), (a[:-j], b[:-1]), (a, b[:-j]),
+             (a[:-j], a)]
+    for x, y in pairs:
+        got, want = _common_prefix(x, y), common_prefix_zip(x, y)
+        assert got == want and type(got) is type(want)
+        result = meet_nodes(x, y)
+        assert type(result) is Node and result == want
 
 
 @given(plain_trees(), plain_trees())

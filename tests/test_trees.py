@@ -11,7 +11,6 @@ from treeplan import (
     canonical,
     evaluate,
     expand,
-    find_embedding,
     format_node,
     induced_automorphism,
     meet,
@@ -23,12 +22,13 @@ from treeplan import (
 )
 from treeplan.analysis import automorphism_over, check_embedding
 from treeplan.closure import orbit_reps, tcl, tuple_code
-from treeplan.trees import meet_nodes
+from treeplan.trees import _common_prefix, meet_nodes
 
 from conftest import (
     PLANS,
     brute_force_isomorphic,
     canonical_recursive,
+    common_prefix_zip,
     lcp_oracle,
     node_order_key,
     qftp_recursive,
@@ -190,6 +190,16 @@ class TestMeet:
         e = expand(PLANS["A"], 1)
         with pytest.raises(DomainError):
             meet(e.tree, ROOT, node("0:5"))
+
+    def test_kernel_on_a_5000_deep_pair(self):
+        # Two leaves under one 4,999-deep spine: the walk runs to the last
+        # segment, and to the end of the shorter tuple on a prefix pair.
+        spine = ((0, STAR),) * 4999
+        a, b = Node(spine + ((0, 0),)), Node(spine + ((0, 1),))
+        for x, y in [(a, b), (b, a), (a, a), (a, Node(spine)), (Node(spine), a)]:
+            assert _common_prefix(x, y) == common_prefix_zip(x, y)
+        assert meet_nodes(a, b) == spine
+        assert type(meet_nodes(a, b)) is Node
 
 
 class TestPredk:
@@ -356,39 +366,6 @@ def soundness_pairs(rng, e, count=30):
             tb = draw(rng.choice([k for k in range(4) if k != len(ta)]))
         pairs.append((ta, tb))
     return pairs
-
-
-class TestFindEmbedding:
-    def test_identity(self):
-        e = expand(PLANS["B"], 2)
-        ident = {v: v for v in e.nodes()}
-        assert find_embedding(e.tree, e.tree, ident) == ident
-
-    def test_joint_embedding(self):
-        f = find_embedding(expand(PLANS["A"], 1).tree, expand(PLANS["A"], 3).tree)
-        assert f is not None
-        for a, b in f.items():
-            assert a.plan_path == b.plan_path
-
-    def test_absence_on_height_mismatch(self):
-        assert (
-            find_embedding(expand(PLANS["B"], 2).tree, expand(PLANS["A"], 5).tree)
-            is None
-        )
-
-    def test_exhaustive_oracle_agreement(self):
-        # Unlabeled embeddings of a two-leaf star into shapes with/without room.
-        star2 = expand(PLANS["A"], 2).tree
-        star3 = expand(PLANS["A"], 3).tree
-        chain = expand(PLANS["B"], 1).tree
-        assert find_embedding(star2, star3, use_labels=False) is not None
-        assert find_embedding(star3, star2, use_labels=False) is None
-        assert find_embedding(star2, chain, use_labels=False) is None
-
-    def test_inconsistent_partial(self):
-        e = expand(PLANS["A"], 2)
-        with pytest.raises(DomainError):
-            find_embedding(e.tree, e.tree, {ROOT: node("0:0")})
 
 
 class TestSubtree:
