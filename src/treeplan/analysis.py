@@ -9,14 +9,21 @@ from typing import Iterable, Optional
 
 from .closure import NodeSet, anchor_in, embed_pairs, extend_least, orbit, orbit_key, tcl
 from .errors import CapacityError, DomainError, InferenceError
-from .plan import Expansion, TreePlan, _parse_plan_source, expand, make_plan, strip_comments
+from .plan import (
+    Expansion,
+    TreePlan,
+    _parse_plan_source,
+    expand,
+    expansion_code,
+    make_plan,
+    strip_comments,
+)
 from .trees import (
     FiniteTree,
     Node,
     PlanPath,
     ROOT,
     STAR,
-    canonical,
     format_node,
     subtree_codes,
 )
@@ -298,7 +305,8 @@ def infer_plan(t1: FiniteTree, t2: FiniteTree) -> TreePlan:
     preferred over coincidence).  The plan of a matched class expands to
     that class's subtrees at both sizes by construction, so no edge is
     re-expanded; the assembled plan is checked against both samples once,
-    as a whole, before it is returned.  On failure, the error lists each
+    as a whole, on the plan (:func:`~treeplan.plan.expansion_code`, so no
+    expansion is built), before it is returned.  On failure, the error lists each
     run of consecutive sizes that failed for one reason once, as
     ``n=hi..lo: reason``.
     """
@@ -320,9 +328,7 @@ def infer_plan(t1: FiniteTree, t2: FiniteTree) -> TreePlan:
         except InferenceError as err:
             fail(n, str(err))
             continue
-        if canonical(expand(p, n).tree).code == shape1 and (
-            canonical(expand(p, n + 1).tree).code == shape2
-        ):
+        if expansion_code(p, n) == shape1 and expansion_code(p, n + 1) == shape2:
             return p
         fail(n, "reconstruction does not reproduce the samples")
     raise InferenceError(

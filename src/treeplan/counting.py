@@ -13,11 +13,12 @@ import io
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional
 
 from .errors import DomainError
 from .plan import Expansion, TreePlan, expand, inf_count, plan_text
-from .trees import Node, PlanPath, path_text
+from .trees import Node, PlanPath, format_node, path_text
 
 
 class Polynomial:
@@ -238,7 +239,10 @@ def verify_Q(p: TreePlan, n_max: int, budget: Optional[int] = None) -> CountRepo
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
     text = plan_text(p)
+    nodes = p.sorted_nodes()
     rows = []
+    # Each plan node with its row label and its polynomial.
+    singles = [(sigma, f"Q[{path_text(sigma) or '<>'}]", poly_Q(p, sigma)) for sigma in nodes]
     # Each prefix pair with its row label up to the witness and its polynomial.
     pairs = [
         (
@@ -247,29 +251,27 @@ def verify_Q(p: TreePlan, n_max: int, budget: Optional[int] = None) -> CountRepo
             f"Qrel[{path_text(sigma) or '<>'}->{path_text(sigma_p) or '<>'}]@",
             poly_Q_rel(p, sigma, sigma_p),
         )
-        for sigma in p.sorted_nodes()
-        for sigma_p in p.sorted_nodes()
+        for sigma in nodes
+        for sigma_p in nodes
         if sigma_p[: len(sigma)] == sigma
     ]
     for n in range(1, n_max + 1):
         e = expand(p, n, budget=budget)
-        for sigma in p.sorted_nodes():
-            observed = len(e.fiber(sigma))
-            predicted = poly_Q(p, sigma)(n)
-            rows.append(
-                CountRow(
-                    text, f"Q[{path_text(sigma) or '<>'}]", n, observed, predicted,
-                    observed == predicted,
-                )
-            )
+        fibers = {sigma: e.fiber(sigma) for sigma in nodes}
+        for sigma, label, poly in singles:
+            observed = len(fibers[sigma])
+            predicted = poly(n)
+            rows.append(CountRow(text, label, n, observed, predicted, observed == predicted))
+        # Each witness's name, formatted once per size.
+        names = {sigma: list(map(format_node, fiber)) for sigma, fiber in fibers.items()}
         for sigma, sigma_p, label, poly in pairs:
             predicted = poly(n)
-            # A witness's extensions are the upper-fiber members with that prefix.
-            tally = Counter(a.prefix(len(sigma)) for a in e.fiber(sigma_p))
-            for b in e.fiber(sigma):
-                observed = tally[b]
+            # A witness's extensions are the upper-fiber members with that
+            # prefix, tallied by their prefix slices.
+            tally = Counter(map(itemgetter(slice(len(sigma))), fibers[sigma_p]))
+            for name, observed in zip(names[sigma], map(tally.__getitem__, fibers[sigma])):
                 rows.append(
-                    CountRow(text, f"{label}{b}", n, observed, predicted, observed == predicted)
+                    CountRow(text, label + name, n, observed, predicted, observed == predicted)
                 )
     return CountReport(tuple(rows))
 

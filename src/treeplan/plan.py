@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from itertools import chain, repeat
+from operator import itemgetter
+from typing import Mapping, Optional, Sequence
 
 from .errors import BudgetError, DomainError, PlanSyntaxError
-from .trees import STAR, FiniteTree, Node, PlanPath, ROOT, require_members
+from .trees import STAR, FiniteTree, Node, PlanPath, ROOT, Segment, require_members
 
 DEFAULT_NODE_BUDGET = 2_000_000
 
@@ -255,16 +257,25 @@ def predicted_size(p: TreePlan, n: int) -> int:
     return sum(n**count for count in p._inf_counts.values())
 
 
+def _within_budget(p: TreePlan, n: int, budget: int) -> int:
+    # The expansion's node count, after the check that it fits the budget.
+    size = predicted_size(p, n)
+    if size > budget:
+        raise BudgetError(f"expansion would have {size} nodes; budget is {budget}")
+    return size
+
+
 class Expansion:
     """The finite structure obtained from a plan at size ``n``.
 
     Membership is arithmetic on the plan: a node belongs exactly when its
     branch paths are plan nodes, its tags on replicated branches lie in
     ``range(n)`` and its tags on singleton branches are ``STAR``.  The tree
-    of tagged paths and the per-plan-node fibers are built together, in
-    one walk, on the first use of :attr:`tree`, :meth:`nodes`,
-    :meth:`fiber` or ``len``; that build raises :class:`BudgetError` when
-    :func:`predicted_size` exceeds the budget resolved by :func:`expand`.
+    of tagged paths is built in one walk on the first use of :attr:`tree`,
+    :meth:`nodes`, :meth:`fiber` or ``len``; that build raises
+    :class:`BudgetError` when :func:`predicted_size` exceeds the budget
+    resolved by :func:`expand`.  The per-plan-node fibers are read off the
+    tree on the first use of :meth:`fiber`.
     """
 
     __slots__ = ("plan", "n", "_budget", "_tree", "_fibers", "_sizes")
@@ -274,7 +285,7 @@ class Expansion:
         self.n = n
         self._budget = budget
         self._tree: Optional[FiniteTree] = None
-        self._fibers: dict[PlanPath, list[Node]] = {}
+        self._fibers: Optional[dict[PlanPath, list[Node]]] = None
         self._sizes: Optional[dict[PlanPath, int]] = None
 
     @property
@@ -287,45 +298,90 @@ class Expansion:
         # Every mark-1 plan child contributes one star-tagged copy per
         # parent; every inf child contributes ``n`` tagged copies.  A
         # preorder walk with children pushed in reverse visits the nodes in
-        # node order, so the child map and the fibers fill in order as they
-        # are, and the tree takes the map without a sort or a check.
+        # node order, so the child map fills in order as it is, and the
+        # tree takes the map without a sort or a check.  The copies of a
+        # plan leaf are expansion leaves: they enter the map as one run,
+        # all mapped to one shared empty tuple, and are never pushed one
+        # by one.
         p, n = self.plan, self.n
-        size = predicted_size(p, n)
-        if size > self._budget:
-            raise BudgetError(f"expansion would have {size} nodes; budget is {self._budget}")
-        fibers: dict[PlanPath, list[Node]] = {sigma: [] for sigma in p.nodes}
-        # Per plan node: the child segments in order, the steps of the
-        # children in reverse order, and where its copies are recorded.
-        steps = {}
-        for sigma in sorted(p.nodes, key=len, reverse=True):
-            segments, below = [], []
-            for tau in p.children(sigma):
-                tags = range(n) if tau in p.inf_nodes else (STAR,)
+        size = _within_budget(p, n, self._budget)
+        # Per inner plan node, a step: the child segments in order, the
+        # child sequences of the leading plan-leaf copies, and the later
+        # runs of copies, one per plan child, last first: (slice, None) for
+        # the copies of a plan leaf, (reversed slice, their steps) for the
+        # copies of an inner plan node.  A plan leaf has no step.
+        empty: tuple[Node, ...] = ()  # every leaf's child sequence
+        steps: dict[PlanPath, Optional[tuple]] = {}
+        plan_children, inf = p._children, p.inf_nodes
+        for sigma in sorted(plan_children, key=len, reverse=True):
+            taus = plan_children[sigma]
+            if not taus:
+                steps[sigma] = None
+                continue
+            segments: list[tuple[Segment, ...]] = []
+            head: tuple[tuple[Node, ...], ...] = ()
+            later = []
+            for tau in taus:
+                tags = range(n) if tau in inf else (STAR,)
+                start = len(segments)
                 segments += [((tau[-1], t),) for t in tags]
-                below += [steps[tau]] * len(tags)
-            below.reverse()
-            steps[sigma] = (segments, below, fibers[sigma].append)
-        children: dict[Node, list[Node]] = {}
-        stack = [(ROOT, steps[()])]
-        pop, push = stack.pop, stack.extend
+                step = steps[tau]
+                if step is not None:
+                    backwards = slice(len(segments) - 1, start - 1 if start else None, -1)
+                    later.append((backwards, [step] * len(tags)))
+                elif start == len(head):  # no inner copy yet
+                    head = (empty,) * len(segments)
+                else:
+                    later.append((slice(start, len(segments)), None))
+            steps[sigma] = (segments, head, later[::-1])
+        children: dict[Node, Sequence[Node]] = {}
+        leaves = repeat(empty)
+        stack: list = [(ROOT, steps[()])] if steps[()] else [((ROOT,), None)]
+        pop, push, push_one, update = stack.pop, stack.extend, stack.append, children.update
         while stack:
-            v, (segments, below, record) = pop()
-            record(v)
-            if segments:
-                kids = children[v] = [Node(v + seg) for seg in segments]
-                push(zip(reversed(kids), below))
-            else:
-                children[v] = []
+            v, step = pop()
+            if step is None:  # a run of plan-leaf copies
+                update(zip(v, leaves))
+                continue
+            segments, head, later = step
+            kids = children[v] = [Node(v + seg) for seg in segments]
+            if head:
+                update(zip(kids, head))
+            for cut, subs in later:
+                if subs is None:
+                    push_one((kids[cut], None))
+                else:
+                    push(zip(kids[cut], subs))
         if len(children) != size:
             raise AssertionError(f"the walk made {len(children)} nodes, not {size}")
-        self._fibers = fibers
         self._tree = FiniteTree._from_children(children)
+
+    def _build_fibers(self) -> None:
+        # A plan node's copies under one parent copy are one slice of that
+        # parent's child list, at the same place under every parent, so
+        # each fiber is its parent fiber's slices chained, in node order.
+        n, plan_children, inf = self.n, self.plan._children, self.plan.inf_nodes
+        kids_of = self.tree._children.__getitem__
+        fibers: dict[PlanPath, list[Node]] = {(): [ROOT]}
+        stack = [()]
+        while stack:
+            sigma = stack.pop()
+            taus = plan_children[sigma]
+            start = 0
+            for tau in taus:
+                stop = start + (n if tau in inf else 1)
+                fibers[tau] = list(chain.from_iterable(
+                    map(itemgetter(slice(start, stop)), map(kids_of, fibers[sigma]))
+                ))
+                start = stop
+            stack += taus
+        self._fibers = fibers
 
     def fiber(self, sigma: PlanPath) -> list[Node]:
         if sigma not in self.plan.nodes:
             raise DomainError(f"unknown plan node {sigma}")
-        if self._tree is None:
-            self._build()
+        if self._fibers is None:
+            self._build_fibers()
         return list(self._fibers[sigma])
 
     def nodes(self) -> list[Node]:
@@ -408,6 +464,29 @@ def expand(p: TreePlan, n: int, budget: Optional[int] = None) -> Expansion:
     if n < 1:
         raise DomainError("expansion size must be at least 1")
     return Expansion(p, n, node_budget(budget))
+
+
+def expansion_code(p: TreePlan, n: int) -> str:
+    """``canonical(expand(p, n).tree).code``, computed on the plan without
+    building the tree.
+
+    Every copy of a plan node has the same subtree code, so a node's code
+    joins each child's code once per copy, in sorted order.  The code
+    spells every expansion node with two characters, so the node budget
+    (``TREEPLAN_BUDGET`` or the default, as for :func:`expand`) applies as
+    to a build.
+    """
+    if n < 1:
+        raise DomainError("expansion size must be at least 1")
+    _within_budget(p, n, node_budget())
+    codes: dict[PlanPath, str] = {}
+    for sigma in sorted(p.nodes, key=len, reverse=True):
+        copies: dict[str, int] = {}
+        for tau in p.children(sigma):
+            code = codes[tau]
+            copies[code] = copies.get(code, 0) + (n if tau in p.inf_nodes else 1)
+        codes[sigma] = "(" + "".join(code * copies[code] for code in sorted(copies)) + ")"
+    return codes[()]
 
 
 def induced_automorphism(e: Expansion, perm: Mapping[int, int]) -> dict[Node, Node]:

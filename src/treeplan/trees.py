@@ -6,7 +6,10 @@ node and ``tag`` is either :data:`STAR` ``== -1`` (for singleton branches)
 or an element index in ``0..n-1`` (for replicated branches).  The root is
 the empty tuple ``()``.  Nodes compare, hash and order as tuples, so the
 star comes before tags ``0..n-1`` and every node comes after its prefixes.
-A :class:`FiniteTree` is one dict from each node to its children, in node order.
+A :class:`FiniteTree` is one dict from each node to its child sequence, in
+node order.  In a tree built by an expansion every leaf's child sequence is
+one shared empty tuple; :meth:`FiniteTree.children` always returns a fresh
+list.
 
 All values here are immutable; every operation is pure.
 """
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Container, Iterable, Optional
+from typing import Callable, Container, Iterable, Optional, Sequence
 
 from .errors import DomainError
 
@@ -78,11 +81,9 @@ def path_text(sigma: PlanPath) -> str:
 
 def format_node(node: Node) -> str:
     """Textual form: ``eps`` for the root, else ``branch:tag`` segments joined by ``/``."""
-    if node.depth == 0:
+    if not node:
         return "eps"
-    return "/".join(
-        f"{branch}:{'*' if tag == STAR else tag}" for branch, tag in node
-    )
+    return "/".join([f"{branch}:{'*' if tag == STAR else tag}" for branch, tag in node])
 
 
 _SEG_RE = re.compile(r"^(\d+):(\*|\d+)$")
@@ -105,7 +106,8 @@ def parse_node(text: str) -> Node:
 
 
 class FiniteTree:
-    """A finite prefix-closed node set, kept as one child map in node order."""
+    """A finite prefix-closed node set, kept as one map from each node to
+    its child sequence, in node order."""
 
     __slots__ = ("_children",)
 
@@ -127,10 +129,11 @@ class FiniteTree:
         self._children = children
 
     @classmethod
-    def _from_children(cls, children: dict[Node, list[Node]]) -> "FiniteTree":
+    def _from_children(cls, children: dict[Node, Sequence[Node]]) -> "FiniteTree":
         """The tree whose child map is ``children``, stored as is: the caller
-        vouches that it is prefix-closed, with the nodes and every child list
-        in node order."""
+        vouches that it is prefix-closed, with the nodes and every child
+        sequence in node order.  Child sequences are only read, so the
+        leaves may share one empty tuple."""
         tree = cls.__new__(cls)
         tree._children = children
         return tree

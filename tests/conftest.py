@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -28,10 +29,14 @@ from treeplan import (
     format_node,
     make_plan,
     parse_plan,
+    plan_text,
+    poly_Q,
+    poly_Q_rel,
     subtree,
 )
 from treeplan.analysis import extend_embedding
 from treeplan.closure import orbit_key, orbit_reps, tuple_code
+from treeplan.counting import CountReport, CountRow
 from treeplan.logic import (
     And,
     Eps,
@@ -164,13 +169,64 @@ def expand_reference(p: TreePlan, n: int) -> tuple[FiniteTree, dict]:
 
 def assert_expansion_matches_reference(e) -> None:
     """The built child map and every fiber of ``e`` equal those of
-    :func:`expand_reference`, order and node types included."""
+    :func:`expand_reference`, order and node types included.  Child
+    sequences compare as lists: every leaf of ``e`` maps to one shared
+    empty tuple, while ``tree.children(leaf)`` still returns a fresh list."""
     tree, fibers = expand_reference(e.plan, e.n)
     built = list(e.tree._children.items())
-    assert built == list(tree._children.items())
+    assert [(v, list(kids)) for v, kids in built] == list(tree._children.items())
     assert all(type(v) is Node and all(type(c) is Node for c in kids) for v, kids in built)
+    leaves = [kids for kids in e.tree._children.values() if not kids]
+    assert leaves and type(leaves[0]) is tuple
+    assert all(kids is leaves[0] for kids in leaves)
+    for v, kids in built:
+        if not kids:
+            listed = e.tree.children(v)
+            assert listed == [] and type(listed) is list and listed is not e.tree.children(v)
     for sigma in e.plan.nodes:
         assert e.fiber(sigma) == fibers[sigma]
+
+
+def verify_Q_reference(p: TreePlan, n_max: int, budget=None) -> CountReport:
+    """:func:`~treeplan.counting.verify_Q` as a per-member loop: every
+    fiber is listed afresh for each prefix pair, each upper-fiber member
+    is cut to a witness ``Node`` by ``a.prefix(k)``, and every row formats
+    its witness."""
+    if n_max < 1:
+        raise DomainError("n_max must be at least 1")
+    text = plan_text(p)
+    rows = []
+    pairs = [
+        (
+            sigma,
+            sigma_p,
+            f"Qrel[{path_text(sigma) or '<>'}->{path_text(sigma_p) or '<>'}]@",
+            poly_Q_rel(p, sigma, sigma_p),
+        )
+        for sigma in p.sorted_nodes()
+        for sigma_p in p.sorted_nodes()
+        if sigma_p[: len(sigma)] == sigma
+    ]
+    for n in range(1, n_max + 1):
+        e = expand(p, n, budget=budget)
+        for sigma in p.sorted_nodes():
+            observed = len(e.fiber(sigma))
+            predicted = poly_Q(p, sigma)(n)
+            rows.append(
+                CountRow(
+                    text, f"Q[{path_text(sigma) or '<>'}]", n, observed, predicted,
+                    observed == predicted,
+                )
+            )
+        for sigma, sigma_p, label, poly in pairs:
+            predicted = poly(n)
+            tally = Counter(a.prefix(len(sigma)) for a in e.fiber(sigma_p))
+            for b in e.fiber(sigma):
+                observed = tally[b]
+                rows.append(
+                    CountRow(text, f"{label}{b}", n, observed, predicted, observed == predicted)
+                )
+    return CountReport(tuple(rows))
 
 
 def random_tree(rng: random.Random, max_nodes: int = 12) -> FiniteTree:

@@ -4,6 +4,7 @@ import zlib
 import pytest
 
 from treeplan import (
+    BudgetError,
     CapacityError,
     DomainError,
     InferenceError,
@@ -29,7 +30,7 @@ from treeplan import (
     tcl,
     verify_P,
 )
-from treeplan.plan import plan_canonical
+from treeplan.plan import Expansion, plan_canonical
 from treeplan.analysis import (
     check_embedding,
     inclusion_embedding,
@@ -269,6 +270,29 @@ class TestInferenceMatchesRerootedCopies:
                 assert plan_text(infer_plan_threshold(t, threshold)) == plan_text(
                     infer_plan_threshold_rerooted(t, threshold)
                 )
+
+
+class TestInferenceChecksThePlan:
+    def test_no_expansion_is_built(self, monkeypatch):
+        pairs = [
+            (expand(p, n).tree, expand(p, n + 1).tree) for p in PLANS.values() for n in (1, 2, 3)
+        ]
+        rng = random.Random(7)
+        pairs += [(random_tree(rng), random_tree(rng)) for _ in range(20)]
+        builds = []
+        build = Expansion._build
+        monkeypatch.setattr(Expansion, "_build", lambda e: builds.append(e) or build(e))
+        for t1, t2 in pairs:
+            _outcome(infer_plan, t1, t2)
+        assert builds == []
+        assert len(expand(PLANS["B"], 2)) == 7 and len(builds) == 1
+
+    def test_node_budget_still_applies(self, monkeypatch):
+        # B has 7 nodes at n = 2 and 13 at n = 3: the second check is over.
+        t1, t2 = expand(PLANS["B"], 2).tree, expand(PLANS["B"], 3).tree
+        monkeypatch.setenv("TREEPLAN_BUDGET", "10")
+        with pytest.raises(BudgetError, match="^expansion would have 13 nodes; budget is 10$"):
+            infer_plan(t1, t2)
 
 
 def chain(depth: int) -> str:

@@ -22,7 +22,7 @@ from treeplan import (
 from treeplan.counting import fiber_above
 from treeplan.trees import parse_node
 
-from conftest import PLANS
+from conftest import PLANS, verify_Q_reference
 
 
 class TestPolynomial:
@@ -197,6 +197,19 @@ class TestVerify:
     def test_budget_error(self):
         with pytest.raises(BudgetError):
             verify_P(PLANS["B"], 6, budget=10)
+
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_verify_q_matches_the_per_member_loop(self, name):
+        p = PLANS[name]
+        assert verify_Q(p, 6).to_csv() == verify_Q_reference(p, 6).to_csv()
+
+    def test_verify_q_budget_error(self):
+        # B has 13 nodes at n = 3: the third size is over a budget of 10.
+        with pytest.raises(BudgetError) as err:
+            verify_Q(PLANS["B"], 6, budget=10)
+        with pytest.raises(BudgetError) as ref:
+            verify_Q_reference(PLANS["B"], 6, budget=10)
+        assert str(err.value) == str(ref.value) == "expansion would have 13 nodes; budget is 10"
 
     def test_csv_shape(self):
         text = verify_P(PLANS["A"], 2).to_csv()

@@ -177,7 +177,7 @@ class TestExpand:
 class TestBuild:
     @pytest.mark.parametrize("name", sorted(PLANS))
     def test_matches_the_reference(self, name):
-        for n in range(1, 5):
+        for n in range(1, 6):
             assert_expansion_matches_reference(expand(PLANS[name], n))
 
     def test_plan_b_at_199(self):

@@ -1,5 +1,6 @@
 """Invariants as property tests over generated plans, trees, and formulas."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from treeplan import (
@@ -35,6 +36,7 @@ from treeplan.analysis import _assemble, _infer_known
 from treeplan.closure import PickFrame, orbit_key, orbit_reps
 from treeplan.counting import Polynomial
 from treeplan.logic import free_vars
+from treeplan.plan import expansion_code
 from treeplan.trees import FiniteTree, Node, _common_prefix, meet_nodes, subtree_codes
 
 from conftest import (
@@ -48,6 +50,7 @@ from conftest import (
     orbit_bruteforce,
     orbit_reps_bruteforce,
     random_embedding,
+    random_plan,
     same_type,
     tcl_bruteforce,
     winning_move_reference,
@@ -210,6 +213,20 @@ def test_size_polynomial_counts_nodes(p, n):
 @settings(max_examples=80, deadline=None)
 def test_build_matches_the_reference(p, n):
     assert_expansion_matches_reference(expand(p, n))
+
+
+@given(st.randoms(use_true_random=False), st.integers(min_value=1, max_value=5))
+@settings(max_examples=80, deadline=None)
+def test_expansion_code_matches_the_built_tree(rng, n):
+    p = random_plan(rng)
+    assert expansion_code(p, n) == canonical(expand(p, n).tree).code
+
+
+@pytest.mark.parametrize("name", sorted(PLANS))
+def test_expansion_code_on_the_corpus(name):
+    p = PLANS[name]
+    for n in range(1, 7):
+        assert expansion_code(p, n) == canonical(expand(p, n).tree).code
 
 
 @given(plans(), st.integers(min_value=1, max_value=3))
