@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .closure import NodeSet, anchor_in, embed_pairs, extend_least, orbit, orbit_key, tcl
+from .closure import NodeSet, _orbit_in, anchor_in, embed_pairs, extend_least, orbit_key, tcl
 from .errors import CapacityError, DomainError, InferenceError
 from .plan import (
     Expansion,
@@ -204,8 +204,8 @@ def amalgamate(
 # Plan inference from finite samples
 
 
-# A sample tree with the code of every node's subtree.
-_Sample = tuple[FiniteTree, dict[Node, str]]
+# A sample: its tree, every node's subtree code, the child classes so far.
+_Sample = tuple[FiniteTree, dict[Node, str], dict[Node, list[tuple[str, int, Node]]]]
 
 # A plan above a node, as its child classes: (parts of the class's plan,
 # replicated copies, singleton copies) per class, in branch order.
@@ -213,12 +213,15 @@ _Parts = list[tuple["_Parts", int, int]]
 
 
 def _children_classes(s: _Sample, v: Node) -> list[tuple[str, int, Node]]:
-    # The children of ``v`` grouped by subtree code: (code, count, least child).
-    tree, codes = s
-    groups: dict[str, list[Node]] = {}
-    for c in tree.children(v):
-        groups.setdefault(codes[c], []).append(c)
-    return sorted((code, len(kids), kids[0]) for code, kids in groups.items())
+    # The children of ``v`` grouped by subtree code: (code, count, least
+    # child).  Grouped once per sample, since they do not depend on n.
+    tree, codes, grouped = s
+    if v not in grouped:
+        groups: dict[str, list[Node]] = {}
+        for c in tree.children(v):
+            groups.setdefault(codes[c], []).append(c)
+        grouped[v] = sorted((code, len(kids), kids[0]) for code, kids in groups.items())
+    return grouped[v]
 
 
 def _assemble(parts: _Parts) -> TreePlan:
@@ -299,19 +302,20 @@ def infer_plan(t1: FiniteTree, t2: FiniteTree) -> TreePlan:
     """Reconstruct a plan from samples presumed built at consecutive sizes.
 
     A node's children fall into classes by subtree code, computed once per
-    sample.  Per matched child class the count difference gives the number
-    of replicated children and the remainder the number of singletons; the
-    size parameter is searched from large to small (replication is
-    preferred over coincidence).  The plan of a matched class expands to
-    that class's subtrees at both sizes by construction, so no edge is
-    re-expanded; the assembled plan is checked against both samples once,
-    as a whole, on the plan (:func:`~treeplan.plan.expansion_code`, so no
-    expansion is built), before it is returned.  On failure, the error lists each
-    run of consecutive sizes that failed for one reason once, as
-    ``n=hi..lo: reason``.
+    sample, and grouped once per node.  Per matched child class the count
+    difference gives the number of replicated children and the remainder
+    the number of singletons; the size parameter is searched from large to
+    small (replication is preferred over coincidence).  The plan of a
+    matched class expands to that class's subtrees at both sizes by
+    construction, so no edge is re-expanded; the assembled plan is checked
+    against both samples once, as a whole, on the plan, building no
+    expansion (:func:`~treeplan.plan.expansion_code`), before it is
+    returned.  On failure, the error lists each run of consecutive sizes
+    that failed for one reason once, as ``n=hi..lo: reason``.
     """
     codes1, codes2 = subtree_codes(t1), subtree_codes(t2)
     shape1, shape2 = codes1[ROOT], codes2[ROOT]
+    s1, s2 = (t1, codes1, {}), (t2, codes2, {})
     # Runs of consecutive sizes that failed for one reason:
     # [largest n, smallest n, reason].
     errors: list[list] = []
@@ -324,7 +328,7 @@ def infer_plan(t1: FiniteTree, t2: FiniteTree) -> TreePlan:
 
     for n in range(len(t1), 0, -1):
         try:
-            p = _assemble(_infer_known((t1, codes1), ROOT, (t2, codes2), ROOT, n))
+            p = _assemble(_infer_known(s1, ROOT, s2, ROOT, n))
         except InferenceError as err:
             fail(n, str(err))
             continue
@@ -347,7 +351,7 @@ def infer_plan_threshold(t: FiniteTree, threshold: int) -> TreePlan:
     """
     if threshold < 1:
         raise DomainError("threshold must be at least 1")
-    sample = (t, subtree_codes(t))
+    sample = (t, subtree_codes(t), {})
 
     def infer(v: Node) -> _Parts:
         parts = []
@@ -401,15 +405,12 @@ def check_dividing(
     if not set_c <= set_b:
         raise DomainError("C must be contained in B")
     e.require(a, *set_b)
-    closed_c = tcl(e, set_c)
-    if a in closed_c:
-        return DividingVerdict(False)
-    closed_b = tcl(e, set_b)
-    anchor_c = anchor_in(closed_c, a)
-    for i in range(anchor_c.depth + 1, a.depth + 1):
+    closed_c, closed_b = tcl(e, set_c), tcl(e, set_b)
+    # No prefix lies above the C-anchor of a member of the closure of C.
+    for i in range(len(anchor_in(closed_c, a)) + 1, a.depth + 1):
         witness = a.prefix(i)
-        if witness in closed_b and witness not in closed_c and e.mark_is_inf(witness):
-            family = orbit(e, witness, set_c)
+        if witness in closed_b and e.mark_is_inf(witness):
+            family = _orbit_in(e, closed_c, witness)
             if len(family) >= 2:
                 break
     else:

@@ -74,10 +74,13 @@ def cmd_expand(args) -> int:
     p = _read_plan(args.plan)
     e = expand(p, args.n, budget=args.budget)
     lines = ["kind,node,value"]
+    labels = {sigma: path_text(sigma) or "<>" for sigma in p.sorted_nodes()}
+    sizes = dict.fromkeys(labels, 0)  # the fibers, tallied off the node list
     for v in e.nodes():
-        lines.append(f"node,{format_node(v)},{path_text(v.plan_path) or '<>'}")
-    for sigma in p.sorted_nodes():
-        lines.append(f"fiber,{path_text(sigma) or '<>'},{len(e.fiber(sigma))}")
+        sigma = v.plan_path
+        sizes[sigma] += 1
+        lines.append(f"node,{format_node(v)},{labels[sigma]}")
+    lines += [f"fiber,{label},{sizes[sigma]}" for sigma, label in labels.items()]
     _emit(_csv_or_pretty("\n".join(lines) + "\n", args.pretty), args.out)
     return EXIT_PASS
 

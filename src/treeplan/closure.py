@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Container, Iterable, Optional
 
 from .errors import DomainError
-from .plan import Expansion, TreePlan, expand
+from .plan import Expansion, TreePlan, _extensions, expand
 from .trees import STAR, Node, PlanPath, ROOT, Segment, prefixes, qftp
 
 NodeSet = frozenset[Node]
@@ -48,17 +48,15 @@ def anchor(e: Expansion, a: Node, members: Iterable[Node]) -> Node:
     qualifies, so the maximum exists.
     """
     e.require(a)
-    closed = tcl(e, members)
-    return anchor_in(closed, a)
+    return anchor_in(tcl(e, members), a)
 
 
 def anchor_in(closed: Container[Node], a: Node) -> Node:
     """Anchor of ``a`` relative to an already-computed closed set: its
     longest prefix in ``closed`` (a set, or the domain of a map)."""
-    for i in range(a.depth, -1, -1):
-        p = a.prefix(i)
-        if p in closed:
-            return p
+    for i in range(len(a), -1, -1):
+        if a[:i] in closed:  # a slice hashes and compares as its prefix
+            return Node(a[:i])
     raise DomainError("closed set does not contain the root")
 
 
@@ -68,12 +66,16 @@ def orbit(e: Expansion, a: Node, members: Iterable[Node]) -> NodeSet:
 
     By finite homogeneity this is exactly the orbit of ``a`` under the
     automorphisms fixing the parameters pointwise: the nodes with the plan
-    path and the anchor of ``a``.
+    path and the anchor of ``a``, listed from that anchor (:func:`_orbit_in`).
     """
     e.require(a)
-    closed = tcl(e, members)
-    target = anchor_in(closed, a)
-    return frozenset(x for x in e.fiber(a.plan_path) if anchor_in(closed, x) == target)
+    return _orbit_in(e, tcl(e, members), a)
+
+
+def _orbit_in(e: Expansion, closed: Container[Node], a: Node) -> NodeSet:
+    """:func:`orbit` of ``a`` over parameters with tree closure ``closed``,
+    listed from its anchor; a closure member is its own orbit."""
+    return frozenset(_extensions(e, anchor_in(closed, a), a.plan_path, closed))
 
 
 def orbit_reps(e: Expansion, members: Iterable[Node]) -> list[Node]:
@@ -215,7 +217,7 @@ class PickFrame:
         if a in closed:
             return closed[a]
         # The search of :func:`anchor_in`, on slices (a slice hashes and
-        # compares as the prefix it spells): this runs twice per memo miss.
+        # compares as the prefix it spells), kept inline: no call, no Node.
         d = len(a) - 1
         while a[:d] not in closed:
             d -= 1

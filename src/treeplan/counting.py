@@ -17,7 +17,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .errors import DomainError
-from .plan import Expansion, TreePlan, expand, inf_count, plan_text
+from .plan import Expansion, TreePlan, _extensions, expand, inf_count, plan_text
 from .trees import Node, PlanPath, format_node, path_text
 
 
@@ -235,22 +235,22 @@ def verify_Q(p: TreePlan, n_max: int, budget: Optional[int] = None) -> CountRepo
     extensions of that witness in the upper fiber must match the relative
     polynomial.  A witness counts as extending itself, so the identity at
     equal endpoints reads 1 = 1.
+
+    The counts are observed on the fibers as listed along plan paths
+    (:meth:`Expansion.fiber`); no tree is built, so the build is not
+    checked here (:func:`verify_P` counts its nodes).
     """
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
     text = plan_text(p)
     nodes = p.sorted_nodes()
     rows = []
+    label = {sigma: path_text(sigma) or "<>" for sigma in nodes}
     # Each plan node with its row label and its polynomial.
-    singles = [(sigma, f"Q[{path_text(sigma) or '<>'}]", poly_Q(p, sigma)) for sigma in nodes]
+    singles = [(sigma, f"Q[{label[sigma]}]", poly_Q(p, sigma)) for sigma in nodes]
     # Each prefix pair with its row label up to the witness and its polynomial.
     pairs = [
-        (
-            sigma,
-            sigma_p,
-            f"Qrel[{path_text(sigma) or '<>'}->{path_text(sigma_p) or '<>'}]@",
-            poly_Q_rel(p, sigma, sigma_p),
-        )
+        (sigma, sigma_p, f"Qrel[{label[sigma]}->{label[sigma_p]}]@", poly_Q_rel(p, sigma, sigma_p))
         for sigma in nodes
         for sigma_p in nodes
         if sigma_p[: len(sigma)] == sigma
@@ -277,6 +277,7 @@ def verify_Q(p: TreePlan, n_max: int, budget: Optional[int] = None) -> CountRepo
 
 
 def fiber_above(e: Expansion, b: Node, sigma_p: PlanPath) -> list[Node]:
-    """Members of the ``sigma_p`` fiber extending the witness ``b``."""
+    """Members of the ``sigma_p`` fiber extending the witness ``b``, in
+    node order, listed from ``b`` along ``sigma_p``."""
     e.require(b)
-    return [a for a in e.fiber(sigma_p) if b.is_prefix_of(a)]
+    return list(_extensions(e, b, sigma_p))

@@ -36,7 +36,7 @@ from .errors import (
     FormulaSyntaxError,
     UnboundVariableError,
 )
-from .plan import Expansion, TreePlan, ell, expand, height, strip_comments
+from .plan import Expansion, TreePlan, _extensions, ell, expand, height, strip_comments
 from .trees import Node, PlanPath, ROOT, _common_prefix, path_text
 
 # --------------------------------------------------------------------------
@@ -781,8 +781,7 @@ def principal_formula(e: Expansion, a: Node, members: Iterable[Node]) -> Princip
         return pred_power(Var(names[carrier]), carrier.depth - node.depth)
 
     if a in closed:
-        prefixes = [a.prefix(i) for i in range(a.depth + 1)]
-        base = max(v for v in prefixes if v == ROOT or v in down)
+        base = anchor_in(down | {ROOT}, a)
         k = a.depth - base.depth
         body = [Eq(pred_power(x, k), base_term(base)), Label(a.plan_path, x)]
         return PrincipalFormula(conj(body), params, "closure")
@@ -833,17 +832,14 @@ def classify_solutions(
     params = dict(params or {})
     sols = solution_set(e, f, free_var, params, fast=fast)
     closed = tcl(e, params.values())
-    singles = []
+    classes = set()
     grouped: dict[tuple[Node, PlanPath], int] = {}
     for a in sols:
         if a in closed:
-            singles.append(
-                SolutionClass(a, a.plan_path, a.plan_path, 1, True)
-            )
+            classes.add(SolutionClass(a, a.plan_path, a.plan_path, 1, True))
         else:
             key = (anchor_in(closed, a), a.plan_path)
             grouped[key] = grouped.get(key, 0) + 1
-    classes = set(singles)
     for (anc, sigma_p), count in grouped.items():
         classes.add(SolutionClass(anc, anc.plan_path, sigma_p, count, False))
     return frozenset(classes)
@@ -908,10 +904,7 @@ def _instantiate_params(e: Expansion, spec: ParamSpec) -> dict[str, Node]:
                 raise DomainError(f"parameter {var}={target} is not realizable at n={e.n}")
             out[var] = target
         else:
-            fiber = e.fiber(tuple(target))
-            if not fiber:
-                raise DomainError(f"empty fiber for parameter {var} at n={e.n}")
-            out[var] = fiber[0]
+            out[var] = next(_extensions(e, ROOT, tuple(target)))  # no fiber is empty
     return out
 
 

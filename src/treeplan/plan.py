@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from operator import itemgetter
-from typing import Mapping, Optional, Sequence
+from itertools import product, repeat
+from typing import Container, Iterator, Mapping, Optional, Sequence
 
 from .errors import BudgetError, DomainError, PlanSyntaxError
 from .trees import STAR, FiniteTree, Node, PlanPath, ROOT, Segment, require_members
@@ -272,20 +271,19 @@ class Expansion:
     branch paths are plan nodes, its tags on replicated branches lie in
     ``range(n)`` and its tags on singleton branches are ``STAR``.  The tree
     of tagged paths is built in one walk on the first use of :attr:`tree`,
-    :meth:`nodes`, :meth:`fiber` or ``len``; that build raises
-    :class:`BudgetError` when :func:`predicted_size` exceeds the budget
-    resolved by :func:`expand`.  The per-plan-node fibers are read off the
-    tree on the first use of :meth:`fiber`.
+    :meth:`nodes` or ``len``; that build raises :class:`BudgetError` when
+    :func:`predicted_size` exceeds the budget resolved by :func:`expand`.
+    A fiber is listed along its plan path (:meth:`fiber`), without the
+    tree, under the same budget check.
     """
 
-    __slots__ = ("plan", "n", "_budget", "_tree", "_fibers", "_sizes")
+    __slots__ = ("plan", "n", "_budget", "_tree", "_sizes")
 
     def __init__(self, plan: TreePlan, n: int, budget: int):
         self.plan = plan
         self.n = n
         self._budget = budget
         self._tree: Optional[FiniteTree] = None
-        self._fibers: Optional[dict[PlanPath, list[Node]]] = None
         self._sizes: Optional[dict[PlanPath, int]] = None
 
     @property
@@ -356,33 +354,9 @@ class Expansion:
             raise AssertionError(f"the walk made {len(children)} nodes, not {size}")
         self._tree = FiniteTree._from_children(children)
 
-    def _build_fibers(self) -> None:
-        # A plan node's copies under one parent copy are one slice of that
-        # parent's child list, at the same place under every parent, so
-        # each fiber is its parent fiber's slices chained, in node order.
-        n, plan_children, inf = self.n, self.plan._children, self.plan.inf_nodes
-        kids_of = self.tree._children.__getitem__
-        fibers: dict[PlanPath, list[Node]] = {(): [ROOT]}
-        stack = [()]
-        while stack:
-            sigma = stack.pop()
-            taus = plan_children[sigma]
-            start = 0
-            for tau in taus:
-                stop = start + (n if tau in inf else 1)
-                fibers[tau] = list(chain.from_iterable(
-                    map(itemgetter(slice(start, stop)), map(kids_of, fibers[sigma]))
-                ))
-                start = stop
-            stack += taus
-        self._fibers = fibers
-
     def fiber(self, sigma: PlanPath) -> list[Node]:
-        if sigma not in self.plan.nodes:
-            raise DomainError(f"unknown plan node {sigma}")
-        if self._fibers is None:
-            self._build_fibers()
-        return list(self._fibers[sigma])
+        """The copies of plan node ``sigma`` in node order (no tree built)."""
+        return list(_extensions(self, ROOT, sigma))
 
     def nodes(self) -> list[Node]:
         return self.tree.sorted_nodes()
@@ -451,6 +425,31 @@ class Expansion:
     def __repr__(self) -> str:
         size = predicted_size(self.plan, self.n)
         return f"Expansion({plan_text(self.plan)!r}, n={self.n}, size={size})"
+
+
+def _extensions(
+    e: Expansion, v: Node, sigma: PlanPath, skip: Container[Node] = ()
+) -> Iterator[Node]:
+    """The nodes of ``e`` at plan node ``sigma`` that extend its node
+    ``v``, in node order, less those whose first step above ``v`` is in
+    ``skip``: the product of the tag ranges along ``sigma`` above ``v``.
+    Raises :class:`DomainError` for an unknown ``sigma``, then
+    :class:`BudgetError` in the cases where a build would."""
+    p, n = e.plan, e.n
+    if sigma not in p.nodes:
+        raise DomainError(f"unknown plan node {sigma}")
+    _within_budget(p, n, e._budget)
+    k = len(v)
+    if sigma[:k] != v.plan_path:
+        return
+    # The segments of ``v``, one choice each, then the copies at each step.
+    steps = [[seg] for seg in v] + [
+        [(branch, t) for t in (range(n) if sigma[: i + 1] in p.inf_nodes else (STAR,))]
+        for i, branch in enumerate(sigma[k:], k)
+    ]
+    if k < len(sigma):
+        steps[k] = [seg for seg in steps[k] if v + (seg,) not in skip]
+    yield from map(Node, product(*steps))
 
 
 def expand(p: TreePlan, n: int, budget: Optional[int] = None) -> Expansion:

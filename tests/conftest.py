@@ -34,7 +34,7 @@ from treeplan import (
     poly_Q_rel,
     subtree,
 )
-from treeplan.analysis import extend_embedding
+from treeplan.analysis import DividingVerdict, extend_embedding
 from treeplan.closure import orbit_key, orbit_reps, tuple_code
 from treeplan.counting import CountReport, CountRow
 from treeplan.logic import (
@@ -189,9 +189,9 @@ def assert_expansion_matches_reference(e) -> None:
 
 def verify_Q_reference(p: TreePlan, n_max: int, budget=None) -> CountReport:
     """:func:`~treeplan.counting.verify_Q` as a per-member loop: every
-    fiber is listed afresh for each prefix pair, each upper-fiber member
-    is cut to a witness ``Node`` by ``a.prefix(k)``, and every row formats
-    its witness."""
+    fiber is filtered afresh from the built tree's nodes for each prefix
+    pair, each upper-fiber member is cut to a witness ``Node`` by
+    ``a.prefix(k)``, and every row formats its witness."""
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
     text = plan_text(p)
@@ -209,8 +209,12 @@ def verify_Q_reference(p: TreePlan, n_max: int, budget=None) -> CountReport:
     ]
     for n in range(1, n_max + 1):
         e = expand(p, n, budget=budget)
+
+        def fiber(sigma):
+            return [v for v in e.nodes() if v.plan_path == sigma]
+
         for sigma in p.sorted_nodes():
-            observed = len(e.fiber(sigma))
+            observed = len(fiber(sigma))
             predicted = poly_Q(p, sigma)(n)
             rows.append(
                 CountRow(
@@ -220,8 +224,8 @@ def verify_Q_reference(p: TreePlan, n_max: int, budget=None) -> CountReport:
             )
         for sigma, sigma_p, label, poly in pairs:
             predicted = poly(n)
-            tally = Counter(a.prefix(len(sigma)) for a in e.fiber(sigma_p))
-            for b in e.fiber(sigma):
+            tally = Counter(a.prefix(len(sigma)) for a in fiber(sigma_p))
+            for b in fiber(sigma):
                 observed = tally[b]
                 rows.append(
                     CountRow(text, f"{label}{b}", n, observed, predicted, observed == predicted)
@@ -328,6 +332,25 @@ def orbit_bruteforce(e, a: Node, members) -> frozenset[Node]:
     params = tuple(sorted(set(members)))
     target = tuple_code(e, (a,) + params)
     return frozenset(x for x in e.nodes() if tuple_code(e, (x,) + params) == target)
+
+
+def dividing_reference(e, a: Node, set_b, set_c) -> DividingVerdict:
+    """:func:`~treeplan.analysis.check_dividing` with each orbit over C
+    found by :func:`orbit_bruteforce`, which filters the built tree: the
+    first replicated prefix of ``a`` above its C-anchor that is in tcl(B),
+    outside tcl(C) and has a conjugate other than itself."""
+    closed_c = tcl_bruteforce(e, set_c)
+    if a in closed_c:
+        return DividingVerdict(False)
+    closed_b = tcl_bruteforce(e, set_b)
+    start = max(v.depth for v in closed_c if v.is_prefix_of(a)) + 1
+    for i in range(start, a.depth + 1):
+        w = a.prefix(i)
+        if w in closed_b and w not in closed_c and e.mark_is_inf(w):
+            family = orbit_bruteforce(e, w, set_c)
+            if len(family) >= 2:
+                return DividingVerdict(True, w, family, True)
+    return DividingVerdict(False)
 
 
 def same_type(left, picks_left, right, picks_right) -> bool:

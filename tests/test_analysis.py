@@ -28,8 +28,12 @@ from treeplan import (
     qftp,
     rearrange,
     tcl,
+    ell,
+    height,
     verify_P,
+    verify_Q,
 )
+from treeplan.counting import fiber_above
 from treeplan.plan import Expansion, plan_canonical
 from treeplan.analysis import (
     check_embedding,
@@ -39,13 +43,16 @@ from treeplan.analysis import (
 
 from conftest import (
     PLANS,
+    dividing_reference,
     extend_to_automorphism_stepwise,
     infer_plan_rerooted,
     infer_plan_threshold_rerooted,
     random_plan,
     random_tree,
     random_embedding,
+    orbit_bruteforce,
     random_subset,
+    verify_Q_reference,
 )
 
 
@@ -433,6 +440,58 @@ class TestCheckDividing:
                     witnessed = True
                     break
             assert verdict.divides == (moving and witnessed), (name, str(a))
+
+
+class TestListingsBuildNoTree:
+    """Fibers, relative fibers, orbits and conjugate families are listed
+    along plan paths, so they need no tree: with the build patched to
+    raise, each call returns what the tree-filtering oracles return."""
+
+    def test_values_match_the_tree_oracles(self, monkeypatch):
+        counts = {name: verify_Q_reference(p, 4).to_csv() for name, p in PLANS.items()}
+        cases = []
+        for name, p in sorted(PLANS.items()):
+            n = 2 + ell(p) * height(p)
+            e = expand(p, n)
+            nodes = e.nodes()
+            rng = random.Random(zlib.crc32(name.encode()))
+            for _ in range(10):
+                set_b = random_subset(rng, nodes, 3)
+                set_c = frozenset(rng.sample(sorted(set_b), rng.randint(0, len(set_b))))
+                a = rng.choice(nodes)
+                above = {
+                    sigma: [v for v in nodes if v.plan_path == sigma and a.is_prefix_of(v)]
+                    for sigma in p.nodes
+                }
+                cases.append((p, n, a, set_b, set_c, orbit_bruteforce(e, a, set_c), above,
+                              dividing_reference(e, a, set_b, set_c)))
+        assert any(case[-1].divides for case in cases)
+
+        def no_build(e):
+            raise AssertionError("the tree was built")
+
+        monkeypatch.setattr(Expansion, "_build", no_build)
+        for name, p in PLANS.items():
+            assert verify_Q(p, 4).to_csv() == counts[name], name
+        for p, n, a, set_b, set_c, family, above, verdict in cases:
+            e = expand(p, n)
+            assert orbit(e, a, set_c) == family
+            assert {sigma: fiber_above(e, a, sigma) for sigma in p.nodes} == above
+            assert check_dividing(e, a, set_b, set_c) == verdict
+
+    def test_the_budget_applies_as_to_a_build(self):
+        # Over the budget, every listing raises as the build would, even
+        # where a closure member lists only itself.
+        e = expand(PLANS["B"], 10**6)
+        a, w = node("0:0/0:1"), node("0:0")
+        for listing in (
+            lambda: fiber_above(e, w, (0, 0)),
+            lambda: orbit(e, a, [w]),
+            lambda: orbit(e, w, [w]),
+            lambda: check_dividing(e, a, {a, w}, {w}),
+        ):
+            with pytest.raises(BudgetError, match="^expansion would have 1000001000001 nodes"):
+                listing()
 
 
 class TestTreeInput:

@@ -34,7 +34,7 @@ from treeplan import (
 )
 from treeplan.analysis import _assemble, _infer_known
 from treeplan.closure import PickFrame, orbit_key, orbit_reps
-from treeplan.counting import Polynomial
+from treeplan.counting import Polynomial, fiber_above
 from treeplan.logic import free_vars
 from treeplan.plan import expansion_code
 from treeplan.trees import FiniteTree, Node, _common_prefix, meet_nodes, subtree_codes
@@ -345,6 +345,24 @@ def test_orbit_matches_the_type_filter(e, data):
     assert orbit(e, a, members) == orbit_bruteforce(e, a, members)
 
 
+@given(expansions(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_listings_match_the_node_filters(e, data):
+    # Fibers, relative fibers and orbits are listed along plan paths; each
+    # equals its filter of the built tree's nodes, in node order.
+    nodes = e.nodes()
+    sigma = data.draw(st.sampled_from(sorted(e.plan.nodes)))
+    b = data.draw(st.sampled_from(nodes))
+    assert e.fiber(sigma) == [v for v in nodes if v.plan_path == sigma]
+    assert fiber_above(e, b, sigma) == [
+        v for v in nodes if v.plan_path == sigma and b.is_prefix_of(v)
+    ]
+    members = data.draw(node_subsets(e))
+    if data.draw(st.booleans()):  # b in the closure: its own orbit
+        members |= {b}
+    assert orbit(e, b, members) == orbit_bruteforce(e, b, members)
+
+
 @st.composite
 def paired_picks(draw, left, right, max_size=4):
     """Picks on ``left`` and as many partner picks on ``right``: images
@@ -576,12 +594,14 @@ def test_inferred_plan_expands_to_both_subtrees(pair, data):
     # checks only the whole plan, once.
     t1, t2 = pair
     codes1, codes2 = subtree_codes(t1), subtree_codes(t2)
+    # Each sample groups its child classes once, across every size tried.
+    s1, s2 = (t1, codes1, {}), (t2, codes2, {})
     v1 = data.draw(st.sampled_from(t1.sorted_nodes()))
     v2 = data.draw(st.sampled_from(t2.sorted_nodes()))
     for u1, u2 in ((ROOT, ROOT), (v1, v2)):
         for n in range(1, len(t1) + 1):
             try:
-                p = _assemble(_infer_known((t1, codes1), u1, (t2, codes2), u2, n))
+                p = _assemble(_infer_known(s1, u1, s2, u2, n))
             except InferenceError:
                 continue
             assert canonical(expand(p, n).tree).code == codes1[u1]

@@ -70,7 +70,7 @@ class TestNodeOrder:
                 assert kids == sorted(kids, key=node_order_key)
                 if STAR in (tag for _branch, tag in v):
                     assert parse_node(format_node(v)) == v
-            # expand fills the fibers in its own walk; pin them to their definition.
+            # Fibers are listed along plan paths; pin them to their definition.
             for sigma in PLANS[name].nodes:
                 assert e.fiber(sigma) == [v for v in e.nodes() if v.plan_path == sigma]
 
