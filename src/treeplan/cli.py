@@ -119,7 +119,7 @@ def cmd_check(args) -> int:
         _emit(("true" if value else "false") + "\n", args.out)
         return EXIT_PASS if value else EXIT_FAIL
     if len(free) == 1:
-        count = len(logic.solution_set(e, f, free[0], fast=True))
+        count = len(logic.solution_set(e, f, free[0]))
         _emit(f"{count}\n", args.out)
         return EXIT_PASS
     raise DomainError(f"formula has several free variables: {free}")
@@ -152,7 +152,7 @@ def cmd_asymptotic(args) -> int:
         raise DomainError(f"ladder sizes must be integers: {args.ladder!r}") from None
     report = logic.asymptotic_check(
         p, f, free[0], param_spec=params, ladder=ladder, tol=args.tol,
-        budget=args.budget, fast=True,
+        budget=args.budget,
     )
     _emit(_csv_or_pretty(report.to_csv(), args.pretty), args.out)
     return EXIT_PASS if report.all_pass else EXIT_FAIL

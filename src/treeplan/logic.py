@@ -16,9 +16,11 @@ per orbit over the current environment instead of the whole universe
 automorphism fixing the environment, so the truth value is unchanged.
 The representatives are read off the tree closure of the environment
 (:func:`~treeplan.closure.orbit_reps`), so their number and cost do not
-grow with the expansion size.  Plain mode ranges over every node and
-stays the brute-force path; both modes are checked against a
-substitution-based reference evaluator in the test suite.
+grow with the expansion size.  Definable sets are read off the same
+orbits: a formula is evaluated once per orbit over its parameters, and
+each orbit that satisfies it is listed from its anchor.  Plain mode ranges
+over every node and stays the brute-force path; both modes are checked
+against a substitution-based reference evaluator in the test suite.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
-from .closure import _orbit_reps, anchor_in, downset, tcl
+from .closure import PickFrame, _orbit_in, _orbit_reps, anchor_in, downset, tcl
 from .counting import dim_measure, poly_P, poly_Q_rel
 from .errors import (
     DomainError,
@@ -656,30 +658,32 @@ def evaluate(
     return _program(f, fast, tuple(scope))(e)(*scope.values())
 
 
+def _satisfied(
+    e: Expansion, f: Formula, free_var: str, params: Optional[Mapping[str, Node]]
+) -> tuple[dict[Node, Node], list[Node]]:
+    """The tree closure of the parameters other than ``free_var``, and the
+    least member of each orbit over them that satisfies ``f`` for
+    ``free_var``; ``f`` runs in orbit mode, on those members only."""
+    scope = {name: v for name, v in (params or {}).items() if name != free_var}
+    missing = free_vars(f) - set(scope) - {free_var}
+    if missing:
+        raise UnboundVariableError(f"unbound variables {sorted(missing)}")
+    frame = PickFrame(e, scope.values())
+    holds = _program(f, True, (*scope, free_var))(e)
+    return frame.closed, [a for a, _ in frame.reps() if holds(*scope.values(), a)]
+
+
 def solution_set(
     e: Expansion,
     f: Formula,
     free_var: str,
     params: Optional[Mapping[str, Node]] = None,
-    fast: bool = False,
 ) -> frozenset[Node]:
-    """All nodes that satisfy ``f`` when substituted for ``free_var``."""
-    scope = dict(params or {})
-    missing = free_vars(f) - set(scope) - {free_var}
-    if missing:
-        raise UnboundVariableError(f"unbound variables {sorted(missing)}")
-    e.require(*(v for name, v in scope.items() if name != free_var))
-    # The free variable's slot follows the parameters, unless it is one.
-    scope[free_var] = ROOT
-    holds = _program(f, fast, tuple(scope))(e)
-    args = list(scope.values())
-    slot = list(scope).index(free_var)
-    out = []
-    for x in e.tree:
-        args[slot] = x
-        if holds(*args):
-            out.append(x)
-    return frozenset(out)
+    """All nodes that satisfy ``f`` when substituted for ``free_var`` (whose
+    binding in ``params`` is ignored): each orbit over the parameters whose
+    least member does, listed from its anchor under the budget of a build."""
+    closed, reps = _satisfied(e, f, free_var, params)
+    return frozenset().union(*(_orbit_in(e, closed, a) for a in reps))
 
 
 # --------------------------------------------------------------------------
@@ -822,26 +826,19 @@ def classify_solutions(
     f: Formula,
     free_var: str,
     params: Optional[Mapping[str, Node]] = None,
-    fast: bool = False,
 ) -> frozenset[SolutionClass]:
-    """Partition the solution set by (anchor over the parameters, fiber).
+    """Partition the solution set by (anchor over the parameters, fiber):
+    one class per orbit of :func:`solution_set`, sized by listing it.
 
-    Closure members sit in singleton classes; the remaining classes group
-    solutions sharing an anchor and a plan projection.
+    A closure member is its own orbit, so it sits in a singleton class; the
+    other classes group the solutions sharing an anchor and a plan path.
     """
-    params = dict(params or {})
-    sols = solution_set(e, f, free_var, params, fast=fast)
-    closed = tcl(e, params.values())
+    closed, reps = _satisfied(e, f, free_var, params)
     classes = set()
-    grouped: dict[tuple[Node, PlanPath], int] = {}
-    for a in sols:
-        if a in closed:
-            classes.add(SolutionClass(a, a.plan_path, a.plan_path, 1, True))
-        else:
-            key = (anchor_in(closed, a), a.plan_path)
-            grouped[key] = grouped.get(key, 0) + 1
-    for (anc, sigma_p), count in grouped.items():
-        classes.add(SolutionClass(anc, anc.plan_path, sigma_p, count, False))
+    for a in reps:
+        anc = anchor_in(closed, a)
+        count = len(_orbit_in(e, closed, a))
+        classes.add(SolutionClass(anc, anc.plan_path, a.plan_path, count, a in closed))
     return frozenset(classes)
 
 
@@ -916,7 +913,6 @@ def asymptotic_check(
     ladder: Iterable[int] = (2, 3, 4),
     tol: float = 0.1,
     budget: Optional[int] = None,
-    fast: bool = False,
 ) -> AsymptoticReport:
     """Compare solution counts along a ladder against the predicted
     dimension and measure.
@@ -928,7 +924,8 @@ def asymptotic_check(
     the relative fiber polynomials (meaningful for quantifier-free
     formulas), and the report flags class-set instability and a
     non-shrinking remainder.  ``all_pass`` needs stable classes, exact
-    class counts and the top within tolerance.  Raises
+    class counts and the top within tolerance.  The classes are listed by
+    orbits (:func:`classify_solutions`), so no tree is built.  Raises
     :class:`DomainError` for a tolerance that is negative or not finite.
     """
     param_spec = dict(param_spec or {})
@@ -948,7 +945,7 @@ def asymptotic_check(
     for n in points:
         e = expand(p, n, budget=budget)
         params = _instantiate_params(e, param_spec)
-        classes = classify_solutions(e, f, free_var, params, fast=fast)
+        classes = classify_solutions(e, f, free_var, params)
         observed = sum(cls.count for cls in classes)
         if delta is None:
             delta, mu = formula_dim_measure(p, classes)

@@ -35,7 +35,7 @@ from treeplan import (
     subtree,
 )
 from treeplan.analysis import DividingVerdict, extend_embedding
-from treeplan.closure import orbit_key, orbit_reps, tuple_code
+from treeplan.closure import anchor_in, orbit_key, orbit_reps, tuple_code
 from treeplan.counting import CountReport, CountRow
 from treeplan.logic import (
     And,
@@ -49,6 +49,7 @@ from treeplan.logic import (
     Not,
     Or,
     Pred,
+    SolutionClass,
     Var,
 )
 from treeplan.trees import path_text, prefixes
@@ -506,6 +507,24 @@ def evaluate_reference(e, f, env=None) -> bool:
         return any(instances) if isinstance(g, Exists) else all(instances)
 
     return holds(f)
+
+
+def classify_solutions_reference(e, f, free_var: str, params=None) -> frozenset[SolutionClass]:
+    """:func:`~treeplan.logic.classify_solutions` by the scan: every node
+    that satisfies ``f`` under :func:`evaluate_reference`, grouped by its
+    anchor in the tree closure (:func:`tcl_bruteforce`) of the parameters
+    other than ``free_var`` and by its plan path."""
+    params = {name: v for name, v in (params or {}).items() if name != free_var}
+    closed = tcl_bruteforce(e, params.values())
+    groups = Counter(
+        (anchor_in(closed, x), x.plan_path, x in closed)
+        for x in e.nodes()
+        if evaluate_reference(e, f, {**params, free_var: x})
+    )
+    return frozenset(
+        SolutionClass(anc, anc.plan_path, sigma, count, member)
+        for (anc, sigma, member), count in groups.items()
+    )
 
 
 def extend_to_automorphism_stepwise(e, f: dict[Node, Node]) -> dict[Node, Node]:

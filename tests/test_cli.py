@@ -188,7 +188,7 @@ class TestAsymptotic:
         )
         report = logic.asymptotic_check(
             PLANS["B"], parse_formula(formula), "x",
-            param_spec={"b": parse_node("0:0/0:0")}, ladder=(3, 4), fast=True,
+            param_spec={"b": parse_node("0:0/0:0")}, ladder=(3, 4),
         )
         assert out == report.to_csv()
         assert code == (0 if report.all_pass else 1)

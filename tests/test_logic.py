@@ -37,8 +37,9 @@ from treeplan.logic import (
     at_least,
     conj,
 )
+from treeplan.plan import Expansion
 
-from conftest import PLANS, evaluate_reference, random_subset
+from conftest import PLANS, classify_solutions_reference, evaluate_reference, random_subset
 
 
 def node(text):
@@ -247,7 +248,7 @@ class TestLazyErrors:
     def test_solution_set_parameter_outside_the_expansion(self, fast):
         e = expand(PLANS["A"], 2)
         with pytest.raises(DomainError, match="unknown node 0:2"):
-            solution_set(e, parse_formula("x = b"), "x", {"b": node("0:2")}, fast=fast)
+            solution_set(e, parse_formula("x = b"), "x", {"b": node("0:2")})
 
     def test_non_member_refused_before_any_quantifier(self, fast):
         # Quantifiers list their range unchecked, so the entry check is the
@@ -258,7 +259,7 @@ class TestLazyErrors:
             with pytest.raises(DomainError, match="unknown node"):
                 evaluate(e, f, {"x": ROOT, "y": bad}, fast=fast)
             with pytest.raises(DomainError, match="unknown node"):
-                solution_set(e, f, "x", {"y": bad}, fast=fast)
+                solution_set(e, f, "x", {"y": bad})
 
 
 def left_meets(k):
@@ -338,7 +339,7 @@ class TestVariableNames:
             x for x in e.nodes() if evaluate_reference(e, f, {**params, "for": x})
         )
         assert 0 < len(expected) < len(e)
-        assert solution_set(e, f, "for", params, fast=fast) == expected
+        assert solution_set(e, f, "for", params) == expected
 
 
 @pytest.mark.parametrize("fast", [False, True])
@@ -480,6 +481,16 @@ class TestClassifySolutions:
         (cls,) = classes
         assert cls.anchor_node == ROOT and cls.count == 9
 
+    @pytest.mark.parametrize("w", ["0:1/0:2", "0:1", "eps", "0:3/0:0"])
+    def test_binding_of_the_free_variable_is_ignored(self, w):
+        # As in solution_set, the free variable's binding is no parameter:
+        # it neither splits the classes nor has to be a node of e.
+        e = expand(PLANS["B"], 3)
+        f = parse_formula("P[0.0](x)")
+        classes = classify_solutions(e, f, "x", {"x": node(w)})
+        assert classes == classify_solutions(e, f, "x")
+        assert [cls.count for cls in classes] == [9]
+
     def test_partition(self):
         rng = random.Random(6)
         e = expand(PLANS["D"], 3)
@@ -574,3 +585,63 @@ class TestAsymptoticCheck:
     def test_free_vars_helper(self):
         f = parse_formula("exists y. meet(x, y) = b")
         assert free_vars(f) == frozenset({"x", "b"})
+
+
+class TestDefinableSetsBuildNoTree:
+    """Solution sets are listed orbit by orbit over the parameters, so
+    they need no tree: with the build patched to raise, each call returns
+    what the scans over the built tree return."""
+
+    FORMULAS = [
+        "x = x",
+        "pred(x) = eps",
+        "exists y. pred(y) = x",
+        "!(x = b) & meet(x, b) = pred(b)",
+        "x <= b | pred(x) = b",
+    ]
+
+    @staticmethod
+    def no_build(e):
+        raise AssertionError("the tree was built")
+
+    def test_values_match_the_scans(self, monkeypatch):
+        # The parameter b is the least node at the deepest plan node, as
+        # the asymptotic check instantiates a plan path.
+        cases, counts = [], {}
+        for name, p in sorted(PLANS.items()):
+            sigma = max(p.sorted_nodes(), key=len)
+            for n in range(1, 5):
+                e = expand(p, n)
+                params = {"b": e.fiber(sigma)[0]}
+                for text in self.FORMULAS:
+                    f = parse_formula(text)
+                    sols = frozenset(
+                        x for x in e.nodes() if evaluate_reference(e, f, {**params, "x": x})
+                    )
+                    classes = classify_solutions_reference(e, f, "x", params)
+                    cases.append((p, n, f, params, sols, classes))
+                    counts[name, text, n] = len(sols)
+
+        monkeypatch.setattr(Expansion, "_build", self.no_build)
+        for p, n, f, params, sols, classes in cases:
+            e = expand(p, n)
+            assert solution_set(e, f, "x", params) == sols
+            assert classify_solutions(e, f, "x", params) == classes
+        ladder = (2, 3, 4)
+        for name, p in sorted(PLANS.items()):
+            spec = {"b": max(p.sorted_nodes(), key=len)}
+            for text in self.FORMULAS:
+                report = asymptotic_check(p, parse_formula(text), "x", spec, ladder=ladder)
+                observed = [row.observed for row in report.rows]
+                assert observed == [counts[name, text, n] for n in ladder], (name, text)
+
+    def test_the_budget_applies_to_a_non_empty_set(self, monkeypatch):
+        # Over the budget an empty set is still listed; any other raises as
+        # the build would, even a set of one closure member.
+        monkeypatch.setattr(Expansion, "_build", self.no_build)
+        e = expand(PLANS["B"], 10**6)
+        assert solution_set(e, parse_formula("!(x = x)"), "x") == frozenset()
+        assert classify_solutions(e, parse_formula("!(x = x)"), "x") == frozenset()
+        for listing in (solution_set, classify_solutions):
+            with pytest.raises(BudgetError, match="^expansion would have 1000001000001 nodes"):
+                listing(e, parse_formula("x = eps"), "x")

@@ -12,6 +12,7 @@ from treeplan import (
     UnboundVariableError,
     anchor,
     canonical,
+    classify_solutions,
     downset,
     evaluate,
     expand,
@@ -43,6 +44,7 @@ from conftest import (
     PLANS,
     assert_expansion_matches_reference,
     brute_force_isomorphic,
+    classify_solutions_reference,
     common_prefix_zip,
     evaluate_reference,
     generated_nodes,
@@ -566,8 +568,19 @@ def test_solution_set_matches_the_reference(e, data):
     expected = frozenset(
         x for x in e.nodes() if evaluate_reference(e, f, {**params, free_var: x})
     )
-    for fast in (False, True):
-        assert solution_set(e, f, free_var, params, fast=fast) == expected
+    assert solution_set(e, f, free_var, params) == expected
+
+
+@given(corpus_expansions(max_n=3), st.data())
+@settings(max_examples=100, deadline=None)
+def test_classes_match_the_reference(e, data):
+    # Zero to two parameters; a binding of the free variable is ignored.
+    f = data.draw(shadowing_formulas(e.plan, quantifiers=1))
+    free_var = data.draw(st.sampled_from(["x", "y"]))
+    names = (free_vars(f) - {free_var}) | data.draw(st.sets(st.sampled_from(["x", "y"])))
+    params = {v: data.draw(st.sampled_from(e.nodes())) for v in sorted(names)}
+    expected = classify_solutions_reference(e, f, free_var, params)
+    assert classify_solutions(e, f, free_var, params) == expected
 
 
 # --------------------------------------------------------------------------
