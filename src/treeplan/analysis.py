@@ -7,7 +7,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .closure import NodeSet, _orbit_in, anchor_in, embed_pairs, extend_least, orbit_key, tcl
+from .closure import (
+    NodeSet,
+    PickFrame,
+    _orbit_in,
+    anchor_in,
+    embed_pairs,
+    extend_least,
+    orbit_key,
+    tcl,
+)
 from .errors import CapacityError, DomainError, InferenceError
 from .plan import (
     Expansion,
@@ -242,6 +251,9 @@ def _assemble(parts: _Parts) -> TreePlan:
     return make_plan(marked)
 
 
+_NO_MATCHING = "no consistent class matching"
+
+
 def _infer_known(s1: _Sample, v1: Node, s2: _Sample, v2: Node, n: int) -> _Parts:
     """The parts of the plan above ``v1`` and ``v2``, presumed expanded at
     ``n`` and ``n + 1``.
@@ -292,7 +304,7 @@ def _infer_known(s1: _Sample, v1: Node, s2: _Sample, v2: Node, n: int) -> _Parts
 
     if not match(0):
         raise InferenceError(
-            "no consistent class matching",
+            _NO_MATCHING,
             offending=[code for code, _, _ in classes1],
         )
     return [edges[(i, assignment[i])] for i in range(len(classes1))]
@@ -304,10 +316,14 @@ def infer_plan(t1: FiniteTree, t2: FiniteTree) -> TreePlan:
     A node's children fall into classes by subtree code, computed once per
     sample, and grouped once per node.  Per matched child class the count
     difference gives the number of replicated children and the remainder
-    the number of singletons; the size parameter is searched from large to
-    small (replication is preferred over coincidence).  The plan of a
-    matched class expands to that class's subtrees at both sizes by
-    construction, so no edge is re-expanded; the assembled plan is checked
+    the number of singletons.  The size parameter is searched from large to
+    small (replication is preferred over coincidence), from the largest
+    size the root's class counts allow: a class of c1 children at n pairs
+    with one of c2 at n + 1 only if k = c2 - c1 >= 0 and c1 - k*n >= 0, so
+    at any larger size some root class has no partner, and the size fails
+    with no consistent class matching, untried.  The plan of a matched
+    class expands to that class's subtrees at both sizes by construction,
+    so no edge is re-expanded; the assembled plan is checked
     against both samples once, as a whole, on the plan, building no
     expansion (:func:`~treeplan.plan.expansion_code`), before it is
     returned.  On failure, the error lists each run of consecutive sizes
@@ -326,7 +342,17 @@ def infer_plan(t1: FiniteTree, t2: FiniteTree) -> TreePlan:
         else:
             errors.append([n, n, reason])
 
-    for n in range(len(t1), 0, -1):
+    # Per root class, the largest n any partner allows (k = 0: every n).
+    start = len(t1)
+    classes1, classes2 = _children_classes(s1, ROOT), _children_classes(s2, ROOT)
+    if len(classes1) == len(classes2):
+        for _, c1, _ in classes1:
+            ks = [c2 - c1 for _, c2, _ in classes2 if c2 >= c1]
+            if 0 not in ks:
+                start = min(start, max((c1 // k for k in ks), default=0))
+    if start < len(t1):
+        errors.append([len(t1), start + 1, _NO_MATCHING])
+    for n in range(start, 0, -1):
         try:
             p = _assemble(_infer_known(s1, ROOT, s2, ROOT, n))
         except InferenceError as err:
@@ -405,7 +431,8 @@ def check_dividing(
     if not set_c <= set_b:
         raise DomainError("C must be contained in B")
     e.require(a, *set_b)
-    closed_c, closed_b = tcl(e, set_c), tcl(e, set_b)
+    closed_c = PickFrame(e, set_c, check=False).closed
+    closed_b = PickFrame(e, set_b, check=False).closed
     # No prefix lies above the C-anchor of a member of the closure of C.
     for i in range(len(anchor_in(closed_c, a)) + 1, a.depth + 1):
         witness = a.prefix(i)

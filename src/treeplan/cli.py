@@ -8,6 +8,7 @@ inconsistency.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional
 
@@ -183,7 +184,10 @@ def cmd_dividing(args) -> int:
     return EXIT_PASS
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    as it was, since an ``append`` action copies its default list."""
     parser = argparse.ArgumentParser(
         prog="treeplan",
         description="Tree plans: expansions, exact counting, logic, games, inference.",
@@ -255,8 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (PlanSyntaxError, FormulaSyntaxError) as err:

@@ -14,11 +14,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DomainError
 from .plan import Expansion, TreePlan, _extensions, expand, inf_count, plan_text
-from .trees import Node, PlanPath, format_node, path_text
+from .trees import Node, PlanPath, path_text
 
 
 class Polynomial:
@@ -184,8 +184,7 @@ def dim_measure(p: TreePlan, sigma: PlanPath, sigma_p: PlanPath) -> DimMeasure:
     return DimMeasure(Fraction(rel_deg, deg(p)), lead_count(p))
 
 
-@dataclass(frozen=True)
-class CountRow:
+class CountRow(NamedTuple):
     plan: str
     quantity: str
     n: int
@@ -238,7 +237,9 @@ def verify_Q(p: TreePlan, n_max: int, budget: Optional[int] = None) -> CountRepo
 
     The counts are observed on the fibers as listed along plan paths
     (:meth:`Expansion.fiber`); no tree is built, so the build is not
-    checked here (:func:`verify_P` counts its nodes).
+    checked here (:func:`verify_P` counts its nodes).  Each witness is
+    named as :func:`~treeplan.trees.format_node` spells it, from its plan
+    parent's names rather than from the node.
     """
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
@@ -262,8 +263,18 @@ def verify_Q(p: TreePlan, n_max: int, budget: Optional[int] = None) -> CountRepo
             observed = len(fibers[sigma])
             predicted = poly(n)
             rows.append(CountRow(text, label, n, observed, predicted, observed == predicted))
-        # Each witness's name, formatted once per size.
-        names = {sigma: list(map(format_node, fiber)) for sigma, fiber in fibers.items()}
+        # Each fiber member's name, from its plan parent's names: parent-major,
+        # tag-minor, the order in which the fiber is listed.
+        names = {(): ["eps"]}
+        for sigma in nodes[1:]:  # a parent before its children
+            parent = sigma[:-1]
+            tags = range(n) if sigma in p.inf_nodes else ("*",)
+            segments = [f"{sigma[-1]}:{tag}" for tag in tags]
+            names[sigma] = (
+                [f"{head}/{seg}" for head in names[parent] for seg in segments]
+                if parent
+                else segments
+            )
         for sigma, sigma_p, label, poly in pairs:
             predicted = poly(n)
             # A witness's extensions are the upper-fiber members with that

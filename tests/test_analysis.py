@@ -35,6 +35,7 @@ from treeplan import (
 )
 from treeplan.counting import fiber_above
 from treeplan.plan import Expansion, plan_canonical
+from treeplan import analysis
 from treeplan.analysis import (
     check_embedding,
     inclusion_embedding,
@@ -300,6 +301,43 @@ class TestInferenceChecksThePlan:
         monkeypatch.setenv("TREEPLAN_BUDGET", "10")
         with pytest.raises(BudgetError, match="^expansion would have 13 nodes; budget is 10$"):
             infer_plan(t1, t2)
+
+
+@pytest.fixture
+def root_tries(monkeypatch):
+    """The sizes :func:`infer_plan` tries at the root, in order."""
+    tries = []
+    infer_known = analysis._infer_known
+
+    def counted(s1, v1, s2, v2, n):
+        if not v1.depth:
+            tries.append(n)
+        return infer_known(s1, v1, s2, v2, n)
+
+    monkeypatch.setattr(analysis, "_infer_known", counted)
+    return tries
+
+
+class TestInferenceSizeBound:
+    def test_search_starts_at_the_root_bound(self, root_tries):
+        # At n = 120 the root has 120 copies of 0 against 121 (k = 1, so
+        # n <= 120) and one copy of 1 against one (k = 0, no bound): the
+        # first size tried is the answer, not the 14,762 nodes of t1.
+        p = parse_plan("(1 (inf (1) (inf)) (1 (inf)))")
+        t1, t2 = expand(p, 120).tree, expand(p, 121).tree
+        assert plan_isomorphic(infer_plan(t1, t2), p)
+        assert root_tries == [120]
+
+    def test_skipped_sizes_join_the_failure_run(self, root_tries):
+        # Three leaves against five one-child nodes (k = 2) bound n by 1:
+        # sizes 4..2 are skipped, and at 1 a leaf matches no inner node.
+        t1 = parse_tree_text("(1 (1) (1) (1))")
+        t2 = parse_tree_text("(1" + " (1 (1))" * 5 + ")")
+        with pytest.raises(InferenceError) as err:
+            infer_plan(t1, t2)
+        assert err.value.offending == ["n=4..1: no consistent class matching"]
+        assert root_tries == [1]
+        assert _outcome(infer_plan, t1, t2) == _outcome(infer_plan_rerooted, t1, t2)
 
 
 def chain(depth: int) -> str:

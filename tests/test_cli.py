@@ -1,7 +1,7 @@
 import pytest
 
 from treeplan import logic, parse_formula, parse_node
-from treeplan.cli import main
+from treeplan.cli import build_parser, main
 
 from conftest import PLAN_TEXTS, PLANS
 
@@ -222,6 +222,24 @@ class TestAsymptotic:
              "--param", "b=0:0", "--param", "b=0:1", "--ladder", "3,4"],
         )
         assert code == 2 and "bound twice" in err
+
+
+class TestRepeatedCalls:
+    def test_param_does_not_carry_over(self, plan_file, capsys):
+        # The parser is built once per process; each call's ``--param``
+        # list must start empty, so the last call has two free variables.
+        head = ["asymptotic", "--plan", plan_file("B"),
+                "--formula", "P[0.0](x) & !(pred(x) = b)", "--ladder", "3,4"]
+        argvs = [head + ["--param", "b=0:0"], head + ["--param", "b=0:1"], head]
+        outcomes = [run(capsys, argv) for argv in argvs]
+        fresh = []
+        for argv in argvs:
+            build_parser.cache_clear()
+            fresh.append(run(capsys, argv))
+        assert outcomes == fresh
+        # Two reports (a verdict, 0 or 1), then a usage error.
+        assert [code < 2 and out != "" for code, out, _ in outcomes] == [True, True, False]
+        assert outcomes[2][0] == 2 and "exactly one free variable" in outcomes[2][2]
 
 
 class TestInfer:

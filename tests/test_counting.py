@@ -19,7 +19,7 @@ from treeplan import (
     verify_P,
     verify_Q,
 )
-from treeplan.counting import fiber_above
+from treeplan.counting import CountRow, fiber_above
 from treeplan.trees import parse_node
 
 from conftest import PLANS, verify_Q_reference
@@ -198,10 +198,18 @@ class TestVerify:
         with pytest.raises(BudgetError):
             verify_P(PLANS["B"], 6, budget=10)
 
-    @pytest.mark.parametrize("name", sorted(PLANS))
-    def test_verify_q_matches_the_per_member_loop(self, name):
+    @pytest.mark.parametrize(
+        "name, n_max",
+        [pytest.param(name, 6, id=name) for name in sorted(PLANS)]
+        # Two-digit tags, and ``*`` segments between them.
+        + [
+            pytest.param(name, 11, id=f"{name}-n11")
+            for name in ("B", "chain3_one", "inf_one_inf")
+        ],
+    )
+    def test_verify_q_matches_the_per_member_loop(self, name, n_max):
         p = PLANS[name]
-        assert verify_Q(p, 6).to_csv() == verify_Q_reference(p, 6).to_csv()
+        assert verify_Q(p, n_max).to_csv() == verify_Q_reference(p, n_max).to_csv()
 
     def test_verify_q_budget_error(self):
         # B has 13 nodes at n = 3: the third size is over a budget of 10.
@@ -210,6 +218,15 @@ class TestVerify:
         with pytest.raises(BudgetError) as ref:
             verify_Q_reference(PLANS["B"], 6, budget=10)
         assert str(err.value) == str(ref.value) == "expansion would have 13 nodes; budget is 10"
+
+    def test_count_row_shape(self):
+        row = CountRow("(1)", "P", 1, 1, 1, True)
+        assert CountRow._fields == ("plan", "quantity", "n", "observed", "predicted", "passed")
+        assert repr(row) == (
+            "CountRow(plan='(1)', quantity='P', n=1, observed=1, predicted=1, passed=True)"
+        )
+        with pytest.raises(AttributeError):
+            row.observed = 2
 
     def test_csv_shape(self):
         text = verify_P(PLANS["A"], 2).to_csv()
