@@ -9,17 +9,19 @@ source, and keeps the compiled program for as long as the formula lives;
 each call binds it to an expansion and runs it.  A quantifier becomes a
 loop in a function of its own, and an atom an inline test on segment
 tuples: terms evaluate to segment tuples rather than nodes, ``pred`` drops
-the last segment, ``meet`` is the common prefix, and the order is a
-prefix test.  Quantifiers can optionally range over one representative
-per orbit over the current environment instead of the whole universe
-(``fast=True``): two candidates in one orbit are exchanged by an
-automorphism fixing the environment, so the truth value is unchanged.
+the last segment, ``meet`` is the common prefix (the root, without a
+call, when a side is the root or the sides differ at the first segment),
+and the order is a prefix test.  Quantifiers can optionally range over
+one representative per orbit over the current environment instead of the
+whole universe (``fast=True``): two candidates in one orbit are exchanged
+by an automorphism fixing the environment, so the truth value is unchanged.
 The representatives are read off the tree closure of the environment
 (:func:`~treeplan.closure.orbit_reps`), so their number and cost do not
 grow with the expansion size.  Definable sets are read off the same
 orbits: a formula is evaluated once per orbit over its parameters, and
 each orbit that satisfies it is listed from its anchor.  Plain mode ranges
-over every node and stays the brute-force path; both modes are checked
+over every node, listed along the plan as plain segment tuples without
+building the tree, and stays the brute-force path; both modes are checked
 against a substitution-based reference evaluator in the test suite.
 """
 
@@ -38,7 +40,16 @@ from .errors import (
     FormulaSyntaxError,
     UnboundVariableError,
 )
-from .plan import Expansion, TreePlan, _extensions, ell, expand, height, strip_comments
+from .plan import (
+    Expansion,
+    TreePlan,
+    _extensions,
+    _node_tuples,
+    ell,
+    expand,
+    height,
+    strip_comments,
+)
 from .trees import Node, PlanPath, ROOT, _common_prefix, path_text
 
 # --------------------------------------------------------------------------
@@ -224,8 +235,16 @@ class _Parser:
         return out
 
     def unary(self) -> Formula:
-        if self.accept("sym", "!"):
-            return Not(self.unary())
+        # A run of leading "!"s is counted, not recursed into.
+        negations = 0
+        while self.accept("sym", "!"):
+            negations += 1
+        out = self.negand()
+        for _ in range(negations):
+            out = Not(out)
+        return out
+
+    def negand(self) -> Formula:
         tok = self.peek()
         if tok and tok[0] == "ident" and tok[1] in ("exists", "forall"):
             self.next()
@@ -344,9 +363,14 @@ def formula_text(f: Formula, _prec: int = 0) -> str:
     if isinstance(f, Label):
         return f"P[{path_text(f.path)}]({_term_text(f.arg)})"
     if isinstance(f, Not):
-        if isinstance(f.sub, (Label, Not)):
-            return "!" + formula_text(f.sub, 4)
-        return f"!({formula_text(f.sub)})"
+        # One loop down the chain: a label follows the "!"s bare, anything
+        # else in parentheses.
+        negations = 0
+        while isinstance(f, Not):
+            negations += 1
+            f = f.sub
+        inner = formula_text(f)
+        return "!" * negations + (inner if isinstance(f, Label) else f"({inner})")
     if isinstance(f, (And, Or)):
         # One loop down the left spine of the chain; a right operand of the
         # same connective keeps its parentheses, so the text parses back.
@@ -417,14 +441,18 @@ def free_vars(f: Formula) -> frozenset[str]:
 # quantifier plus one for the formula, all nested in a ``bind`` function
 # that takes the expansion.  Terms are expressions over segment tuples: a
 # variable is a local slot holding its node, ``eps`` is ``()``, ``pred^k``
-# a slice and ``meet`` a call of ``_meet``, the index walk of
-# ``trees._common_prefix``.  A fast quantifier ranges over ``_reps``, the
-# orbit representatives listed without a membership check: its picks were
-# checked on entry or listed there.  The source is flat: a quantifier is a
-# call of its own function, whose parameters are the variables visible
-# where it stands, and a meet nested in a meet goes to a walrus temporary,
-# so its depth follows the alternation of connectives only.  No name from
-# the formula enters the source except as a string.
+# a slice, and ``meet`` is ``()`` when a side is the root or the sides
+# differ at the first segment, else a call of ``_meet``, the index walk of
+# ``trees._common_prefix``; ``s <= t`` holds at once when ``s`` is the
+# root.  A plain quantifier ranges over ``nodes``, every node as a plain
+# tuple, listed along the plan once per bind (``plan._node_tuples``); a
+# fast one over ``_reps``, the orbit representatives listed without a
+# membership check: its picks were checked on entry or listed there.  The
+# source is flat: a quantifier is a call of its own function, whose
+# parameters are the variables visible where it stands, and a meet nested
+# in a meet goes to a walrus temporary, so its depth follows the
+# alternation of connectives only.  No name from the formula enters the
+# source except as a string.
 
 
 def _unbound(name: str) -> bool:
@@ -510,14 +538,21 @@ class _Source:
                 t = t.arg
             return f"{self.term(t, scope, pre)}[:-{k}]"
         if isinstance(t, MeetT):
-            args = []
-            for side in (t.left, t.right):
-                code = self.term(side, scope, pre)
-                if code.startswith("_meet"):
-                    code, first = self.bound(code)
+            # The root, or sides that differ at the first segment, meet at
+            # the root without a call.  A side holding a meet is bound
+            # before the atom, any other side where it is first read.
+            codes = [self.term(side, scope, pre) for side in (t.left, t.right)]
+            if "()" in codes:
+                return "()"
+            sides = []
+            for code in codes:
+                name, first = self.bound(code)
+                if "_meet" in code:
                     pre.append(first)
-                args.append(code)
-            return f"_meet({args[0]}, {args[1]})"
+                    first = name
+                sides.append((name, first))
+            (a, first_a), (b, first_b) = sides
+            return f"(_meet({a}, {b}) if {first_a} and {first_b} and {a}[0] == {b}[0] else ())"
         raise DomainError(f"not a term: {t!r}")
 
     def atom(self, f: Formula, scope: dict[str, str]) -> tuple[str, int]:
@@ -532,9 +567,10 @@ class _Source:
                 code = (f"{self.term(f.left, scope, pre)} == "
                         f"{self.term(f.right, scope, pre)}", _ATOM)
             elif isinstance(f, Leq):
+                # The root is below every node: no slice is taken.
                 low, first = self.bound(self.term(f.left, scope, pre))
                 high = self.term(f.right, scope, pre)
-                code = (f"{first} == {high}[:len({low})]", _ATOM)
+                code = (f"not {first} or {low} == {high}[:len({low})]", _OR)
             else:
                 arg, first = self.bound(self.term(f.arg, scope, pre))
                 # Only a plan node is ever a node's plan path, so a bad
@@ -581,7 +617,7 @@ class _Source:
         exists = isinstance(f, Exists)
         test, _ = self.formula(f.body if exists else Not(f.body), inner)
         members = params + "," if len(scope) == 1 else params
-        over = f"_reps(e, ({members}))" if self.fast else "tree"
+        over = f"_reps(e, ({members}))" if self.fast else "nodes"
         name = f"q{len(self.defs)}"
         self.defs.append(
             f"    def {name}({params}):\n"
@@ -601,14 +637,15 @@ def _generate(f: Formula, fast: bool, names: tuple[str, ...]):
     code, _ = src.formula(f, scope)
     lines = ["def bind(e):"]
     if src.defs and not fast:
-        # Only a plain quantifier ranges over the tree, so only it builds one.
-        lines.append("    tree = e.tree")
+        # A plain quantifier ranges over every node, listed once per bind.
+        lines.append("    nodes = _node_tuples(e)")
     lines += [f"    {bad} = {path!r} not in e.plan.nodes" for path, bad in src.labels.items()]
     lines += src.defs
     lines += [f"    def holds({', '.join(scope.values())}):", f"        return {code}",
               "    return holds"]
     namespace = {"_meet": _common_prefix, "_reps": _orbit_reps,
-                 "_unbound": _unbound, "_bad_label": _bad_label}
+                 "_node_tuples": _node_tuples, "_unbound": _unbound,
+                 "_bad_label": _bad_label}
     try:
         exec(compile("\n".join(lines), "<formula>", "exec"), namespace)
     except (SyntaxError, RecursionError, MemoryError) as err:
@@ -646,12 +683,13 @@ def evaluate(
 
     ``f`` runs as generated Python, compiled on its first evaluation with
     these mode and variable names and reused after.  Plain mode ranges
-    over every node.  ``fast`` restricts quantifier ranges to one
-    representative per orbit over the current environment, listed from
-    its tree closure; sound because members of one orbit are automorphic
-    over it.  A quantifier restores the outer binding of its variable on
-    exit, and an atom raises its unbound-variable or bad-label error only
-    when evaluation reaches it.
+    over every node, listed along the plan under the budget check of a
+    build but without building the tree.  ``fast`` restricts quantifier
+    ranges to one representative per orbit over the current environment,
+    listed from its tree closure; sound because members of one orbit are
+    automorphic over it.  A quantifier restores the outer binding of its
+    variable on exit, and an atom raises its unbound-variable or bad-label
+    error only when evaluation reaches it.
     """
     scope = dict(env or {})
     e.require(*scope.values())

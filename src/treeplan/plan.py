@@ -273,8 +273,9 @@ class Expansion:
     of tagged paths is built in one walk on the first use of :attr:`tree`,
     :meth:`nodes` or ``len``; that build raises :class:`BudgetError` when
     :func:`predicted_size` exceeds the budget resolved by :func:`expand`.
-    A fiber is listed along its plan path (:meth:`fiber`), without the
-    tree, under the same budget check.
+    A fiber is listed along its plan path (:meth:`fiber`), and plain
+    evaluation's range along the whole plan, without the tree, under the
+    same budget check.
     """
 
     __slots__ = ("plan", "n", "_budget", "_tree", "_sizes")
@@ -450,6 +451,38 @@ def _extensions(
     if k < len(sigma):
         steps[k] = [seg for seg in steps[k] if v + (seg,) not in skip]
     yield from map(Node, product(*steps))
+
+
+def _node_tuples(e: Expansion) -> list[tuple[Segment, ...]]:
+    """Every node of ``e`` as a plain segment tuple, in node order, listed
+    along the plan: no tree is built and no :class:`Node` is made.  Raises
+    :class:`BudgetError` in the cases where a build would."""
+    p, n = e.plan, e.n
+    _within_budget(p, n, e._budget)
+    # Per plan node, its child runs, last first: the one-segment tails of
+    # the copies of a plan child, and that child's runs.
+    runs: dict[PlanPath, list] = {}
+    for sigma in sorted(p._children, key=len, reverse=True):
+        runs[sigma] = [
+            ([((tau[-1], t),) for t in (range(n) if tau in p.inf_nodes else (STAR,))], runs[tau])
+            for tau in reversed(p._children[sigma])
+        ]
+    # A preorder walk; the copies of a plan leaf are listed as one run.
+    out: list[tuple[Segment, ...]] = []
+    stack: list = [((), runs[()], None)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        v, below, tails = pop()
+        if below is None:
+            out += [v + t for t in tails]
+            continue
+        out.append(v)
+        for tails, sub in below:
+            if sub:
+                stack += [(v + t, sub, None) for t in reversed(tails)]
+            else:
+                push((v, None, tails))
+    return out
 
 
 def expand(p: TreePlan, n: int, budget: Optional[int] = None) -> Expansion:

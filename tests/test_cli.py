@@ -419,6 +419,7 @@ class TestGoldenTranscripts:
 # here are unbalanced: the error names the position of the missing ")".
 DEEP_UNCLOSED = "(1 " * 3000 + ")" * 2999
 NOT_UTF8 = b"(1 (\xff))"
+DEEP_PARENTHESES = "(" * 3000 + "eps = eps" + ")" * 3000
 
 
 class TestMalformedInput:
@@ -427,7 +428,8 @@ class TestMalformedInput:
         [
             (DEEP_UNCLOSED, ["expand", "--plan", "{bad}", "--n", "1"]),
             (DEEP_UNCLOSED, ["infer", "{bad}", "{tree}"]),
-            (None, ["check", "--plan", "{plan}", "--n", "1", "--formula", "!" * 3000 + "eps = eps"]),
+            # Negations are counted in a loop; parentheses still recurse.
+            (None, ["check", "--plan", "{plan}", "--n", "1", "--formula", DEEP_PARENTHESES]),
             (NOT_UTF8, ["expand", "--plan", "{bad}", "--n", "1"]),
             (NOT_UTF8, ["infer", "{tree}", "{bad}"]),
             (None, ["asymptotic", "--plan", "{plan}", "--formula", "P[0](x)", "--ladder", "a,b"]),

@@ -9,6 +9,7 @@ from treeplan import (
     DomainError,
     FormulaSyntaxError,
     ROOT,
+    TreePlanError,
     UnboundVariableError,
     classify_solutions,
     evaluate,
@@ -177,7 +178,8 @@ class TestEvaluate:
         env = {"x": ROOT, "y": node("0:999999/0:5")}
         assert evaluate(e, parse_formula("pred^2(y) = x & P[0.0](y)"), env, fast=fast)
 
-    def test_plain_quantifier_builds_the_tree(self):
+    def test_plain_quantifier_keeps_the_build_budget(self):
+        # A plain quantifier lists every node, under the budget of a build.
         e = expand(PLANS["B"], 10**6)
         with pytest.raises(BudgetError):
             evaluate(e, parse_formula("exists y. y = x"), {"x": ROOT})
@@ -307,9 +309,25 @@ def test_deep_formulas_compile(name, fast):
 
 
 @pytest.mark.parametrize("fast", [False, True])
+@pytest.mark.parametrize("count", [5000, 5001])
+def test_negation_chain_without_recursion(count, fast):
+    # The parser counts a run of "!"s and formula_text renders it in one
+    # loop, so neither recurses once per negation.
+    inner = "exists y. pred(y) = x"
+    text = "!" * count + f"({inner})"
+    f = parse_formula(text)
+    assert formula_text(f) == text
+    e, env = expand(PLANS["B"], 2), {"x": node("0:1")}
+    assert evaluate(e, parse_formula(inner), env, fast=fast) is True
+    assert evaluate(e, f, env, fast=fast) is (count % 2 == 0)
+
+
+@pytest.mark.parametrize("fast", [False, True])
 class TestVariableNames:
     """Python keywords and the names of the generated source are plain
-    variable names."""
+    variable names, and the atoms decided without a call (meets at the
+    root or split at the first segment, a root lower side) raise and hold
+    as the reference does."""
 
     @pytest.mark.parametrize(
         "text, env",
@@ -323,13 +341,42 @@ class TestVariableNames:
             ("forall v0. exists e. pred(e) = v0 | P[0.0](v0) | v0 = holds", {"holds": "eps"}),
             ("exists q0. exists orbit_reps. !(meet(q0, orbit_reps) = _meet)", {"_meet": "0:1"}),
             ("exists _reps. forall e. meet(_reps, e) <= _meet", {"_meet": "0:1"}),
+            # A meet with an eps side.
+            ("forall x. meet(x, eps) = eps & meet(eps, x) = meet(eps, eps)", {}),
+            ("exists x. meet(eps, x) = x & !(x = eps)", {}),
+            # Sides sharing their first segments.
+            ("exists x. meet(x, y) = u & !(x = u)", {"y": "0:0/0:1", "u": "0:0"}),
+            ("forall x. meet(x, y) <= y & meet(y, x) = meet(x, y)", {"y": "0:1/0:0"}),
+            ("exists x. meet(x, y) = y", {"y": "0:1/0:1"}),
+            # Nested meets and pred of the root.
+            ("forall x. meet(meet(x, y), pred(y)) = meet(pred(x), meet(y, pred(eps)))",
+             {"y": "0:0/0:1"}),
+            ("exists x. meet(pred(x), meet(x, y)) = pred(y) & pred^2(x) = pred(eps)",
+             {"y": "0:1/0:0"}),
+            ("pred(eps) = eps & pred^3(eps) <= eps & meet(pred(eps), y) = eps", {"y": "0:0"}),
+            # A root lower side.
+            ("forall x. eps <= x & pred(eps) <= x & meet(x, eps) <= x", {}),
+            ("exists x. x <= eps & !(x = eps)", {}),
+            ("exists x. meet(x, y) <= pred(y) & !(meet(x, y) = eps)", {"y": "0:1/0:1"}),
+            # An unbound variable inside a meet, reached or not.
+            ("forall x. !(x = eps) -> meet(eps, y) <= x", {}),
+            ("exists x. x = eps | meet(x, y) = x", {}),
+            ("exists x. meet(y, eps) = x", {}),
+            ("!(u = eps) & meet(meet(x, eps), u) = eps", {"u": "0:0"}),
+            ("!(u = eps) | eps <= meet(u, meet(x, eps))", {"u": "0:0"}),
         ],
     )
     def test_evaluation_matches_the_reference(self, fast, text, env):
         e = expand(PLANS["B"], 2)
         env = {name: node(value) for name, value in env.items()}
         f = parse_formula(text)
-        assert evaluate(e, f, env, fast=fast) == evaluate_reference(e, f, env)
+        outcomes = []
+        for run in (lambda: evaluate(e, f, env, fast=fast), lambda: evaluate_reference(e, f, env)):
+            try:
+                outcomes.append(run())
+            except TreePlanError as err:
+                outcomes.append((type(err), str(err)))
+        assert outcomes[0] == outcomes[1]
 
     def test_keyword_free_variable(self, fast):
         e = expand(PLANS["B"], 2)

@@ -9,10 +9,12 @@ from treeplan import (
     PlanSyntaxError,
     TreePlan,
     ell,
+    evaluate,
     expand,
     height,
     induced_automorphism,
     inf_count,
+    parse_formula,
     parse_node,
     parse_plan,
     plan_isomorphic,
@@ -20,7 +22,7 @@ from treeplan import (
     subplan,
 )
 from treeplan.analysis import check_embedding
-from treeplan.plan import predicted_size
+from treeplan.plan import Expansion, _node_tuples, predicted_size
 from treeplan.trees import STAR, Node
 
 from conftest import PLANS, assert_expansion_matches_reference
@@ -234,6 +236,33 @@ class TestLazyExpansion:
             for i in (-1, len(listed)):
                 with pytest.raises(DomainError):
                     fresh.node_at(i)
+
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_node_tuples_list_the_nodes_in_order(self, name):
+        for n in range(1, 5):
+            listed = _node_tuples(expand(PLANS[name], n))
+            assert listed == [tuple(v) for v in expand(PLANS[name], n).nodes()]
+            assert all(type(t) is tuple for t in listed)
+
+    def test_node_tuples_keep_the_budget_of_a_build(self):
+        size = predicted_size(PLANS["chain3_one"], 4)
+        errors = []
+        for listing in (_node_tuples, Expansion.nodes):
+            with pytest.raises(BudgetError) as info:
+                listing(expand(PLANS["chain3_one"], 4, budget=size - 1))
+            errors.append(str(info.value))
+        assert errors[0] == errors[1] == f"expansion would have {size} nodes; budget is {size - 1}"
+        assert len(_node_tuples(expand(PLANS["chain3_one"], 4, budget=size))) == size
+
+    def test_plain_evaluation_builds_no_tree(self, monkeypatch):
+        def no_build(e):
+            raise AssertionError("the tree was built")
+
+        monkeypatch.setattr(Expansion, "_build", no_build)
+        e = expand(PLANS["chain3_one"], 4)
+        assert evaluate(e, parse_formula("forall x. forall y. meet(x, y) <= x")) is True
+        assert evaluate(e, parse_formula("exists x. exists y. !(x = y) & pred(x) = pred(y)"))
+        assert e._tree is None
 
     @pytest.mark.parametrize("name", sorted(PLANS))
     def test_membership_agrees_with_the_built_tree(self, name):
