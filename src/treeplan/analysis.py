@@ -4,8 +4,8 @@ inference from finite samples, and the dividing criterion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from math import inf
+from typing import Iterable, NamedTuple, Optional
 
 from .closure import (
     NodeSet,
@@ -160,8 +160,7 @@ def automorphism_over(
 # Disjoint amalgamation
 
 
-@dataclass(frozen=True)
-class Amalgam:
+class Amalgam(NamedTuple):
     base: Expansion
     left: Expansion
     right: Expansion
@@ -310,6 +309,25 @@ def _infer_known(s1: _Sample, v1: Node, s2: _Sample, v2: Node, n: int) -> _Parts
     return [edges[(i, assignment[i])] for i in range(len(classes1))]
 
 
+def _size_bound(s1: _Sample, v1: Node, s2: _Sample, v2: Node) -> float:
+    """A size above which the classes at ``v1`` and ``v2`` cannot match: c1
+    children pair with c2 only if k = c2 - c1 >= 0, c1 >= k*n and, if k = 0,
+    their own classes match."""
+    classes1, classes2 = _children_classes(s1, v1), _children_classes(s2, v2)
+    if len(classes1) != len(classes2):
+        return 0
+    bound = inf
+    for _, c1, rep1 in classes1:
+        best = 0
+        for _, c2, rep2 in classes2:
+            if c2 > c1:
+                best = max(best, c1 // (c2 - c1))
+            elif c2 == c1:
+                best = max(best, _size_bound(s1, rep1, s2, rep2))
+        bound = min(bound, best)
+    return bound
+
+
 def infer_plan(t1: FiniteTree, t2: FiniteTree) -> TreePlan:
     """Reconstruct a plan from samples presumed built at consecutive sizes.
 
@@ -318,10 +336,9 @@ def infer_plan(t1: FiniteTree, t2: FiniteTree) -> TreePlan:
     difference gives the number of replicated children and the remainder
     the number of singletons.  The size parameter is searched from large to
     small (replication is preferred over coincidence), from the largest
-    size the root's class counts allow: a class of c1 children at n pairs
-    with one of c2 at n + 1 only if k = c2 - c1 >= 0 and c1 - k*n >= 0, so
-    at any larger size some root class has no partner, and the size fails
-    with no consistent class matching, untried.  The plan of a matched
+    size the class counts allow (:func:`_size_bound`): at any larger size
+    some root class has no partner, and the size fails with no consistent
+    class matching, untried.  The plan of a matched
     class expands to that class's subtrees at both sizes by construction,
     so no edge is re-expanded; the assembled plan is checked
     against both samples once, as a whole, on the plan, building no
@@ -342,14 +359,9 @@ def infer_plan(t1: FiniteTree, t2: FiniteTree) -> TreePlan:
         else:
             errors.append([n, n, reason])
 
-    # Per root class, the largest n any partner allows (k = 0: every n).
     start = len(t1)
-    classes1, classes2 = _children_classes(s1, ROOT), _children_classes(s2, ROOT)
-    if len(classes1) == len(classes2):
-        for _, c1, _ in classes1:
-            ks = [c2 - c1 for _, c2, _ in classes2 if c2 >= c1]
-            if 0 not in ks:
-                start = min(start, max((c1 // k for k in ks), default=0))
+    if len(_children_classes(s1, ROOT)) == len(_children_classes(s2, ROOT)):
+        start = min(start, _size_bound(s1, ROOT, s2, ROOT))
     if start < len(t1):
         errors.append([len(t1), start + 1, _NO_MATCHING])
     for n in range(start, 0, -1):
@@ -393,8 +405,7 @@ def infer_plan_threshold(t: FiniteTree, threshold: int) -> TreePlan:
 # The dividing criterion
 
 
-@dataclass(frozen=True)
-class DividingVerdict:
+class DividingVerdict(NamedTuple):
     divides: bool
     witness: Optional[Node] = None
     conjugates: Optional[frozenset[Node]] = None

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import NamedTuple, Optional
@@ -136,8 +135,7 @@ def lead_count(p: TreePlan) -> int:
     return poly_P(p).leading()
 
 
-@dataclass(frozen=True)
-class DimMeasure:
+class DimMeasure(NamedTuple):
     """Dimension/measure pair of a relative fiber.
 
     ``delta`` is the degree ratio; the measure is ``1 / base**delta``, kept
@@ -193,8 +191,7 @@ class CountRow(NamedTuple):
     passed: bool
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(NamedTuple):
     rows: tuple[CountRow, ...]
 
     @property
@@ -205,10 +202,7 @@ class CountReport:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["plan", "quantity", "n", "observed", "predicted", "pass"])
-        for r in self.rows:
-            writer.writerow(
-                [r.plan, r.quantity, r.n, r.observed, r.predicted, str(r.passed).lower()]
-            )
+        writer.writerows([*r[:-1], str(r.passed).lower()] for r in self.rows)
         return buf.getvalue()
 
 

@@ -26,8 +26,7 @@ must expand one plan.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .closure import PickFrame, embed_pairs, extend_least, orbit_key
 from .errors import BudgetError, DomainError
@@ -35,8 +34,7 @@ from .plan import Expansion, TreePlan, predicted_size
 from .trees import Node, ROOT, format_node
 
 
-@dataclass(slots=True)
-class GameState:
+class GameState(NamedTuple):
     left: Expansion
     right: Expansion
     picks_left: tuple[Node, ...] = ()
@@ -264,8 +262,7 @@ def game_value(
 # Playing games
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     winner: str
     transcript: str
     illegal: Optional[str] = None

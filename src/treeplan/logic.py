@@ -4,8 +4,8 @@ Terms are built from variables, the root constant, pred, and meet; atoms
 are equality, the prefix order, and one fiber predicate per plan node.
 Quantifiers scope to the end of the enclosing formula (or closing paren).
 
-Evaluation compiles a formula once, on first use, into generated Python
-source, and keeps the compiled program for as long as the formula lives;
+Formulas are interned; evaluation compiles a formula once, on first use,
+into generated Python source, kept on the formula for as long as it lives;
 each call binds it to an expansion and runs it.  A quantifier becomes a
 loop in a function of its own, and an atom an inline test on segment
 tuples: terms evaluate to segment tuples rather than nodes, ``pred`` drops
@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import re
 import weakref
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .closure import PickFrame, _orbit_in, _orbit_reps, anchor_in, downset, tcl
 from .counting import dim_measure, poly_P, poly_Q_rel
@@ -50,95 +49,109 @@ from .plan import (
     height,
     strip_comments,
 )
-from .trees import Node, PlanPath, ROOT, _common_prefix, path_text
+from .trees import Frozen, Node, PlanPath, ROOT, _common_prefix, _fields, path_text
 
 # --------------------------------------------------------------------------
 # Abstract syntax
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class _Formula(Frozen):
+    """A term or formula node, interned: one built equal, field by field, to a
+    live node is that node, so ``==`` and ``hash`` are identity.  Field values
+    must be hashable.  Each class keeps an entry per live node under its field
+    values; a slot keeps the node's compiled programs (:func:`_program`)."""
+
+    __slots__ = ("_programs", "__weakref__")
+
+    def __init_subclass__(cls):
+        cls._live = {}
+
+    def __new__(cls, *args, **kwargs):
+        if kwargs or len(args) != len(cls.__match_args__):
+            args = _fields(cls, args, kwargs)
+        live = cls._live
+        ref = live.get(args)
+        if ref is None or (f := ref()) is None:
+            # Not by Frozen.__new__, which binds the fields again: a third less per node.
+            f = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, args):
+                object.__setattr__(f, name, value)
+            object.__setattr__(f, "_programs", {})
+            live[args] = ref = _Entry(f, _Entry.forget)
+            ref.live, ref.key = live, args
+        return f
 
 
-@dataclass(frozen=True)
-class Eps:
-    pass
+class _Entry(weakref.ref):
+    __slots__ = ("live", "key")
+
+    def forget(self) -> None:
+        if self.live.get(self.key) is self:
+            del self.live[self.key]
 
 
-@dataclass(frozen=True)
-class Pred:
+# Names are strings, label paths plan paths, pred powers ints >= 1; other fields terms or formulas.
+class Var(_Formula):
+    __slots__ = __match_args__ = ("name",)
+
+
+class Eps(_Formula):
+    __slots__ = __match_args__ = ()
+
+
+class Pred(_Formula):
     """``pred^power`` of ``arg``: the prefix ``power`` steps below it,
     clamped at the root."""
 
-    arg: "Term"
-    power: int = 1
+    __slots__ = __match_args__ = ("arg", "power")
 
-    def __post_init__(self):
-        if self.power < 1:
+    def __new__(cls, arg: Term, power: int = 1):
+        if power < 1:
             raise DomainError("a pred power must be at least 1")
+        return super().__new__(cls, arg, power)
 
 
-@dataclass(frozen=True)
-class MeetT:
-    left: "Term"
-    right: "Term"
+class MeetT(_Formula):
+    __slots__ = __match_args__ = ("left", "right")
 
 
 Term = Union[Var, Eps, Pred, MeetT]
 
 
-@dataclass(frozen=True)
-class Eq:
-    left: Term
-    right: Term
+class Eq(_Formula):
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Leq:
-    left: Term
-    right: Term
+class Leq(_Formula):
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Label:
-    path: PlanPath
-    arg: Term
+class Label(_Formula):
+    __slots__ = __match_args__ = ("path", "arg")
 
 
-@dataclass(frozen=True)
-class Not:
-    sub: "Formula"
+class Not(_Formula):
+    __slots__ = __match_args__ = ("sub",)
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class And(_Formula):
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class Or(_Formula):
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
+class Implies(_Formula):
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Exists:
-    var: str
-    body: "Formula"
+class Exists(_Formula):
+    __slots__ = __match_args__ = ("var", "body")
 
 
-@dataclass(frozen=True)
-class Forall:
-    var: str
-    body: "Formula"
+class Forall(_Formula):
+    __slots__ = __match_args__ = ("var", "body")
 
 
 Formula = Union[Eq, Leq, Label, Not, And, Or, Implies, Exists, Forall]
@@ -653,24 +666,15 @@ def _generate(f: Formula, fast: bool, names: tuple[str, ...]):
     return namespace["bind"]
 
 
-# The programs of each formula object by mode and bound names, for as
-# long as the object lives.  The key is its identity: hashing a formula
-# walks the whole tree, once per call and as deep as the formula.
-_PROGRAMS: dict[int, dict] = {}
-
-
 def _program(f: Formula, fast: bool, names: tuple[str, ...]):
-    programs = _PROGRAMS.get(id(f))
-    if programs is None:
-        try:
-            weakref.finalize(f, _PROGRAMS.pop, id(f))
-        except TypeError:
-            raise DomainError(f"not a formula: {f!r}") from None
-        programs = _PROGRAMS[id(f)] = {}
+    """The program of ``f`` for a mode and bound names, compiled once and
+    kept in the node's slot, where an equal formula built again finds it."""
+    if not isinstance(f, _Formula):
+        raise DomainError(f"not a formula: {f!r}")
     key = (fast, names)
-    if key not in programs:
-        programs[key] = _generate(f, fast, names)
-    return programs[key]
+    if key not in f._programs:
+        f._programs[key] = _generate(f, fast, names)
+    return f._programs[key]
 
 
 def evaluate(
@@ -733,8 +737,7 @@ def size_threshold(p: TreePlan, k: int) -> int:
     return k + ell(p) * height(p)
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     formula: str
     rank: int
     start: int
@@ -768,17 +771,20 @@ def pseudofinite_probe(
 # Principal formulas for 1-types
 
 
-@dataclass(frozen=True)
-class PrincipalFormula:
+class PrincipalFormula(Frozen):
     """An isolating quantifier-free formula plus its parameter assignment.
 
     The formula's solution set in the expansion is exactly the orbit of the
-    isolated element over the parameter set.
+    isolated element over the parameter set; equality compares formulas.
     """
 
-    formula: Formula
-    params: dict[str, Node] = field(compare=False)
-    case: str = field(compare=False)
+    __slots__ = __match_args__ = ("formula", "params", "case")
+
+    def __eq__(self, other):
+        return self.formula == other.formula if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.formula)
 
     def text(self) -> str:
         return formula_text(self.formula)
@@ -848,8 +854,7 @@ def principal_formula(e: Expansion, a: Node, members: Iterable[Node]) -> Princip
 # Solution classification and the asymptotic check
 
 
-@dataclass(frozen=True)
-class SolutionClass:
+class SolutionClass(NamedTuple):
     """A block of the solution set: common anchor and common fiber."""
 
     anchor_node: Node
@@ -894,8 +899,7 @@ def formula_dim_measure(
     return (delta, mu)
 
 
-@dataclass(frozen=True)
-class AsymptoticRow:
+class AsymptoticRow(NamedTuple):
     n: int
     observed: int
     delta: Fraction
@@ -905,8 +909,7 @@ class AsymptoticRow:
     passed: bool
 
 
-@dataclass(frozen=True)
-class AsymptoticReport:
+class AsymptoticReport(NamedTuple):
     formula: str
     rows: tuple[AsymptoticRow, ...]
     classes_stable: bool

@@ -9,12 +9,11 @@ per parent and every mark-``1`` node by a single star-tagged copy.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from itertools import product, repeat
 from typing import Container, Iterator, Mapping, Optional, Sequence
 
 from .errors import BudgetError, DomainError, PlanSyntaxError
-from .trees import STAR, FiniteTree, Node, PlanPath, ROOT, Segment, require_members
+from .trees import STAR, FiniteTree, Frozen, Node, PlanPath, ROOT, Segment, require_members
 
 DEFAULT_NODE_BUDGET = 2_000_000
 
@@ -39,31 +38,26 @@ def node_budget(override: Optional[int] = None) -> int:
     return DEFAULT_NODE_BUDGET
 
 
-@dataclass(frozen=True)
-class TreePlan:
+class TreePlan(Frozen):
     """The pair (node set, set of replicated nodes).
 
     The children of every node, in branch order, and the number of
     inf-marked nodes on the path to every node are computed once at
-    construction.
+    construction; equality compares the two sets.
     """
 
-    nodes: frozenset[PlanPath]
-    inf_nodes: frozenset[PlanPath]
-    _children: dict[PlanPath, tuple[PlanPath, ...]] = field(
-        init=False, repr=False, compare=False
-    )
-    _inf_counts: dict[PlanPath, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("nodes", "inf_nodes", "_children", "_inf_counts")
+    __match_args__ = ("nodes", "inf_nodes")
 
-    def __post_init__(self):
-        if () not in self.nodes:
+    def __new__(cls, nodes: frozenset[PlanPath], inf_nodes: frozenset[PlanPath]):
+        if () not in nodes:
             raise DomainError("a plan must contain the empty path")
-        if () in self.inf_nodes:
+        if () in inf_nodes:
             raise DomainError("the plan root must carry mark 1")
-        if not self.inf_nodes <= self.nodes:
+        if not inf_nodes <= nodes:
             raise DomainError("inf-marked paths must be plan nodes")
-        kids: dict[PlanPath, list[PlanPath]] = {sigma: [] for sigma in self.nodes}
-        for sigma in self.nodes:
+        kids: dict[PlanPath, list[PlanPath]] = {sigma: [] for sigma in nodes}
+        for sigma in nodes:
             if sigma:
                 below = kids.get(sigma[:-1])
                 if below is None:
@@ -74,16 +68,26 @@ class TreePlan:
             if [tau[-1] for tau in below] != list(range(len(below))):
                 raise DomainError(f"branch indices below {sigma} are not consecutive")
         children = {sigma: tuple(below) for sigma, below in kids.items()}
-        object.__setattr__(self, "_children", children)
         # Down from the root, each count from its parent's: no path is sliced.
         counts = {(): 0}
         stack = [((), 0)]
         while stack:
             sigma, count = stack.pop()
             for tau in children[sigma]:
-                counts[tau] = above = count + (tau in self.inf_nodes)
+                counts[tau] = above = count + (tau in inf_nodes)
                 stack.append((tau, above))
+        self = super().__new__(cls, nodes, inf_nodes)
+        object.__setattr__(self, "_children", children)
         object.__setattr__(self, "_inf_counts", counts)
+        return self
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.nodes, self.inf_nodes) == (other.nodes, other.inf_nodes)
+
+    def __hash__(self) -> int:
+        return hash((self.nodes, self.inf_nodes))
 
     def __contains__(self, sigma: PlanPath) -> bool:
         return sigma in self.nodes

@@ -16,9 +16,7 @@ All values here are immutable; every operation is pure.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
-from typing import Callable, Container, Iterable, Optional, Sequence
+from typing import Callable, Container, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DomainError
 
@@ -27,6 +25,40 @@ STAR = -1
 
 Segment = tuple[int, int]
 PlanPath = tuple[int, ...]
+
+
+class Frozen:
+    """An immutable value: its fields, ``__match_args__``, are slots set once
+    by position or keyword; ``repr`` lists them, and equality is identity."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = object.__new__(cls)
+        for name, value in zip(cls.__match_args__, _fields(cls, args, kwargs)):
+            object.__setattr__(self, name, value)
+        return self
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+def _fields(cls: type, args: tuple, kwargs: dict) -> tuple:
+    """The field values of a ``cls(*args, **kwargs)`` call, in field order."""
+    names = cls.__match_args__
+    args += tuple([kwargs.pop(name) for name in names[len(args):] if name in kwargs])
+    if kwargs or len(args) != len(names):
+        raise TypeError(f"{cls.__name__}() takes the fields {', '.join(names)}")
+    return args
 
 
 class Node(tuple):
@@ -86,22 +118,17 @@ def format_node(node: Node) -> str:
     return "/".join([f"{branch}:{'*' if tag == STAR else tag}" for branch, tag in node])
 
 
-_SEG_RE = re.compile(r"^(\d+):(\*|\d+)$")
-
-
 def parse_node(text: str) -> Node:
-    """Inverse of :func:`format_node`."""
+    """Inverse of :func:`format_node`; digits are Unicode category Nd, as ``\\d``."""
     text = text.strip()
     if text == "eps":
         return ROOT
     segs: list[Segment] = []
     for part in text.split("/"):
-        m = _SEG_RE.match(part.strip())
-        if not m:
+        branch, colon, tag = part.strip().partition(":")
+        if not (colon and branch.isdecimal() and (tag == "*" or tag.isdecimal())):
             raise DomainError(f"bad node segment {part!r} in {text!r}")
-        branch = int(m.group(1))
-        tag = STAR if m.group(2) == "*" else int(m.group(2))
-        segs.append((branch, tag))
+        segs.append((int(branch), STAR if tag == "*" else int(tag)))
     return Node(segs)
 
 
@@ -213,8 +240,7 @@ def predk(tree: FiniteTree, a: Node, k: int) -> Node:
     return a.prefix(a.depth - k)
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     """Deterministic code; equal codes iff the rooted (labeled) trees are isomorphic."""
 
     code: str
@@ -263,13 +289,18 @@ def prefixes(nodes: Iterable[Node]) -> frozenset[Node]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class TupleType:
+class TupleType(Frozen):
     """Quantifier-free type of a tuple: its generated substructure with the
-    tuple positions marked, compressed to a canonical code."""
+    tuple positions marked, compressed to a canonical code; equal codes
+    make equal types."""
 
-    code: str
-    generated: frozenset[Node] = field(compare=False, hash=False)
+    __slots__ = __match_args__ = ("code", "generated")
+
+    def __eq__(self, other):
+        return self.code == other.code if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.code)
 
     def __str__(self) -> str:
         return self.code

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from collections import Counter
 from dataclasses import dataclass
 
@@ -130,6 +131,23 @@ def common_prefix_zip(a: tuple, b: tuple) -> tuple:
             break
         i += 1
     return a[:i]
+
+
+_SEG_RE = re.compile(r"^(\d+):(\*|\d+)$")
+
+
+def regex_parse_node(text: str) -> Node:
+    """The regular-expression node parser that ``parse_node`` replaced."""
+    text = text.strip()
+    if text == "eps":
+        return ROOT
+    segs = []
+    for part in text.split("/"):
+        m = _SEG_RE.match(part.strip())
+        if not m:
+            raise DomainError(f"bad node segment {part!r} in {text!r}")
+        segs.append((int(m.group(1)), STAR if m.group(2) == "*" else int(m.group(2))))
+    return Node(segs)
 
 
 def brute_force_isomorphic(t1: FiniteTree, t2: FiniteTree, labeled: bool = False) -> bool:

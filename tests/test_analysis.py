@@ -328,6 +328,28 @@ class TestInferenceSizeBound:
         assert plan_isomorphic(infer_plan(t1, t2), p)
         assert root_tries == [120]
 
+    def test_bound_taken_below_a_root_that_keeps_its_counts(self, root_tries):
+        # The root and its child keep one child each (k = 0); the first
+        # count that changes is 120 against 121 two levels down, so the
+        # search starts at 120, not at the 14,522 nodes of t1.
+        p = parse_plan("(1 (1 (inf (inf))))")
+        t1, t2 = expand(p, 120).tree, expand(p, 121).tree
+        assert len(t1) == 14522
+        assert plan_isomorphic(infer_plan(t1, t2), p)
+        assert root_tries == [120]
+
+    def test_a_child_pair_that_never_matches_bounds_nothing_below_it(self, root_tries):
+        # One child each at the root (k = 0), but two classes below it
+        # against one: no size matches, and every size fails at the root
+        # with the text of a tried size.
+        t1 = parse_tree_text("(1 (1 (1) (1 (1))))")
+        t2 = parse_tree_text("(1 (1 (1) (1)))")
+        with pytest.raises(InferenceError) as err:
+            infer_plan(t1, t2)
+        assert err.value.offending == ["n=5..1: no consistent class matching"]
+        assert root_tries == []
+        assert _outcome(infer_plan, t1, t2) == _outcome(infer_plan_rerooted, t1, t2)
+
     def test_skipped_sizes_join_the_failure_run(self, root_tries):
         # Three leaves against five one-child nodes (k = 2) bound n by 1:
         # sizes 4..2 are skipped, and at 1 a leaf matches no inner node.

@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -171,8 +170,7 @@ class TestGameState:
         left, right = expand(PLANS[name], 2), expand(PLANS[name], 3)
         state = GameState(left, right, (node("eps"),), (node("eps"),), 3)
         a, b = left.nodes()[-1], right.nodes()[-1]
-        expected = replace(
-            state,
+        expected = state._replace(
             picks_left=state.picks_left + (a,),
             picks_right=state.picks_right + (b,),
             rounds_left=state.rounds_left - 1,

@@ -25,13 +25,18 @@ from treeplan import (
     qrank,
     solution_set,
 )
+from treeplan import logic
 from treeplan.logic import (
     And,
     Eps,
     Eq,
     Exists,
+    Forall,
     Label,
+    Leq,
+    MeetT,
     Not,
+    Or,
     Pred,
     Var,
     asymptotic_check,
@@ -320,6 +325,67 @@ def test_negation_chain_without_recursion(count, fast):
     e, env = expand(PLANS["B"], 2), {"x": node("0:1")}
     assert evaluate(e, parse_formula(inner), env, fast=fast) is True
     assert evaluate(e, f, env, fast=fast) is (count % 2 == 0)
+
+
+class TestFormulaIdentity:
+    """Formulas are interned: an equal formula is the same object."""
+
+    TEXT = "forall x. exists y. pred(y) = x & P[0](y) | meet(x, y) <= eps"
+
+    def test_parsing_twice_gives_one_object(self):
+        assert parse_formula(self.TEXT) is parse_formula(self.TEXT)
+
+    def test_a_hand_built_formula_is_the_parsed_one(self):
+        x, y = Var("x"), Var(name="y")
+        built = Forall("x", Exists(var="y", body=Or(
+            And(Eq(Pred(y), x), Label((0,), y)),
+            Leq(MeetT(x, y), Eps()),
+        )))
+        assert built is parse_formula(self.TEXT)
+        assert Pred(y) is Pred(y, 1) is Pred(arg=y, power=1)
+
+    def test_equal_5000_conjunct_formulas_compare_and_hash_equal(self):
+        # Built twice, separately; structural equality would recurse once
+        # per conjunct.
+        first = conj([Eq(Var("x"), Var(f"y{i}")) for i in range(5000)])
+        second = conj([Eq(Var("x"), Var(f"y{i}")) for i in range(5000)])
+        assert first == second and hash(first) == hash(second)
+        assert first != conj([Eq(Var("x"), Var(f"y{i}")) for i in range(4999)])
+
+    @pytest.mark.parametrize("fast", [False, True])
+    def test_a_reparsed_formula_reuses_its_program(self, monkeypatch, fast):
+        calls = []
+        generate = logic._generate
+
+        def counted(f, fast, names):
+            calls.append(f)
+            return generate(f, fast, names)
+
+        monkeypatch.setattr(logic, "_generate", counted)
+        text = "exists x. exists y. !(x = y) & pred(x) = pred(y)"
+        first = parse_formula(text)
+        e = expand(PLANS["B"], 2)
+        assert evaluate(e, first, fast=fast) is True
+        assert evaluate(e, parse_formula(text), fast=fast) is True
+        assert calls == [first]
+
+    def test_a_pred_power_below_one_is_refused(self):
+        with pytest.raises(DomainError):
+            Pred(Var("x"), 0)
+        with pytest.raises(DomainError):
+            Pred(arg=Var("x"), power=-1)
+
+    def test_fields_cannot_be_assigned(self):
+        f = parse_formula("x = eps")
+        with pytest.raises(AttributeError):
+            f.left = Eps()
+        with pytest.raises(AttributeError):
+            del f.right
+        assert f == Eq(Var("x"), Eps())
+
+    def test_an_unhashable_field_is_refused_at_construction(self):
+        with pytest.raises(TypeError):
+            Label([0], Var("x"))
 
 
 @pytest.mark.parametrize("fast", [False, True])

@@ -1,4 +1,7 @@
+import itertools
 import random
+import re
+import sys
 
 import pytest
 
@@ -33,6 +36,7 @@ from conftest import (
     node_order_key,
     qftp_recursive,
     random_tree,
+    regex_parse_node,
 )
 
 
@@ -48,6 +52,31 @@ class TestNodeText:
     def test_bad_segment(self):
         with pytest.raises(DomainError):
             parse_node("0:x")
+
+    def test_segments_parse_as_by_the_regular_expression(self):
+        # Whitespace, stars, empty parts, and digits beyond ASCII: "\u0663"
+        # and "\u06f5" are decimal (category Nd, as \d), the superscript two
+        # and one half are numeric but not decimal.
+        pieces = ["0", "17", "\u0663", "\u06f5", "*", ":", "/", " ", "\t", "\n", "",
+                  "x", "-1", "+", "\u00b2", "\u00bd", "eps", "\u3000"]
+        texts = {"".join(combo) for k in range(1, 4) for combo in itertools.product(pieces, repeat=k)}
+        rng = random.Random(5)
+        texts |= {"".join(rng.choices(pieces, k=rng.randint(4, 9))) for _ in range(3000)}
+        for text in sorted(texts):
+            assert _outcome(parse_node, text) == _outcome(regex_parse_node, text), repr(text)
+
+    def test_isdecimal_is_the_digit_class_of_regular_expressions(self):
+        digit = re.compile(r"\d")
+        chars = map(chr, range(sys.maxunicode + 1))
+        assert all(c.isdecimal() == bool(digit.fullmatch(c)) for c in chars)
+
+
+def _outcome(parse, text):
+    try:
+        node = parse(text)
+    except DomainError as err:
+        return ("error", str(err))
+    return ("node", type(node), tuple(node))
 
 
 class TestNodeOrder:
