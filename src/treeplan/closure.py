@@ -9,18 +9,18 @@ Tuples likewise: :func:`orbit_key` names a tuple's orbit,
 :func:`embed_pairs` builds the closure embedding between paired tuples,
 and :func:`extend_least` grows such an embedding by least fresh nodes;
 the games and the automorphisms share all three.  A :class:`PickFrame`
-holds the closure and the key of a pick tuple together, lists the orbit
-representatives over the picks with their keys, and steps by one more
-pick; the closure, the representatives, the game search and
+holds the closure and the key of a pick tuple together, counts the orbits
+over the picks, lists their representatives with their keys, and steps by
+one more pick; the closure, the representatives, the game search and
 :func:`type_count` all go through it.
 """
 
 from __future__ import annotations
 
-from typing import Container, Iterable, Optional
+from typing import Container, Iterable, Iterator, Optional
 
 from .errors import DomainError
-from .plan import Expansion, TreePlan, _extensions, expand
+from .plan import Expansion, TreePlan, _extensions, _subplan_sizes, expand
 from .trees import STAR, Node, PlanPath, ROOT, Segment, prefixes, qftp
 
 NodeSet = frozenset[Node]
@@ -97,9 +97,9 @@ def least_free_child(
     """The child of ``v`` on the replicated ``branch`` with the least tag,
     from ``start`` up, outside ``taken``; None when all of them are taken."""
     for tag in range(start, e.n):
-        cand = v.child(branch, tag)
+        cand = v + ((branch, tag),)  # a plain tuple tests as the node it spells
         if cand not in taken:
-            return cand
+            return Node(cand)
     return None
 
 
@@ -229,6 +229,40 @@ class PickFrame:
                 close_pair(plan, closed, u, u if same else Node(r[:i]), path[:i], self.paths)
         return r
 
+    def frontier(self) -> tuple[int, set[Node]]:
+        """The number of orbits over the picks, and their fresh starts:
+        for each closure node and inf branch under which some child lies
+        outside the closure, the renamed image of the least such child.
+
+        Every closure node is its own orbit, and each fresh start adds one
+        orbit per node of the subplan at its plan path.  Two frames with
+        equal keys have one renamed closure, so their representatives have
+        the same keys (:meth:`keyed_reps`) exactly when they have the same
+        fresh starts, and then the same count.
+        """
+        sizes = _subplan_sizes(self.e.plan)
+        count, fresh = len(self.closed), set()
+        for _, r, tau in self._fresh():
+            fresh.add(r)
+            count += sizes[tau]
+        return count, fresh
+
+    def _fresh(self) -> Iterator[tuple[Node, Node, PlanPath]]:
+        # The least child outside the closure under each closure node c
+        # and inf branch that has one, with its renamed image, a fresh
+        # start of :meth:`frontier`, and its plan path.  Its tag is renamed
+        # to the number of tags the picks used under c on that branch.
+        closed, names, e = self.closed, self.names, self.e
+        children, inf = e.plan.children, e.plan.inf_nodes
+        for c, sigma in self.paths:
+            for tau in children(sigma):
+                if tau in inf:
+                    branch = tau[-1]
+                    v = least_free_child(e, c, branch, closed)
+                    if v is not None:
+                        rc = closed[c]
+                        yield v, rc.child(branch, len(names.get((rc, branch), ()))), tau
+
     def reps(self) -> list[tuple[Node, Node]]:
         """The least member of each orbit over the picks, in node order,
         each with its renamed image: the last entry of the orbit key of the
@@ -241,23 +275,13 @@ class PickFrame:
         that.  So only that first tag is renamed, to the number of tags the
         picks used under c on that branch.
         """
-        closed, names, e = self.closed, self.names, self.e
-        children, inf = e.plan.children, e.plan.inf_nodes
-        renamed = dict(closed)
-        stack = []
-        for c, sigma in self.paths:
-            for tau in children(sigma):
-                if tau in inf:
-                    branch = tau[-1]
-                    fresh = least_free_child(e, c, branch, closed)
-                    if fresh is not None:
-                        rc = closed[c]
-                        name = len(names.get((rc, branch), ()))
-                        stack.append((fresh, rc.child(branch, name), tau))
+        inf, children = self.e.plan.inf_nodes, self.e.plan._children
+        renamed = dict(self.closed)
+        stack = list(self._fresh())
         while stack:
             v, r, sigma = stack.pop()
             renamed[v] = r
-            for rho in children(sigma):
+            for rho in children[sigma]:
                 segment = ((rho[-1], 0 if rho in inf else STAR),)
                 stack.append((Node(v + segment), Node(r + segment), rho))
         # The closure comes in close to node order, so the sort is cheap
@@ -276,9 +300,11 @@ def type_count(p: TreePlan, k: int) -> int:
     orbits of k-tuples, each named by its :func:`orbit_key`.
 
     They are the leaves of the depth-k walk that steps a
-    :class:`PickFrame` by each of its representatives in turn.  A k-tuple
-    uses at most k tags under any parent, so the walk on the expansion at
-    size k sees every type of every size from k up, Γ(ω) included.
+    :class:`PickFrame` by each of its representatives in turn; the last
+    level counts them by :meth:`PickFrame.frontier`, without listing them.
+    A k-tuple uses at most k tags under any parent, so the walk on the
+    expansion at size k sees every type of every size from k up, Γ(ω)
+    included.
     Raises :class:`DomainError` for ``k < 0``.
     """
     if k < 0:
@@ -289,11 +315,10 @@ def type_count(p: TreePlan, k: int) -> int:
     stack = [(PickFrame(expand(p, k)), k)]
     while stack:
         frame, rounds = stack.pop()
-        reps = frame.reps()
         if rounds == 1:
-            leaves += len(reps)
+            leaves += frame.frontier()[0]
         else:
-            stack.extend((frame.step(a), rounds - 1) for a, _ in reps)
+            stack.extend((frame.step(a), rounds - 1) for a, _ in frame.reps())
     return leaves
 
 

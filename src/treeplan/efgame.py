@@ -18,8 +18,11 @@ the search degrades to a seeded random player and says so.  The one pick
 test is orbit-key equality: the picks of the two sides correspond exactly
 when their orbit keys are equal, so a move and a reply keep the partial
 isomorphism exactly when they extend the picks to equal keys, and a
-position pairs each move with the one reply of its key.  The full test
-runs once per search entry and at the end of a played game.  Both boards
+position pairs each move with the one reply of its key.  A last round
+lists no representatives: the spoiler loses it exactly when the two
+sides have the same fresh orbits
+(:meth:`~treeplan.closure.PickFrame.frontier`).  The full test runs once
+per search entry and at the end of a played game.  Both boards
 must expand one plan.
 """
 
@@ -110,6 +113,16 @@ class _Search:
     two sides equal.  A move whose key the other side lacks wins at once;
     otherwise only that one pair is solved, so every position visited has
     equal keys on both sides and is memoized by the key of one.
+
+    A position with one round left is lost by the spoiler exactly when
+    the representatives of the two sides have the same keys, that is
+    when the sides have the same fresh orbits
+    (:meth:`~treeplan.closure.PickFrame.frontier`).  Then the visits of
+    its moves, one per representative a side, are counted without
+    listing them.  When the frontiers differ, or the visits do not fit
+    the budget, the position runs the loop over its moves as every other
+    does, so the first winning move, the visits and the memo are those of
+    the loop.
     """
 
     def __init__(self, budget: int):
@@ -154,6 +167,14 @@ class _Search:
             return hit
         if move is not None:
             left, right = left.step(move), right.step(reply)
+        if rounds == 1:
+            # Lost by the spoiler when the frontiers agree: the loop's
+            # visits, one per move a side, are tallied at once.
+            count, fresh = left.frontier()
+            if fresh == right.frontier()[1] and self.visited + 2 * count <= self.budget:
+                self.visited += 2 * count
+                self.memo[memo_key] = False
+                return False
         result = self._winning_move(left, right, rounds) is not None
         self.memo[memo_key] = result
         return result

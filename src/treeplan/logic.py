@@ -230,10 +230,14 @@ class _Parser:
     # formula := implies ; quantifiers appear at the unary level and scope
     # to the end of the formula (or the closing paren).
     def formula(self) -> Formula:
-        left = self.or_level()
-        if self.accept("arrow"):
-            return Implies(left, self.formula())
-        return left
+        # A chain of "->"s is collected in a loop and folded from the right.
+        parts = [self.or_level()]
+        while self.accept("arrow"):
+            parts.append(self.or_level())
+        out = parts.pop()
+        while parts:
+            out = Implies(parts.pop(), out)
+        return out
 
     def or_level(self) -> Formula:
         out = self.and_level()
@@ -395,7 +399,14 @@ def formula_text(f: Formula, _prec: int = 0) -> str:
         parts.append(f)
         return wrap(sym.join(formula_text(g, level + 1) for g in reversed(parts)), level)
     if isinstance(f, Implies):
-        return wrap(f"{formula_text(f.left, 1)} -> {formula_text(f.right, 0)}", 0)
+        # One loop down the right spine of the chain, which needs no
+        # parentheses: "->" groups to the right.
+        parts = []
+        while isinstance(f, Implies):
+            parts.append(formula_text(f.left, 1))
+            f = f.right
+        parts.append(formula_text(f, 0))
+        return wrap(" -> ".join(parts), 0)
     if isinstance(f, (Exists, Forall)):
         q = "exists" if isinstance(f, Exists) else "forall"
         return wrap(f"{q} {f.var}. {formula_text(f.body, 0)}", 0)

@@ -43,10 +43,11 @@ class TreePlan(Frozen):
 
     The children of every node, in branch order, and the number of
     inf-marked nodes on the path to every node are computed once at
-    construction; equality compares the two sets.
+    construction, and the size of the subplan at every node on first use
+    (:func:`_subplan_sizes`); equality compares the two sets.
     """
 
-    __slots__ = ("nodes", "inf_nodes", "_children", "_inf_counts")
+    __slots__ = ("nodes", "inf_nodes", "_children", "_inf_counts", "_sizes")
     __match_args__ = ("nodes", "inf_nodes")
 
     def __new__(cls, nodes: frozenset[PlanPath], inf_nodes: frozenset[PlanPath]):
@@ -79,6 +80,7 @@ class TreePlan(Frozen):
         self = super().__new__(cls, nodes, inf_nodes)
         object.__setattr__(self, "_children", children)
         object.__setattr__(self, "_inf_counts", counts)
+        object.__setattr__(self, "_sizes", None)
         return self
 
     def __eq__(self, other):
@@ -224,6 +226,22 @@ def inf_count(p: TreePlan, sigma: PlanPath) -> int:
     if count is None:
         raise DomainError(f"unknown plan node {sigma}")
     return count
+
+
+def _subplan_sizes(p: TreePlan) -> dict[PlanPath, int]:
+    """The number of nodes of the subplan at every node of ``p``, counted
+    on first use and kept on the plan: only the game search and
+    :func:`~treeplan.closure.type_count` read them."""
+    sizes = p._sizes
+    if sizes is None:
+        # The inf counts list every node after its parent, so the reverse
+        # adds each subplan's size to its parent's before that one is read.
+        sizes = dict.fromkeys(p._inf_counts, 1)
+        for tau in reversed(p._inf_counts):
+            if tau:
+                sizes[tau[:-1]] += sizes[tau]
+        object.__setattr__(p, "_sizes", sizes)
+    return sizes
 
 
 def subplan(p: TreePlan, sigma: PlanPath) -> TreePlan:

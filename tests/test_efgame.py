@@ -4,6 +4,7 @@ import random
 import pytest
 
 from treeplan import (
+    BudgetError,
     DomainError,
     ClosureDuplicator,
     ExhaustiveSpoiler,
@@ -491,6 +492,8 @@ class TestSearch:
             ("A", 1, 2, 2, True, 11, 3),
             ("B", 3, 4, 3, False, 209, 18),
             ("inf_one_inf", 2, 3, 3, True, 140, 12),
+            # Last rounds lost by capacity: the frontiers differ.
+            ("B", 2, 3, 3, True, 83, 10),
         ],
     )
     def test_positions_visited(self, name, n1, n2, k, value, visited, solved):
@@ -535,6 +538,46 @@ class TestSearchAgainstReference:
                         assert search_outcome(efgame._Search(budget), state) == winning_move_reference(
                             state, budget
                         ), (k, n1, n2, budget)
+
+    def test_last_round_lost_by_capacity(self):
+        # Two picks take both children of 0:0 on Γ(2) but not on Γ(3): the
+        # keys agree and the frontiers differ, so the last round runs the
+        # loop, which finds the move only the right side has.
+        left, right = expand(PLANS["B"], 2), expand(PLANS["B"], 3)
+        a, b = node("0:0/0:0"), node("0:0/0:1")
+        frames = PickFrame(left, (a, b)), PickFrame(right, (a, b))
+        assert frames[0].key == frames[1].key
+        assert frames[0].frontier()[1] != frames[1].frontier()[1]
+        assert frames[0].keyed_reps().keys() != frames[1].keyed_reps().keys()
+        state = GameState(left, right, (a,), (a,), 2)
+        move, visited, memo = expected = winning_move_reference(state)
+        assert move is not None and ((left.n, right.n, frames[0].key, 1), True) in memo.items()
+        for budget in range(visited + 1):
+            assert search_outcome(efgame._Search(budget), state) == winning_move_reference(
+                state, budget
+            ), budget
+        assert search_outcome(efgame._Search(100_000), state) == expected
+
+    def test_budget_runs_out_inside_a_last_round(self):
+        # In two rounds on Γ(3) and Γ(4) of B, the first move, the root,
+        # leads to a last round whose frontiers agree, three moves a side.
+        # Its six visits do not fit a budget from 1 to 6, so the search
+        # runs the loop there and stops at the visit the reference stops at.
+        left, right = expand(PLANS["B"], 3), expand(PLANS["B"], 4)
+        root = node("eps")
+        count, fresh = PickFrame(left, (root,)).frontier()
+        assert count == 3 and fresh == PickFrame(right, (root,)).frontier()[1]
+        state = GameState(left, right, (), (), 2)
+        for budget in range(1, 1 + 2 * count):
+            outcome = search_outcome(efgame._Search(budget), state)
+            assert outcome[:2] == (BudgetError, budget + 1)
+            assert outcome == winning_move_reference(state, budget)
+        # One more visit fits them: that position is solved, and the budget
+        # runs out at the next one.
+        budget = 1 + 2 * count
+        outcome = search_outcome(efgame._Search(budget), state)
+        assert outcome == winning_move_reference(state, budget)
+        assert outcome[2] == {(3, 4, (root,), 1): False}
 
 
 class TestGameValue:

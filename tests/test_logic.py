@@ -327,6 +327,19 @@ def test_negation_chain_without_recursion(count, fast):
     assert evaluate(e, f, env, fast=fast) is (count % 2 == 0)
 
 
+@pytest.mark.parametrize("fast", [False, True])
+def test_implication_chain_without_recursion(fast):
+    # The parser folds a chain of 5,000 "->"s from the right in one loop,
+    # and formula_text renders it down its right spine in another.
+    text = " -> ".join(["pred(x) = pred(x)"] * 5000 + ["x = eps"])
+    f = parse_formula(text)
+    assert formula_text(f) == text
+    e = expand(PLANS["B"], 2)
+    assert evaluate(e, f, {"x": ROOT}, fast=fast) is True
+    assert evaluate(e, f, {"x": node("0:1")}, fast=fast) is False
+    assert evaluate(e, parse_formula(f"forall x. {text}"), fast=fast) is False
+
+
 class TestFormulaIdentity:
     """Formulas are interned: an equal formula is the same object."""
 

@@ -339,6 +339,26 @@ def test_frame_step_matches_a_rebuild(e, data):
     assert frame_state(frame) == frame_state(PickFrame(e, picks))
 
 
+@given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(1, 2), st.data())
+@settings(max_examples=150, deadline=None)
+def test_frontier_decides_the_keys_of_the_reps(rng, n, d, data):
+    # Picks on Γ(n) and their images under an embedding into Γ(n + d)
+    # have equal keys; the larger board may still have a fresh child where
+    # the smaller has none.  The frontiers agree exactly when the keyed
+    # representatives do, and each frontier counts its representatives.
+    p = random_plan(rng)
+    left, right = expand(p, n), expand(p, n + d)
+    picks = data.draw(pick_tuples(left))
+    f = random_embedding(rng, left, right)
+    frames = PickFrame(left, picks), PickFrame(right, tuple(f[a] for a in picks))
+    assert frames[0].key == frames[1].key
+    fresh, fresh_right = (frame.frontier()[1] for frame in frames)
+    keys, keys_right = (frame.keyed_reps().keys() for frame in frames)
+    assert (fresh == fresh_right) == (keys == keys_right)
+    for frame in frames:
+        assert frame.frontier()[0] == len(frame.reps())
+
+
 @given(corpus_expansions(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_orbit_matches_the_type_filter(e, data):
