@@ -441,9 +441,9 @@ def check_dividing(
     set_c = frozenset(members_c)
     if not set_c <= set_b:
         raise DomainError("C must be contained in B")
-    e.require(a, *set_b)
-    closed_c = PickFrame(e, set_c, check=False).closed
-    closed_b = PickFrame(e, set_b, check=False).closed
+    e.require(a)
+    closed_b = PickFrame(e, set_b).closed  # checked first: it checks C too
+    closed_c = PickFrame(e, set_c).closed
     # No prefix lies above the C-anchor of a member of the closure of C.
     for i in range(len(anchor_in(closed_c, a)) + 1, a.depth + 1):
         witness = a.prefix(i)

@@ -11,8 +11,9 @@ and :func:`extend_least` grows such an embedding by least fresh nodes;
 the games and the automorphisms share all three.  A :class:`PickFrame`
 holds the closure and the key of a pick tuple together, counts the orbits
 over the picks, lists their representatives with their keys, and steps by
-one more pick; the closure, the representatives, the game search and
-:func:`type_count` all go through it.
+one more pick: the closure, the representatives, dividing, the game
+search, :func:`type_count` and fast evaluation all walk frames, built once
+and stepped by each move or quantified representative.
 """
 
 from __future__ import annotations
@@ -82,13 +83,6 @@ def orbit_reps(e: Expansion, members: Iterable[Node]) -> list[Node]:
     """The least member of each orbit over the parameters, in node order:
     the representatives of the members' :class:`PickFrame`."""
     return [v for v, _ in PickFrame(e, members).reps()]
-
-
-def _orbit_reps(e: Expansion, picks: tuple[Node, ...]) -> list[Node]:
-    """:func:`orbit_reps` of picks known to be nodes of ``e``, without the
-    membership check: fast evaluation's quantifier range, whose picks were
-    checked on entry or listed here."""
-    return [v for v, _ in PickFrame(e, picks, check=False).reps()]
 
 
 def least_free_child(
@@ -185,16 +179,14 @@ class PickFrame:
     lists each with its plan path, ``names`` holds the renaming tables and
     ``key`` is the picks' orbit key.  A frame is not changed after it is
     built: :meth:`step` returns a new one, sharing the name tables it does
-    not grow.  The picks must be nodes of ``e``; ``check=False`` skips
-    that test for picks already known to be.
+    not grow.  The picks must be nodes of ``e``.
     """
 
     __slots__ = ("e", "closed", "paths", "names", "key")
 
-    def __init__(self, e: Expansion, picks: Iterable[Node] = (), check: bool = True):
+    def __init__(self, e: Expansion, picks: Iterable[Node] = ()):
         picks = tuple(picks)
-        if check:
-            e.require(*picks)
+        e.require(*picks)
         self.e = e
         self.closed: dict[Node, Node] = {}
         self.paths: list[tuple[Node, PlanPath]] = []

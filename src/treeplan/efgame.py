@@ -119,10 +119,10 @@ class _Search:
     when the sides have the same fresh orbits
     (:meth:`~treeplan.closure.PickFrame.frontier`).  Then the visits of
     its moves, one per representative a side, are counted without
-    listing them.  When the frontiers differ, or the visits do not fit
-    the budget, the position runs the loop over its moves as every other
-    does, so the first winning move, the visits and the memo are those of
-    the loop.
+    listing them, at the top of :meth:`winning_move` too.  When the
+    frontiers differ, or the visits do not fit the budget, the position
+    runs the loop over its moves as every other does, so the first
+    winning move, the visits and the memo are those of the loop.
     """
 
     def __init__(self, budget: int):
@@ -167,14 +167,6 @@ class _Search:
             return hit
         if move is not None:
             left, right = left.step(move), right.step(reply)
-        if rounds == 1:
-            # Lost by the spoiler when the frontiers agree: the loop's
-            # visits, one per move a side, are tallied at once.
-            count, fresh = left.frontier()
-            if fresh == right.frontier()[1] and self.visited + 2 * count <= self.budget:
-                self.visited += 2 * count
-                self.memo[memo_key] = False
-                return False
         result = self._winning_move(left, right, rounds) is not None
         self.memo[memo_key] = result
         return result
@@ -189,6 +181,13 @@ class _Search:
     def _winning_move(
         self, left: PickFrame, right: PickFrame, rounds: int
     ) -> Optional[tuple[str, Node]]:
+        if rounds == 1:
+            # Lost by the spoiler when the frontiers agree: the loop's
+            # visits, one per move a side, are tallied at once.
+            count, fresh = left.frontier()
+            if fresh == right.frontier()[1] and self.visited + 2 * count <= self.budget:
+                self.visited += 2 * count
+                return None
         moves, replies = left.keyed_reps(), right.keyed_reps()
         for key, move in moves.items():
             reply = replies.get(key)

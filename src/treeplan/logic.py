@@ -11,18 +11,18 @@ loop in a function of its own, and an atom an inline test on segment
 tuples: terms evaluate to segment tuples rather than nodes, ``pred`` drops
 the last segment, ``meet`` is the common prefix (the root, without a
 call, when a side is the root or the sides differ at the first segment),
-and the order is a prefix test.  Quantifiers can optionally range over
-one representative per orbit over the current environment instead of the
-whole universe (``fast=True``): two candidates in one orbit are exchanged
-by an automorphism fixing the environment, so the truth value is unchanged.
-The representatives are read off the tree closure of the environment
-(:func:`~treeplan.closure.orbit_reps`), so their number and cost do not
-grow with the expansion size.  Definable sets are read off the same
-orbits: a formula is evaluated once per orbit over its parameters, and
-each orbit that satisfies it is listed from its anchor.  Plain mode ranges
-over every node, listed along the plan as plain segment tuples without
-building the tree, and stays the brute-force path; both modes are checked
-against a substitution-based reference evaluator in the test suite.
+and the order is a prefix test.  Plain evaluation ranges over every node,
+listed along the plan as plain segment tuples without building the tree:
+the brute-force path.  Fast evaluation (``fast=True``) is a frame walk: a
+quantifier ranges over one representative per orbit over the picks so
+far, read off their :class:`~treeplan.closure.PickFrame`, and steps that
+frame by its own pick for a nested quantifier only when one is reached.
+Members of one orbit are exchanged by an automorphism fixing the picks,
+so the truth value is unchanged, and the cost does not grow with the
+expansion size.  Definable sets are read off the same orbits: a formula
+is evaluated once per orbit over its parameters, and each orbit that
+satisfies it is listed from its anchor.  Both modes are checked against
+a substitution-based reference evaluator in the test suite.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import weakref
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
-from .closure import PickFrame, _orbit_in, _orbit_reps, anchor_in, downset, tcl
+from .closure import PickFrame, _orbit_in, anchor_in, downset, tcl
 from .counting import dim_measure, poly_P, poly_Q_rel
 from .errors import (
     DomainError,
@@ -470,9 +470,11 @@ def free_vars(f: Formula) -> frozenset[str]:
 # ``trees._common_prefix``; ``s <= t`` holds at once when ``s`` is the
 # root.  A plain quantifier ranges over ``nodes``, every node as a plain
 # tuple, listed along the plan once per bind (``plan._node_tuples``); a
-# fast one over ``_reps``, the orbit representatives listed without a
-# membership check: its picks were checked on entry or listed there.  The
-# source is flat: a quantifier is a call of its own function, whose
+# fast one over ``frame.reps()``, and it hands a nested one
+# ``frame.step(x)`` in the call, so no frame steps unless a call is
+# reached.  The truth function takes the frame of its bound nodes but the
+# last.  A shadowed pick stays in the frame: finer orbits, same truth.
+# The source is flat: a quantifier is a call of its own function, whose
 # parameters are the variables visible where it stands, and a meet nested
 # in a meet goes to a walrus temporary, so its depth follows the
 # alternation of connectives only.  No name from the formula enters the
@@ -611,7 +613,7 @@ class _Source:
             return f"({', '.join(pre)},) and {_wrap(code, _AND)}", _AND
         return code
 
-    def formula(self, f: Formula, scope: dict[str, str]) -> tuple[str, int]:
+    def formula(self, f: Formula, scope: dict[str, str], frame: str) -> tuple[str, int]:
         if isinstance(f, (Eq, Leq, Label)):
             return self.atom(f, scope)
         if isinstance(f, Not):
@@ -619,57 +621,62 @@ class _Source:
             while isinstance(f, Not):
                 negate = not negate
                 f = f.sub
-            code = self.formula(f, scope)
+            code = self.formula(f, scope, frame)
             return (f"not {_wrap(code, _NOT)}", _NOT) if negate else code
         if isinstance(f, And):
-            parts = (_wrap(self.formula(g, scope), _AND) for g in _operands(f, And))
+            parts = (_wrap(self.formula(g, scope, frame), _AND) for g in _operands(f, And))
             return " and ".join(parts), _AND
         if isinstance(f, (Or, Implies)):
-            parts = (_wrap(self.formula(g, scope), _OR) for g in _operands(f, Or))
+            parts = (_wrap(self.formula(g, scope, frame), _OR) for g in _operands(f, Or))
             return " or ".join(parts), _OR
         if isinstance(f, (Exists, Forall)):
-            return self.quantifier(f, scope), _ATOM
+            return self.quantifier(f, scope, frame), _ATOM
         raise DomainError(f"not a formula: {f!r}")
 
-    def quantifier(self, f: Union[Exists, Forall], scope: dict[str, str]) -> str:
+    def quantifier(self, f: Union[Exists, Forall], scope: dict[str, str], frame: str) -> str:
         """A call of the quantifier's function.  It ranges over every node,
-        or with ``fast`` over the orbit representatives of its parameters,
-        and stops at the first body that decides it."""
-        params = ", ".join(scope.values())
+        or with ``fast`` over the representatives of the frame that the
+        expression ``frame`` names, and stops at the first body that
+        decides it."""
+        params = list(scope.values())
         inner = dict(scope)
         inner[f.var] = var = self.slot()
         exists = isinstance(f, Exists)
-        test, _ = self.formula(f.body if exists else Not(f.body), inner)
-        members = params + "," if len(scope) == 1 else params
-        over = f"_reps(e, ({members}))" if self.fast else "nodes"
+        test, _ = self.formula(f.body if exists else Not(f.body), inner, f"frame.step({var})")
+        head, args, over = params, params, f"{var} in nodes"
+        if self.fast:
+            head, args, over = ["frame", *params], [frame, *params], f"{var}, _ in frame.reps()"
         name = f"q{len(self.defs)}"
         self.defs.append(
-            f"    def {name}({params}):\n"
-            f"        for {var} in {over}:\n"
+            f"    def {name}({', '.join(head)}):\n"
+            f"        for {over}:\n"
             f"            if {test}:\n"
             f"                return {exists}\n"
             f"        return {not exists}\n"
         )
-        return f"{name}({params})"
+        return f"{name}({', '.join(args)})"
 
 
 def _generate(f: Formula, fast: bool, names: tuple[str, ...]):
     """``bind(e)`` for ``f``: it returns the truth function of ``f`` on
-    ``e``, whose arguments are the nodes bound to ``names``."""
+    ``e``, whose arguments are the nodes bound to ``names``, in fast mode
+    after the :class:`~treeplan.closure.PickFrame` of all but the last."""
     src = _Source(fast)
     scope = {name: src.slot() for name in names}
-    code, _ = src.formula(f, scope)
+    slots = list(scope.values())
+    code, _ = src.formula(f, scope, f"frame.step({slots[-1]})" if slots else "frame")
     lines = ["def bind(e):"]
     if src.defs and not fast:
         # A plain quantifier ranges over every node, listed once per bind.
         lines.append("    nodes = _node_tuples(e)")
     lines += [f"    {bad} = {path!r} not in e.plan.nodes" for path, bad in src.labels.items()]
     lines += src.defs
-    lines += [f"    def holds({', '.join(scope.values())}):", f"        return {code}",
+    if fast:
+        slots.insert(0, "frame")
+    lines += [f"    def holds({', '.join(slots)}):", f"        return {code}",
               "    return holds"]
-    namespace = {"_meet": _common_prefix, "_reps": _orbit_reps,
-                 "_node_tuples": _node_tuples, "_unbound": _unbound,
-                 "_bad_label": _bad_label}
+    namespace = {"_meet": _common_prefix, "_node_tuples": _node_tuples,
+                 "_unbound": _unbound, "_bad_label": _bad_label}
     try:
         exec(compile("\n".join(lines), "<formula>", "exec"), namespace)
     except (SyntaxError, RecursionError, MemoryError) as err:
@@ -700,15 +707,18 @@ def evaluate(
     these mode and variable names and reused after.  Plain mode ranges
     over every node, listed along the plan under the budget check of a
     build but without building the tree.  ``fast`` restricts quantifier
-    ranges to one representative per orbit over the current environment,
-    listed from its tree closure; sound because members of one orbit are
-    automorphic over it.  A quantifier restores the outer binding of its
-    variable on exit, and an atom raises its unbound-variable or bad-label
-    error only when evaluation reaches it.
+    ranges to one representative per orbit over the picks so far, read
+    off one :class:`~treeplan.closure.PickFrame` stepped by each pick;
+    sound because members of one orbit are automorphic over them.  A
+    quantifier restores the outer binding of its variable on exit, and an
+    atom raises its unbound-variable or bad-label error only when
+    evaluation reaches it.
     """
     scope = dict(env or {})
-    e.require(*scope.values())
-    return _program(f, fast, tuple(scope))(e)(*scope.values())
+    values = tuple(scope.values())
+    e.require(*values)
+    holds = _program(f, fast, tuple(scope))(e)
+    return holds(PickFrame(e, values[:-1]), *values) if fast else holds(*values)
 
 
 def _satisfied(
@@ -716,14 +726,14 @@ def _satisfied(
 ) -> tuple[dict[Node, Node], list[Node]]:
     """The tree closure of the parameters other than ``free_var``, and the
     least member of each orbit over them that satisfies ``f`` for
-    ``free_var``; ``f`` runs in orbit mode, on those members only."""
+    ``free_var``; ``f`` runs in fast mode, from their frame, on those only."""
     scope = {name: v for name, v in (params or {}).items() if name != free_var}
     missing = free_vars(f) - set(scope) - {free_var}
     if missing:
         raise UnboundVariableError(f"unbound variables {sorted(missing)}")
     frame = PickFrame(e, scope.values())
     holds = _program(f, True, (*scope, free_var))(e)
-    return frame.closed, [a for a, _ in frame.reps() if holds(*scope.values(), a)]
+    return frame.closed, [a for a, _ in frame.reps() if holds(frame, *scope.values(), a)]
 
 
 def solution_set(

@@ -232,15 +232,20 @@ def _subplan_sizes(p: TreePlan) -> dict[PlanPath, int]:
     """The number of nodes of the subplan at every node of ``p``, counted
     on first use and kept on the plan: only the game search and
     :func:`~treeplan.closure.type_count` read them."""
-    sizes = p._sizes
-    if sizes is None:
-        # The inf counts list every node after its parent, so the reverse
-        # adds each subplan's size to its parent's before that one is read.
-        sizes = dict.fromkeys(p._inf_counts, 1)
-        for tau in reversed(p._inf_counts):
-            if tau:
-                sizes[tau[:-1]] += sizes[tau]
-        object.__setattr__(p, "_sizes", sizes)
+    if p._sizes is None:
+        object.__setattr__(p, "_sizes", _subtree_sizes(p, 1))
+    return p._sizes
+
+
+def _subtree_sizes(p: TreePlan, n: int) -> dict[PlanPath, int]:
+    """For every plan node, the number of nodes of the subtree at each of
+    its copies in an expansion of size ``n``: for ``n`` = 1, its subplan's."""
+    # The inf counts list every node after its parent, so the reverse adds
+    # each subtree's size, per copy, to its parent's before that is read.
+    sizes = dict.fromkeys(p._inf_counts, 1)
+    for tau in reversed(p._inf_counts):
+        if tau:
+            sizes[tau[:-1]] += n * sizes[tau] if tau in p.inf_nodes else sizes[tau]
     return sizes
 
 
@@ -418,15 +423,7 @@ class Expansion:
         """``nodes()[i]`` for ``0 <= i < predicted_size(plan, n)``, without
         building the tree: the index is read in the mixed radix of the
         subtree sizes, one plan node per digit."""
-        if self._sizes is None:
-            p, n = self.plan, self.n
-            sizes: dict[PlanPath, int] = {}
-            for sigma in reversed(p.sorted_nodes()):
-                sizes[sigma] = 1 + sum(
-                    (n if tau in p.inf_nodes else 1) * sizes[tau] for tau in p.children(sigma)
-                )
-            self._sizes = sizes
-        sizes = self._sizes
+        sizes = self._sizes = self._sizes or _subtree_sizes(self.plan, self.n)
         if not 0 <= i < sizes[()]:
             raise DomainError(f"node index {i} is out of range 0..{sizes[()] - 1}")
         v, sigma = ROOT, ()

@@ -517,6 +517,26 @@ class TestSearch:
             reps = orbit_reps(e, picks)
             assert len({orbit_key(picks + (a,)) for a in reps}) == len(reps), picks
 
+    def test_last_round_at_the_top_lists_no_reps(self, monkeypatch):
+        # A one-round position handed to the top-level call, as by
+        # ExhaustiveSpoiler.pick, is answered as one inside the search:
+        # its frontiers agree, so no representatives are listed and the
+        # visits of its moves, one per representative a side, are tallied.
+        left, right = expand(PLANS["B"], 3), expand(PLANS["B"], 4)
+        picks = (node("0:1"), node("0:1/0:2"))
+        state = GameState(left, right, picks, picks, 1)
+        count, fresh = PickFrame(left, picks).frontier()
+        assert fresh == PickFrame(right, picks).frontier()[1]
+        expected = winning_move_reference(state)
+
+        def no_reps(frame):
+            raise AssertionError("representatives listed")
+
+        monkeypatch.setattr(PickFrame, "keyed_reps", no_reps)
+        search = efgame._Search(100_000)
+        assert search_outcome(search, state) == (None, 2 * count, {}) == expected
+        assert ExhaustiveSpoiler().pick(state) == ("L", node("eps"))
+
 
 class TestSearchAgainstReference:
     @pytest.mark.parametrize("name", sorted(PLANS))

@@ -26,6 +26,7 @@ from treeplan import (
     solution_set,
 )
 from treeplan import logic
+from treeplan.closure import PickFrame
 from treeplan.logic import (
     And,
     Eps,
@@ -224,6 +225,53 @@ class TestEvaluate:
         for text in sentences:
             f = parse_formula(text)
             assert evaluate(e, f) == evaluate(e, f, fast=True), text
+
+
+class TestFrameWalk:
+    """Fast evaluation walks one pick frame: built once per call, and
+    stepped by a pick only where a quantifier over it is reached."""
+
+    @staticmethod
+    def calls(monkeypatch, name):
+        seen = []
+        method = getattr(PickFrame, name)
+
+        def counted(frame, *args):
+            seen.append(args)
+            return method(frame, *args)
+
+        monkeypatch.setattr(PickFrame, name, counted)
+        return seen
+
+    def test_a_fast_evaluation_builds_one_frame(self, monkeypatch):
+        e = expand(PLANS["B"], 3)
+        f = parse_formula("forall x. exists y. forall z. meet(x, z) = x -> x <= y & !(y = z)")
+        assert qrank(f) == 3
+        envs = [{}, {"b": node("0:1/0:2")}]
+        expected = [evaluate_reference(e, f, env) for env in envs]
+        built = self.calls(monkeypatch, "__init__")
+        steps = self.calls(monkeypatch, "step")
+        for env, value in zip(envs, expected):
+            assert evaluate(e, f, env, fast=True) == value
+            assert len(built) == 1 and steps
+            built.clear()
+
+    def test_a_one_quantifier_solution_set_builds_one_frame(self, monkeypatch):
+        e = expand(PLANS["B"], 4)
+        f, params = parse_formula("exists y. pred(y) = x & !(y = b)"), {"b": node("0:1/0:2")}
+        sols = frozenset(v for v in e.nodes() if evaluate_reference(e, f, {**params, "x": v}))
+        built = self.calls(monkeypatch, "__init__")
+        assert solution_set(e, f, "x", params) == sols
+        assert len(built) == 1
+
+    def test_a_quantifier_free_formula_steps_no_frame(self, monkeypatch):
+        e = expand(PLANS["B"], 4)
+        f, params = parse_formula("P[0.0](x) & !(pred(x) = pred(b))"), {"b": node("0:0/0:0")}
+        expected = classify_solutions_reference(e, f, "x", params)
+        built = self.calls(monkeypatch, "__init__")
+        steps = self.calls(monkeypatch, "step")
+        assert classify_solutions(e, f, "x", params) == expected
+        assert len(built) == 1 and steps == []
 
 
 @pytest.mark.parametrize("fast", [False, True])
