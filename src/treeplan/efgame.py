@@ -18,12 +18,10 @@ the search degrades to a seeded random player and says so.  The one pick
 test is orbit-key equality: the picks of the two sides correspond exactly
 when their orbit keys are equal, so a move and a reply keep the partial
 isomorphism exactly when they extend the picks to equal keys, and a
-position pairs each move with the one reply of its key.  A last round
-lists no representatives: the spoiler loses it exactly when the two
-sides have the same fresh orbits
-(:meth:`~treeplan.closure.PickFrame.frontier`).  The full test runs once
-per search entry and at the end of a played game.  Both boards
-must expand one plan.
+position pairs each move with the one reply of its key; a last round is
+decided without listing representatives (see :class:`_Search`).  The
+full test runs once per search entry and at the end of a played game.
+Both boards must expand one plan.
 """
 
 from __future__ import annotations
@@ -182,8 +180,7 @@ class _Search:
         self, left: PickFrame, right: PickFrame, rounds: int
     ) -> Optional[tuple[str, Node]]:
         if rounds == 1:
-            # Lost by the spoiler when the frontiers agree: the loop's
-            # visits, one per move a side, are tallied at once.
+            # The last-round rule of the class docstring.
             count, fresh = left.frontier()
             if fresh == right.frontier()[1] and self.visited + 2 * count <= self.budget:
                 self.visited += 2 * count

@@ -4,25 +4,18 @@ Terms are built from variables, the root constant, pred, and meet; atoms
 are equality, the prefix order, and one fiber predicate per plan node.
 Quantifiers scope to the end of the enclosing formula (or closing paren).
 
-Formulas are interned; evaluation compiles a formula once, on first use,
-into generated Python source, kept on the formula for as long as it lives;
-each call binds it to an expansion and runs it.  A quantifier becomes a
-loop in a function of its own, and an atom an inline test on segment
-tuples: terms evaluate to segment tuples rather than nodes, ``pred`` drops
-the last segment, ``meet`` is the common prefix (the root, without a
-call, when a side is the root or the sides differ at the first segment),
-and the order is a prefix test.  Plain evaluation ranges over every node,
-listed along the plan as plain segment tuples without building the tree:
-the brute-force path.  Fast evaluation (``fast=True``) is a frame walk: a
-quantifier ranges over one representative per orbit over the picks so
-far, read off their :class:`~treeplan.closure.PickFrame`, and steps that
-frame by its own pick for a nested quantifier only when one is reached.
-Members of one orbit are exchanged by an automorphism fixing the picks,
-so the truth value is unchanged, and the cost does not grow with the
-expansion size.  Definable sets are read off the same orbits: a formula
-is evaluated once per orbit over its parameters, and each orbit that
-satisfies it is listed from its anchor.  Both modes are checked against
-a substitution-based reference evaluator in the test suite.
+Formulas are interned, and each keeps its compiled programs: evaluation
+compiles a formula once, on first use, into generated Python source, laid
+out as the comment above :class:`_Source` states.  Plain evaluation, the
+brute-force path, ranges each quantifier over every node.  Fast
+evaluation (``fast=True``) ranges it over one representative per orbit
+over the picks so far.  Members of one orbit are exchanged by an
+automorphism fixing the picks, so the truth value is unchanged, and the
+cost does not grow with the expansion size.  Definable sets are read off
+the same orbits: a formula is evaluated once per orbit over its
+parameters, and each orbit that satisfies it is listed from its anchor.
+Both modes are checked against a substitution-based reference evaluator
+in the test suite.
 """
 
 from __future__ import annotations

@@ -538,6 +538,11 @@ class TestListingsBuildNoTree:
             assert orbit(e, a, set_c) == family
             assert {sigma: fiber_above(e, a, sigma) for sigma in p.nodes} == above
             assert check_dividing(e, a, set_b, set_c) == verdict
+        # At scale: B to n = 8, and a verdict on 90,301 nodes.
+        assert verify_Q(PLANS["B"], 8).all_pass
+        a, w = node("0:0/0:1"), node("0:0")
+        verdict = check_dividing(expand(PLANS["B"], 300), a, {a, w}, {w})
+        assert verdict.divides and len(verdict.conjugates) == 300
 
     def test_the_budget_applies_as_to_a_build(self):
         # Over the budget, every listing raises as the build would, even

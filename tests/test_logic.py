@@ -808,6 +808,12 @@ class TestDefinableSetsBuildNoTree:
                 report = asymptotic_check(p, parse_formula(text), "x", spec, ladder=ladder)
                 observed = [row.observed for row in report.rows]
                 assert observed == [counts[name, text, n] for n in ladder], (name, text)
+        # At scale: a ladder up to n = 1000 on B, and a set of 1,001 nodes.
+        report = asymptotic_check(PLANS["B"], parse_formula("pred(x) = eps"), "x",
+                                  ladder=(10, 20, 1000))
+        assert [row.observed for row in report.rows] == [11, 21, 1001]
+        f = parse_formula("exists y. pred(y) = x")
+        assert len(solution_set(expand(PLANS["B"], 1000), f, "x")) == 1001
 
     def test_the_budget_applies_to_a_non_empty_set(self, monkeypatch):
         # Over the budget an empty set is still listed; any other raises as

@@ -196,6 +196,9 @@ class TestBuild:
         e = expand(p, 3)
         assert len(e) == predicted_size(p, 3) == depth
         assert e.fiber((0,) * (depth - 1)) == [Node(((0, STAR),) * (depth - 1))]
+        # Every node meets its parent: plain evaluation walks the common
+        # prefix over the whole parent, up to 4,999 segments.
+        assert evaluate(e, parse_formula("forall x. meet(x, pred(x)) = pred(x)")) is True
 
 
 def membership_inputs(e):

@@ -1,13 +1,16 @@
 """The library's value types: records are NamedTuples, and the plan, the
 tuple type and the principal formula are slotted classes whose equality
-reads some of their fields.  None of them is made by ``dataclasses``."""
+reads some of their fields.  None of them is made by ``dataclasses``, and
+the package imports the standard library only."""
 
+import ast
 import copy
 import os
 import pickle
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -180,3 +183,18 @@ def test_import_leaves_out_dataclasses():
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "False\n"
+
+
+def test_imports_are_standard_library_at_the_python_floor():
+    # Every module of the package parses at the requires-python floor,
+    # 3.10, and imports nothing from outside the standard library.
+    imported = set()
+    for path in sorted(Path(treeplan.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+        for stmt in ast.walk(tree):
+            if isinstance(stmt, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in stmt.names)
+            elif isinstance(stmt, ast.ImportFrom) and stmt.level == 0:
+                imported.add(stmt.module.partition(".")[0])
+    assert "fractions" in imported
+    assert imported <= sys.stdlib_module_names, imported - sys.stdlib_module_names

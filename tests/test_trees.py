@@ -367,6 +367,16 @@ class TestQftp:
                     assert all(g[x] == y for x, y in zip(ta, tb))
                     assert sorted(g) == sorted(g.values())
                     check_embedding(e, e, g)
+        # A tag swap on B at n = 200 (40,201 nodes) carries a 4-tuple
+        # spanning both tags to its image.
+        e = expand(PLANS["B"], 200)
+        perm = dict(enumerate(range(200)))
+        perm[3], perm[150] = 150, 3
+        swap = induced_automorphism(e, perm)
+        ta = tuple(map(node, ("0:3/0:150", "0:3/0:7", "0:199/0:3", "0:3")))
+        tb = tuple(swap[x] for x in ta)
+        g = automorphism_over(e, ta, tb)
+        assert g is not None and tuple(g[x] for x in ta) == tb
 
 
 def soundness_pairs(rng, e, count=30):
