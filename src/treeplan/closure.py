@@ -85,18 +85,6 @@ def orbit_reps(e: Expansion, members: Iterable[Node]) -> list[Node]:
     return [v for v, _ in PickFrame(e, members).reps()]
 
 
-def least_free_child(
-    e: Expansion, v: Node, branch: int, taken: Container[Node], start: int = 0
-) -> Optional[Node]:
-    """The child of ``v`` on the replicated ``branch`` with the least tag,
-    from ``start`` up, outside ``taken``; None when all of them are taken."""
-    for tag in range(start, e.n):
-        cand = v + ((branch, tag),)  # a plain tuple tests as the node it spells
-        if cand not in taken:
-            return Node(cand)
-    return None
-
-
 def close_pair(
     plan: TreePlan,
     f: dict[Node, Node],
@@ -182,7 +170,7 @@ class PickFrame:
     not grow.  The picks must be nodes of ``e``.
     """
 
-    __slots__ = ("e", "closed", "paths", "names", "key")
+    __slots__ = ("e", "closed", "paths", "names", "key", "_tally")
 
     def __init__(self, e: Expansion, picks: Iterable[Node] = ()):
         picks = tuple(picks)
@@ -191,13 +179,14 @@ class PickFrame:
         self.closed: dict[Node, Node] = {}
         self.paths: list[tuple[Node, PlanPath]] = []
         self.names: Names = {}
+        self._tally: Optional[tuple[int, int]] = None
         close_pair(e.plan, self.closed, ROOT, ROOT, (), self.paths)
         self.key = tuple([self._add(a) for a in picks])
 
     def step(self, a: Node) -> "PickFrame":
         """The frame of the picks extended by ``a``, a node of ``e``."""
         new = PickFrame.__new__(PickFrame)
-        new.e = self.e
+        new.e, new._tally = self.e, None
         new.closed, new.paths, new.names = dict(self.closed), list(self.paths), dict(self.names)
         new.key = self.key + (new._add(a),)
         return new
@@ -221,39 +210,44 @@ class PickFrame:
                 close_pair(plan, closed, u, u if same else Node(r[:i]), path[:i], self.paths)
         return r
 
-    def frontier(self) -> tuple[int, set[Node]]:
-        """The number of orbits over the picks, and their fresh starts:
-        for each closure node and inf branch under which some child lies
-        outside the closure, the renamed image of the least such child.
+    def tally(self, a: Optional[Node] = None) -> tuple[int, int]:
+        """The number of orbits over the picks, extended by ``a`` when it
+        is given, and the length of the widest tag table, without stepping
+        (the rule of :class:`~treeplan.efgame._Search`).  The frame's own
+        pair is kept on first use."""
+        if self._tally is None:
+            count, sizes = len(self.closed), _subplan_sizes(self.e.plan)[0]
+            for *_, tau in self._fresh():
+                count += sizes[tau]
+            self._tally = count, max(map(len, self.names.values()), default=0)
+        if a is None or a in self.closed:
+            return self._tally
+        count, width = self._tally
+        c = anchor_in(self.closed, a)
+        sizes, gains = _subplan_sizes(self.e.plan)
+        path, n = a.plan_path, self.e.n
+        used = len(self.names.get((self.closed[c], a[len(c)][0]), ())) + 1
+        width = max(width, used)
+        for i in range(len(c), len(a)):
+            if a[i][1] != STAR:
+                sigma = path[: i + 1]
+                count += gains[sigma] - (sizes[sigma] if used == n else 0)
+                used = 1
+        return count, width
 
-        Every closure node is its own orbit, and each fresh start adds one
-        orbit per node of the subplan at its plan path.  Two frames with
-        equal keys have one renamed closure, so their representatives have
-        the same keys (:meth:`keyed_reps`) exactly when they have the same
-        fresh starts, and then the same count.
-        """
-        sizes = _subplan_sizes(self.e.plan)
-        count, fresh = len(self.closed), set()
-        for _, r, tau in self._fresh():
-            fresh.add(r)
-            count += sizes[tau]
-        return count, fresh
-
-    def _fresh(self) -> Iterator[tuple[Node, Node, PlanPath]]:
-        # The least child outside the closure under each closure node c
-        # and inf branch that has one, with its renamed image, a fresh
-        # start of :meth:`frontier`, and its plan path.  Its tag is renamed
-        # to the number of tags the picks used under c on that branch.
-        closed, names, e = self.closed, self.names, self.e
-        children, inf = e.plan.children, e.plan.inf_nodes
+    def _fresh(self) -> Iterator[tuple[Node, Node, Container[int], PlanPath]]:
+        # Each closure node c, its image, its tag table on an inf child τ
+        # of its plan path, and τ, where that table is shorter than n: c
+        # has a child outside the closure there.
+        closed, names, n = self.closed, self.names, self.e.n
+        children, inf = self.e.plan._children, self.e.plan.inf_nodes
         for c, sigma in self.paths:
-            for tau in children(sigma):
+            rc = closed[c]
+            for tau in children[sigma]:
                 if tau in inf:
-                    branch = tau[-1]
-                    v = least_free_child(e, c, branch, closed)
-                    if v is not None:
-                        rc = closed[c]
-                        yield v, rc.child(branch, len(names.get((rc, branch), ()))), tau
+                    used = names.get((rc, tau[-1]), ())
+                    if len(used) < n:
+                        yield c, rc, used, tau
 
     def reps(self) -> list[tuple[Node, Node]]:
         """The least member of each orbit over the picks, in node order,
@@ -269,7 +263,12 @@ class PickFrame:
         """
         inf, children = self.e.plan.inf_nodes, self.e.plan._children
         renamed = dict(self.closed)
-        stack = list(self._fresh())
+        stack = []
+        for c, rc, used, tau in self._fresh():
+            branch, tag = tau[-1], 0
+            while tag in used:
+                tag += 1
+            stack.append((Node(c + ((branch, tag),)), rc.child(branch, len(used)), tau))
         while stack:
             v, r, sigma = stack.pop()
             renamed[v] = r
@@ -293,10 +292,11 @@ def type_count(p: TreePlan, k: int) -> int:
 
     They are the leaves of the depth-k walk that steps a
     :class:`PickFrame` by each of its representatives in turn; the last
-    level counts them by :meth:`PickFrame.frontier`, without listing them.
-    A k-tuple uses at most k tags under any parent, so the walk on the
-    expansion at size k sees every type of every size from k up, Γ(ω)
-    included.
+    level is counted from the frame above it by :meth:`PickFrame.tally`,
+    without stepping into it (the rule of
+    :class:`~treeplan.efgame._Search`).  A k-tuple uses at most k tags
+    under any parent, so the walk on the expansion at size k sees every
+    type of every size from k up, Γ(ω) included.
     Raises :class:`DomainError` for ``k < 0``.
     """
     if k < 0:
@@ -308,7 +308,10 @@ def type_count(p: TreePlan, k: int) -> int:
     while stack:
         frame, rounds = stack.pop()
         if rounds == 1:
-            leaves += frame.frontier()[0]
+            leaves += frame.tally()[0]
+        elif rounds == 2:
+            for a, _ in frame.reps():
+                leaves += frame.tally(a)[0]
         else:
             stack.extend((frame.step(a), rounds - 1) for a, _ in frame.reps())
     return leaves
@@ -371,12 +374,15 @@ def extend_least(
             if u in f:  # pulled in by the singleton closure of a step before
                 continue
             v, branch = f[u.parent()], u[-1][0]
-            fresh = least_free_child(dst, v, branch, img, cursor.get((v, branch), 0))
-            if fresh is None:
+            # A plain tuple tests as the node it spells.
+            tag = cursor.get((v, branch), 0)
+            while tag < dst.n and v + ((branch, tag),) in img:
+                tag += 1
+            if tag == dst.n:
                 forced.append((v, branch))
-                fresh = v.child(branch, 0)
-            cursor[v, branch] = fresh[-1][1]
-            img.update(close_pair(dst.plan, f, u, fresh, path[:d]))
+                tag = 0
+            cursor[v, branch] = tag
+            img.update(close_pair(dst.plan, f, u, v.child(branch, tag), path[:d]))
     return forced
 
 

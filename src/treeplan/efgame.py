@@ -19,9 +19,10 @@ test is orbit-key equality: the picks of the two sides correspond exactly
 when their orbit keys are equal, so a move and a reply keep the partial
 isomorphism exactly when they extend the picks to equal keys, and a
 position pairs each move with the one reply of its key; a last round is
-decided without listing representatives (see :class:`_Search`).  The
-full test runs once per search entry and at the end of a played game.
-Both boards must expand one plan.
+decided from tag-table widths and orbit counts, before a frame is
+stepped into it (see :class:`_Search`).  The full test runs once per
+search entry and at the end of a played game.  Both boards must expand
+one plan.
 """
 
 from __future__ import annotations
@@ -113,14 +114,32 @@ class _Search:
     equal keys on both sides and is memoized by the key of one.
 
     A position with one round left is lost by the spoiler exactly when
-    the representatives of the two sides have the same keys, that is
-    when the sides have the same fresh orbits
-    (:meth:`~treeplan.closure.PickFrame.frontier`).  Then the visits of
-    its moves, one per representative a side, are counted without
-    listing them, at the top of :meth:`winning_move` too.  When the
-    frontiers differ, or the visits do not fit the budget, the position
-    runs the loop over its moves as every other does, so the first
-    winning move, the visits and the memo are those of the loop.
+    the representatives of the two sides have the same keys.  That is
+    decided from the frames one round up, before they are stepped by the
+    move and reply (:meth:`~treeplan.closure.PickFrame.tally`).  Every
+    closure node is its own orbit.  Every other orbit starts at the least
+    child outside the closure under a closure node ``c`` on an inf
+    branch: it exists when the tag table ``names[(renamed c, branch)]``,
+    one entry per closure child of ``c`` there, is shorter than ``n``; it
+    is renamed to that length; and it opens one orbit per node of the
+    subplan at its plan path τ.  So the count is ``len(closed)`` plus
+    ``sizes[τ]`` per table shorter than ``n``.  Equal keys mean one
+    renamed closure, so tables of equal lengths, none above
+    ``min(n_L, n_R)``: the keys of the representatives, and then the
+    counts, agree exactly when ``n_L == n_R`` or every table is shorter
+    than ``min(n_L, n_R)``.  A step by a node outside the closure, with
+    anchor depth ``d``, changes the figures only at its inf steps above
+    ``d``: each adds the gain of its plan node σ
+    (:func:`~treeplan.plan._subplan_sizes`) and subtracts ``sizes[σ]``
+    when its table reaches ``n``, that table being the anchor's, one
+    longer, at step ``d + 1``, and a new one of length 1 above.
+
+    When the rule decides, the visits of the position's moves, one per
+    representative a side, are counted without listing them, at the top
+    of :meth:`winning_move` too.  Otherwise, or when the visits do not
+    fit the budget, the frames are stepped and the position runs the
+    loop over its moves as every other does, so the first winning move,
+    the visits and the memo are those of the loop.
     """
 
     def __init__(self, budget: int):
@@ -155,7 +174,8 @@ class _Search:
         # The position with ``rounds`` left whose picks are the frames',
         # extended by ``move`` on the left and ``reply`` on the right when
         # they are given; ``key``: the orbit key of either side's picks, the
-        # two being equal.  The frames are stepped only when the memo misses.
+        # two being equal.  The frames are stepped only when the memo misses
+        # and the last-round rule does not decide.
         self._visit()
         if rounds == 0:
             return False
@@ -163,9 +183,7 @@ class _Search:
         hit = self.memo.get(memo_key)
         if hit is not None:
             return hit
-        if move is not None:
-            left, right = left.step(move), right.step(reply)
-        result = self._winning_move(left, right, rounds) is not None
+        result = self._winning_move(left, right, rounds, move, reply) is not None
         self.memo[memo_key] = result
         return result
 
@@ -177,14 +195,23 @@ class _Search:
         return self._winning_move(*_frames(state), state.rounds_left)
 
     def _winning_move(
-        self, left: PickFrame, right: PickFrame, rounds: int
+        self,
+        left: PickFrame,
+        right: PickFrame,
+        rounds: int,
+        move: Optional[Node] = None,
+        reply: Optional[Node] = None,
     ) -> Optional[tuple[str, Node]]:
+        # The frames, stepped by ``move`` and ``reply`` when they are given,
+        # once the last-round rule of the class docstring has not decided.
         if rounds == 1:
-            # The last-round rule of the class docstring.
-            count, fresh = left.frontier()
-            if fresh == right.frontier()[1] and self.visited + 2 * count <= self.budget:
+            count, width = left.tally(move)
+            n, m = left.e.n, right.e.n
+            if (n == m or width < min(n, m)) and self.visited + 2 * count <= self.budget:
                 self.visited += 2 * count
                 return None
+        if move is not None:
+            left, right = left.step(move), right.step(reply)
         moves, replies = left.keyed_reps(), right.keyed_reps()
         for key, move in moves.items():
             reply = replies.get(key)

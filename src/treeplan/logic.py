@@ -464,14 +464,22 @@ def free_vars(f: Formula) -> frozenset[str]:
 # root.  A plain quantifier ranges over ``nodes``, every node as a plain
 # tuple, listed along the plan once per bind (``plan._node_tuples``); a
 # fast one over ``frame.reps()``, and it hands a nested one
-# ``frame.step(x)`` in the call, so no frame steps unless a call is
-# reached.  The truth function takes the frame of its bound nodes but the
-# last.  A shadowed pick stays in the frame: finer orbits, same truth.
+# ``frame.step(x)`` in the call; when two calls or more take it, each
+# passes ``t or (t := frame.step(x))``, with ``t`` reset for each pick.  So
+# a frame steps at most once per pick, and only when a call is reached.
+# Until a body is done its calls hold ``_STEPPED`` for that frame: a NUL,
+# which generated source never holds otherwise, since names from the
+# formula enter it as reprs.  The truth function takes the frame of its
+# bound nodes but the last.  A shadowed pick stays in the frame: finer
+# orbits, same truth.
 # The source is flat: a quantifier is a call of its own function, whose
 # parameters are the variables visible where it stands, and a meet nested
 # in a meet goes to a walrus temporary, so its depth follows the
 # alternation of connectives only.  No name from the formula enters the
 # source except as a string.
+
+
+_STEPPED = "\0"
 
 
 def _unbound(name: str) -> bool:
@@ -635,7 +643,8 @@ class _Source:
         inner = dict(scope)
         inner[f.var] = var = self.slot()
         exists = isinstance(f, Exists)
-        test, _ = self.formula(f.body if exists else Not(f.body), inner, f"frame.step({var})")
+        test, _ = self.formula(f.body if exists else Not(f.body), inner, _STEPPED)
+        test, reset = self.stepped(test, var)
         head, args, over = params, params, f"{var} in nodes"
         if self.fast:
             head, args, over = ["frame", *params], [frame, *params], f"{var}, _ in frame.reps()"
@@ -643,11 +652,20 @@ class _Source:
         self.defs.append(
             f"    def {name}({', '.join(head)}):\n"
             f"        for {over}:\n"
-            f"            if {test}:\n"
+            + (f"            {reset}\n" if reset else "")
+            + f"            if {test}:\n"
             f"                return {exists}\n"
             f"        return {not exists}\n"
         )
         return f"{name}({', '.join(args)})"
+
+    def stepped(self, code: str, var: str) -> tuple[str, str]:
+        """``code`` with the frame stepped by ``var`` for ``_STEPPED``,
+        and the statement to run first, if any."""
+        if code.count(_STEPPED) < 2:
+            return code.replace(_STEPPED, f"frame.step({var})"), ""
+        name, first = self.bound(f"frame.step({var})")
+        return code.replace(_STEPPED, f"{name} or {first}"), f"{name} = None"
 
 
 def _generate(f: Formula, fast: bool, names: tuple[str, ...]):
@@ -657,7 +675,8 @@ def _generate(f: Formula, fast: bool, names: tuple[str, ...]):
     src = _Source(fast)
     scope = {name: src.slot() for name in names}
     slots = list(scope.values())
-    code, _ = src.formula(f, scope, f"frame.step({slots[-1]})" if slots else "frame")
+    code, _ = src.formula(f, scope, _STEPPED if slots else "frame")
+    code, reset = src.stepped(code, slots[-1]) if slots else (code, "")
     lines = ["def bind(e):"]
     if src.defs and not fast:
         # A plain quantifier ranges over every node, listed once per bind.
@@ -666,8 +685,10 @@ def _generate(f: Formula, fast: bool, names: tuple[str, ...]):
     lines += src.defs
     if fast:
         slots.insert(0, "frame")
-    lines += [f"    def holds({', '.join(slots)}):", f"        return {code}",
-              "    return holds"]
+    lines.append(f"    def holds({', '.join(slots)}):")
+    if reset:
+        lines.append(f"        {reset}")
+    lines += [f"        return {code}", "    return holds"]
     namespace = {"_meet": _common_prefix, "_node_tuples": _node_tuples,
                  "_unbound": _unbound, "_bad_label": _bad_label}
     try:

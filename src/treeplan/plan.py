@@ -43,8 +43,8 @@ class TreePlan(Frozen):
 
     The children of every node, in branch order, and the number of
     inf-marked nodes on the path to every node are computed once at
-    construction, and the size of the subplan at every node on first use
-    (:func:`_subplan_sizes`); equality compares the two sets.
+    construction, and the subplan size and orbit gain of every node on first
+    use (:func:`_subplan_sizes`); equality compares the two sets.
     """
 
     __slots__ = ("nodes", "inf_nodes", "_children", "_inf_counts", "_sizes")
@@ -228,12 +228,20 @@ def inf_count(p: TreePlan, sigma: PlanPath) -> int:
     return count
 
 
-def _subplan_sizes(p: TreePlan) -> dict[PlanPath, int]:
-    """The number of nodes of the subplan at every node of ``p``, counted
+def _subplan_sizes(p: TreePlan) -> tuple[dict[PlanPath, int], dict[PlanPath, int]]:
+    """For every node σ of ``p``: the number of nodes of its subplan, and
+    its gain, the orbits over the picks that a new closure node at σ adds
+    (1, plus the subplan size of each inf child and the gain of each
+    other child; the rule of :class:`~treeplan.efgame._Search`).  Counted
     on first use and kept on the plan: only the game search and
     :func:`~treeplan.closure.type_count` read them."""
     if p._sizes is None:
-        object.__setattr__(p, "_sizes", _subtree_sizes(p, 1))
+        sizes = _subtree_sizes(p, 1)
+        gains = dict.fromkeys(p._inf_counts, 1)
+        for tau in reversed(p._inf_counts):  # children first, as below
+            if tau:
+                gains[tau[:-1]] += sizes[tau] if tau in p.inf_nodes else gains[tau]
+        object.__setattr__(p, "_sizes", (sizes, gains))
     return p._sizes
 
 

@@ -492,7 +492,7 @@ class TestSearch:
             ("A", 1, 2, 2, True, 11, 3),
             ("B", 3, 4, 3, False, 209, 18),
             ("inf_one_inf", 2, 3, 3, True, 140, 12),
-            # Last rounds lost by capacity: the frontiers differ.
+            # Last rounds lost by capacity: a tag table fills Γ(2).
             ("B", 2, 3, 3, True, 83, 10),
         ],
     )
@@ -520,13 +520,17 @@ class TestSearch:
     def test_last_round_at_the_top_lists_no_reps(self, monkeypatch):
         # A one-round position handed to the top-level call, as by
         # ExhaustiveSpoiler.pick, is answered as one inside the search:
-        # its frontiers agree, so no representatives are listed and the
-        # visits of its moves, one per representative a side, are tallied.
+        # every tag table is shorter than 3, so the keyed representatives
+        # of the two sides agree, none are listed, and the visits of its
+        # moves, one per representative a side, are tallied.
         left, right = expand(PLANS["B"], 3), expand(PLANS["B"], 4)
         picks = (node("0:1"), node("0:1/0:2"))
         state = GameState(left, right, picks, picks, 1)
-        count, fresh = PickFrame(left, picks).frontier()
-        assert fresh == PickFrame(right, picks).frontier()[1]
+        frames = PickFrame(left, picks), PickFrame(right, picks)
+        (count, width), tally_right = (frame.tally() for frame in frames)
+        assert width < min(left.n, right.n) and tally_right == (count, width)
+        assert frames[0].keyed_reps().keys() == frames[1].keyed_reps().keys()
+        assert count == len(frames[0].reps())
         expected = winning_move_reference(state)
 
         def no_reps(frame):
@@ -536,6 +540,19 @@ class TestSearch:
         search = efgame._Search(100_000)
         assert search_outcome(search, state) == (None, 2 * count, {}) == expected
         assert ExhaustiveSpoiler().pick(state) == ("L", node("eps"))
+
+    def test_decided_last_rounds_step_no_frame(self, monkeypatch):
+        # In two rounds on Γ(3) and Γ(4) of B no pick fills a tag table of
+        # Γ(3), so the rule decides every last round from the frames above
+        # it: none is stepped into, and the search is the reference's.
+        left, right = expand(PLANS["B"], 3), expand(PLANS["B"], 4)
+        state = GameState(left, right, (), (), 2)
+        expected = winning_move_reference(state)
+        steps, step = [], PickFrame.step
+        monkeypatch.setattr(PickFrame, "step", lambda frame, a: steps.append(a) or step(frame, a))
+        search = efgame._Search(100_000)
+        assert search_outcome(search, state) == expected
+        assert expected[0] is None and len(expected[2]) > 1 and steps == []
 
 
 class TestSearchAgainstReference:
@@ -561,13 +578,15 @@ class TestSearchAgainstReference:
 
     def test_last_round_lost_by_capacity(self):
         # Two picks take both children of 0:0 on Γ(2) but not on Γ(3): the
-        # keys agree and the frontiers differ, so the last round runs the
-        # loop, which finds the move only the right side has.
+        # keys agree and a tag table reaches the smaller size, so the rule
+        # does not decide, the keyed representatives differ, and the last
+        # round runs the loop, which finds the move only the right side has.
         left, right = expand(PLANS["B"], 2), expand(PLANS["B"], 3)
         a, b = node("0:0/0:0"), node("0:0/0:1")
         frames = PickFrame(left, (a, b)), PickFrame(right, (a, b))
         assert frames[0].key == frames[1].key
-        assert frames[0].frontier()[1] != frames[1].frontier()[1]
+        assert frames[0].tally()[1] == frames[1].tally()[1] == min(left.n, right.n)
+        assert frames[0].tally() == PickFrame(left, (a,)).tally(b)
         assert frames[0].keyed_reps().keys() != frames[1].keyed_reps().keys()
         state = GameState(left, right, (a,), (a,), 2)
         move, visited, memo = expected = winning_move_reference(state)
@@ -580,13 +599,17 @@ class TestSearchAgainstReference:
 
     def test_budget_runs_out_inside_a_last_round(self):
         # In two rounds on Γ(3) and Γ(4) of B, the first move, the root,
-        # leads to a last round whose frontiers agree, three moves a side.
+        # leads to a last round that the rule decides, three moves a side:
+        # no tag table, so the keyed representatives of the two sides agree.
         # Its six visits do not fit a budget from 1 to 6, so the search
         # runs the loop there and stops at the visit the reference stops at.
         left, right = expand(PLANS["B"], 3), expand(PLANS["B"], 4)
         root = node("eps")
-        count, fresh = PickFrame(left, (root,)).frontier()
-        assert count == 3 and fresh == PickFrame(right, (root,)).frontier()[1]
+        frames = PickFrame(left, (root,)), PickFrame(right, (root,))
+        count, width = PickFrame(left).tally(root)
+        assert (count, width) == frames[0].tally() == (3, 0)
+        assert frames[0].keyed_reps().keys() == frames[1].keyed_reps().keys()
+        assert len(frames[0].reps()) == count
         state = GameState(left, right, (), (), 2)
         for budget in range(1, 1 + 2 * count):
             outcome = search_outcome(efgame._Search(budget), state)

@@ -273,6 +273,36 @@ class TestFrameWalk:
         assert classify_solutions(e, f, "x", params) == expected
         assert len(built) == 1 and steps == []
 
+    @pytest.mark.parametrize(
+        "text, calls",
+        [
+            ("exists y. (exists z. z <= y) & exists x. !(meet(x, y) = meet(x, y))", True),
+            # The first call runs only for y = b: the second steps the rest.
+            ("exists y. (y = b & forall z. z = y) | exists x. !(x = x)", True),
+            ("forall y. y = y | (exists z. z <= y) | exists x. x = y", False),
+        ],
+    )
+    def test_sibling_quantifiers_step_once_per_pick(self, monkeypatch, text, calls):
+        # Two quantifiers in one body take the frame stepped by the same
+        # pick: the first call that runs steps it, the other reuses it, and
+        # with no call reached it is not stepped.  Here every pick of y is
+        # visited: the frame stepped by b is stepped once by each.
+        e, env = expand(PLANS["B"], 3), {"b": node("0:1/0:2")}
+        f = parse_formula(text)
+        expected = evaluate_reference(e, f, env)
+        reps = [a for a, _ in PickFrame(e).step(env["b"]).reps()]
+        seen, step = [], PickFrame.step
+
+        def counted(frame, a):
+            seen.append((frame, a))
+            return step(frame, a)
+
+        monkeypatch.setattr(PickFrame, "step", counted)
+        assert evaluate(e, f, env, fast=True) == expected
+        (_, first), *rest = seen
+        assert first == env["b"] and all(frame is rest[0][0] for frame, _ in rest)
+        assert [a for _, a in rest] == (reps if calls else [])
+
 
 @pytest.mark.parametrize("fast", [False, True])
 class TestLazyErrors:

@@ -1,5 +1,7 @@
 """Invariants as property tests over generated plans, trees, and formulas."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -339,24 +341,52 @@ def test_frame_step_matches_a_rebuild(e, data):
     assert frame_state(frame) == frame_state(PickFrame(e, picks))
 
 
-@given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(1, 2), st.data())
+def widest_table(frame):
+    """The most closure children of one closure node on one inf branch."""
+    counts = Counter((v[:-1], v[-1][0]) for v in frame.closed if v and v[-1][1] != STAR)
+    return max(counts.values(), default=0)
+
+
+@given(st.randoms(use_true_random=False), st.integers(1, 3), st.data())
 @settings(max_examples=150, deadline=None)
-def test_frontier_decides_the_keys_of_the_reps(rng, n, d, data):
+def test_tally_after_a_step_matches_the_stepped_frame(rng, n, data):
+    # A frame's tally counts its representatives and its widest tag
+    # table; the tally after a node, every representative and any node,
+    # is the stepped frame's, read without stepping.
+    e = expand(random_plan(rng), n)
+    picks = data.draw(pick_tuples(e))
+    frame = PickFrame(e, picks)
+    assert frame.tally() == (len(orbit_reps_bruteforce(e, picks)), widest_table(frame))
+    nodes = [a for a, _ in frame.reps()]
+    nodes += data.draw(st.lists(st.sampled_from(e.nodes()), max_size=4))
+    for a in nodes:
+        stepped = frame.step(a)
+        assert frame.tally(a) == (len(stepped.reps()), widest_table(stepped)), a
+        assert stepped.tally() == frame.tally(a), a
+
+
+@given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(0, 2), st.data())
+@settings(max_examples=150, deadline=None)
+def test_table_widths_decide_the_keys_of_the_reps(rng, n, d, data):
     # Picks on Γ(n) and their images under an embedding into Γ(n + d)
-    # have equal keys; the larger board may still have a fresh child where
-    # the smaller has none.  The frontiers agree exactly when the keyed
-    # representatives do, and each frontier counts its representatives.
+    # have equal keys, so equal table widths; the larger board may still
+    # have a fresh child where the smaller has none.  The keyed
+    # representatives agree exactly when the sizes are equal or every
+    # table is shorter than n, and each tally counts its representatives.
     p = random_plan(rng)
     left, right = expand(p, n), expand(p, n + d)
     picks = data.draw(pick_tuples(left))
     f = random_embedding(rng, left, right)
     frames = PickFrame(left, picks), PickFrame(right, tuple(f[a] for a in picks))
     assert frames[0].key == frames[1].key
-    fresh, fresh_right = (frame.frontier()[1] for frame in frames)
+    (count, width), (count_right, width_right) = (frame.tally() for frame in frames)
     keys, keys_right = (frame.keyed_reps().keys() for frame in frames)
-    assert (fresh == fresh_right) == (keys == keys_right)
+    assert width == width_right <= n
+    assert (d == 0 or width < n) == (keys == keys_right)
+    if keys == keys_right:
+        assert count == count_right
     for frame in frames:
-        assert frame.frontier()[0] == len(frame.reps())
+        assert frame.tally()[0] == len(frame.reps())
 
 
 @given(corpus_expansions(), st.data())
