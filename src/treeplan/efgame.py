@@ -1,7 +1,8 @@
 """k-round back-and-forth games between two expansions of one plan.
 
 The duplicator strategy maintains a partial embedding of the tree closure
-of its picks, replayed from the pick pairs by
+of its picks, both ways, kept from one answer to the state it leads to
+and otherwise, or after a forced step, replayed from the pick pairs by
 :func:`~treeplan.closure.embed_pairs`: answers inside the closure are read
 off the embedding, and fresh picks are answered by a fresh realization of
 the same quantifier-free type over the anchor, lexicographically least for
@@ -79,21 +80,38 @@ def game_won(state: GameState) -> bool:
 
 
 class ClosureDuplicator:
-    """The closure-embedding duplicator."""
+    """The closure-embedding duplicator; it keeps the embedding of its last
+    answer for the state that answer leads to (see the module docstring)."""
 
     def __init__(self):
         self.notes: list[str] = []
+        self._kept: Optional[tuple] = None
 
     def respond(self, state: GameState, side: str, node: Node) -> Node:
-        f, img = embed_pairs(state.left.plan, zip(state.picks_left, state.picks_right))
-        dst = state.right
-        if side == "R":
-            f, img, dst = {v: u for u, v in f.items()}, set(f), state.left
-        for v, branch in extend_least(dst, f, img, [node]):
+        kept, self._kept = self._kept, None
+        if kept and kept[0][:4] == state[:4]:  # the same boards and picks
+            maps = kept[1]
+        else:
+            f, img = embed_pairs(state.left.plan, zip(state.picks_left, state.picks_right))
+            inverse = {v: u for u, v in f.items()}
+            maps = {"L": (f, img, state.right), "R": (inverse, set(f), state.left)}
+        f, img, dst = maps[side]
+        if node not in f:
+            new = len(f)
+            forced = extend_least(dst, f, img, [node])
             # Capacity exhausted below the threshold: the forced repeat
             # always loses, and is reported rather than masked.
-            self.notes.append(f"capacity exhausted at {format_node(v)} branch {branch}")
-        return f[node]
+            for v, branch in forced:
+                self.notes.append(f"capacity exhausted at {format_node(v)} branch {branch}")
+            if forced:  # the embedding is no longer one-to-one: not kept
+                return f[node]
+            back, back_img, _ = maps["R" if side == "L" else "L"]
+            for u, v in list(f.items())[new:]:
+                back[v] = u
+                back_img.add(u)
+        answer = f[node]
+        self._kept = (state.after(node, answer) if side == "L" else state.after(answer, node), maps)
+        return answer
 
 
 # --------------------------------------------------------------------------
@@ -253,12 +271,14 @@ class ExhaustiveSpoiler:
         return self._search
 
     def pick(self, state: GameState) -> tuple[str, Node]:
-        if not partial_isomorphism(state.picks_left, state.picks_right):
+        """The first winning move, else the root on the left, as on a state
+        already won; a pick off its board raises :class:`DomainError`."""
+        left, right = _frames(state)
+        if left.key != right.key:
             # Already won: every move wins, and the root is the least one.
             return ("L", ROOT)
-        search = self._searcher(state)
         try:
-            move = search.winning_move(state)
+            move = self._searcher(state)._winning_move(left, right, state.rounds_left)
         except BudgetError:
             self.notes.append(
                 f"budget {self.budget} exceeded; random fallback with seed {self.seed}"

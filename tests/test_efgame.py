@@ -235,6 +235,23 @@ class TestDuplicator:
         if name in ("inf_one_inf", "one_chain_inf", "twin_ones"):
             assert exhausted
 
+    def test_a_played_game_replays_only_the_root(self, monkeypatch):
+        # Each answer leads to the next state, so the embedding is kept
+        # from round to round and replayed once, for the empty picks.
+        replayed = []
+
+        def counted(plan, pairs):
+            pairs = list(pairs)
+            replayed.append(pairs)
+            return embed_pairs(plan, pairs)
+
+        monkeypatch.setattr(efgame, "embed_pairs", counted)
+        p = PLANS["B"]
+        n0 = size_threshold(p, 3)
+        out = play(expand(p, n0), expand(p, n0 + 1), 3, RandomSpoiler(5), ClosureDuplicator())
+        assert out.winner == "D" and "capacity" not in out.transcript
+        assert replayed == [[]]
+
 
 class ScriptedSpoiler:
     def __init__(self, moves):
@@ -460,6 +477,26 @@ class TestExhaustiveSpoiler:
         assert not partial_isomorphism(state.picks_left, state.picks_right)
         move = ExhaustiveSpoiler().pick(state)
         assert move == ("L", orbit_reps(left, state.picks_left)[0])
+
+    def test_pick_on_a_won_state_runs_no_search(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("searched a won state")
+
+        monkeypatch.setattr(efgame._Search, "_winning_move", no_search)
+        left, right = expand(PLANS["B"], 2), expand(PLANS["B"], 3)
+        picks_left, picks_right = (node("0:0"), node("0:1")), (node("0:0"), node("0:0"))
+        state = GameState(left, right, picks_left, picks_right, 2)
+        assert ExhaustiveSpoiler().pick(state) == ("L", node("eps"))
+
+    def test_pick_off_the_board_rejected(self):
+        # 0:2 is not a node of Γ(2); its keys differ from the right side's,
+        # so only the board check, not the search, can reject the state.
+        left, right = expand(PLANS["A"], 2), expand(PLANS["A"], 3)
+        picks_left, picks_right = (node("0:0"), node("0:2")), (node("0:0"), node("0:0"))
+        state = GameState(left, right, picks_left, picks_right, 1)
+        assert not partial_isomorphism(state.picks_left, state.picks_right)
+        with pytest.raises(DomainError):
+            ExhaustiveSpoiler().pick(state)
 
 
 class TestSearch:

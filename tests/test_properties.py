@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treeplan import (
+    ClosureDuplicator,
     DomainError,
     GameState,
     InferenceError,
@@ -32,6 +33,7 @@ from treeplan import (
     plan_text,
     poly_P,
     qftp,
+    RandomSpoiler,
     solution_set,
     tcl,
 )
@@ -501,6 +503,39 @@ def test_partial_isomorphism_on_one_pair_extensions(left, data):
     extended_left, extended_right = base_left + (a,), base_right + (b,)
     expected = same_type(left, extended_left, right, extended_right)
     assert partial_isomorphism(extended_left, extended_right) == expected
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_kept_embedding_answers_as_a_replay(rng):
+    # One duplicator carried through two random-spoiler games on boards of
+    # sizes 1-3, where capacity often runs out, then a third game with
+    # repeated calls and stray answers, and each game's last picks moved
+    # onto the next game's boards: every answer and its notes are those of
+    # a fresh duplicator, which replays the state's pick pairs.
+    p = random_plan(rng)
+    carried = ClosureDuplicator()
+
+    def check(state, side, node):
+        fresh, carried.notes = ClosureDuplicator(), []
+        answer = carried.respond(state, side, node)
+        assert (answer, carried.notes) == (fresh.respond(state, side, node), fresh.notes)
+        return answer
+
+    state = None
+    for game in range(3):
+        left, right = expand(p, rng.randint(1, 3)), expand(p, rng.randint(1, 3))
+        if state is not None:
+            check(state._replace(left=left, right=right), "L", rng.choice(left.nodes()))
+        state, spoiler = GameState(left, right, (), (), 4), RandomSpoiler(rng.randrange(99))
+        for _ in range(4):
+            side, node = spoiler.pick(state)
+            answer = check(state, side, node)
+            if game == 2 and rng.random() < 0.3:
+                check(state, side, node)
+            if game == 2 and rng.random() < 0.3:
+                answer = rng.choice((right if side == "L" else left).nodes())
+            state = state.after(node, answer) if side == "L" else state.after(answer, node)
 
 
 @st.composite
