@@ -255,15 +255,25 @@ class _Parser:
         return out
 
     def negand(self) -> Formula:
+        # A run of quantifier heads is read in a loop and folded from the
+        # right over one body: a body reaches as far right as it can, so
+        # each earlier body would be exactly the next quantifier.
+        heads = []
         tok = self.peek()
-        if tok and tok[0] == "ident" and tok[1] in ("exists", "forall"):
+        while tok and tok[0] == "ident" and tok[1] in ("exists", "forall"):
             self.next()
             name = self.expect("ident")
             if name in _KEYWORDS:
                 self.error(f"{name!r} cannot be a variable")
             self.expect("sym", ".")
-            body = self.formula()
-            return Exists(name, body) if tok[1] == "exists" else Forall(name, body)
+            heads.append((Exists if tok[1] == "exists" else Forall, name))
+            tok = self.peek()
+        if heads:
+            out = self.formula()
+            while heads:
+                q, name = heads.pop()
+                out = q(name, out)
+            return out
         if tok and tok[0] == "label":
             return self.label_atom()
         if tok and tok[0] == "sym" and tok[1] == "(":
@@ -401,8 +411,13 @@ def formula_text(f: Formula, _prec: int = 0) -> str:
         parts.append(formula_text(f, 0))
         return wrap(" -> ".join(parts), 0)
     if isinstance(f, (Exists, Forall)):
-        q = "exists" if isinstance(f, Exists) else "forall"
-        return wrap(f"{q} {f.var}. {formula_text(f.body, 0)}", 0)
+        # One loop down the run of quantifiers, whose bodies need no
+        # parentheses: each reaches to the end.
+        heads = []
+        while isinstance(f, (Exists, Forall)):
+            heads.append(f"{'exists' if isinstance(f, Exists) else 'forall'} {f.var}. ")
+            f = f.body
+        return wrap("".join(heads) + formula_text(f, 0), 0)
     raise DomainError(f"not a formula: {f!r}")
 
 

@@ -27,6 +27,19 @@ Segment = tuple[int, int]
 PlanPath = tuple[int, ...]
 
 
+class _FieldSignature:
+    """A :class:`Frozen` class's signature, its fields, made when asked for; None
+    (so ``inspect`` reads ``__new__``) where ``__new__`` names its parameters."""
+
+    def __get__(self, instance, owner):
+        if not owner.__new__.__code__.co_flags & 0x04:  # CO_VARARGS: no ``*args``
+            return None
+        from inspect import Parameter, Signature
+
+        kind = Parameter.POSITIONAL_OR_KEYWORD
+        return Signature([Parameter(name, kind) for name in owner.__match_args__])
+
+
 class Frozen:
     """An immutable value: its fields, ``__match_args__``, are slots set once
     by position or keyword; ``repr`` lists them, and equality is identity."""
@@ -50,6 +63,8 @@ class Frozen:
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+    __signature__ = _FieldSignature()
 
 
 def _fields(cls: type, args: tuple, kwargs: dict) -> tuple:

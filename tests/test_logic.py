@@ -405,6 +405,16 @@ def test_negation_chain_without_recursion(count, fast):
     assert evaluate(e, f, env, fast=fast) is (count % 2 == 0)
 
 
+def test_quantifier_run_without_recursion():
+    # The parser reads a run of quantifier heads in a loop and folds them
+    # over one body, and formula_text renders the run in another loop.
+    text = "".join(f"{'exists' if i % 2 else 'forall'} x{i}. " for i in range(5000)) + "x0 = x4999"
+    f = parse_formula(text)
+    assert qrank(f) == 5000
+    assert formula_text(f) == text
+    assert parse_formula(formula_text(f)) is f
+
+
 @pytest.mark.parametrize("fast", [False, True])
 def test_implication_chain_without_recursion(fast):
     # The parser folds a chain of 5,000 "->"s from the right in one loop,

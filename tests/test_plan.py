@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -23,7 +24,7 @@ from treeplan import (
 )
 from treeplan.analysis import check_embedding
 from treeplan.plan import Expansion, _node_tuples, predicted_size
-from treeplan.trees import STAR, Node
+from treeplan.trees import STAR, FiniteTree, Node
 
 from conftest import PLANS, assert_expansion_matches_reference
 
@@ -176,6 +177,15 @@ class TestExpand:
                 assert len(matching) == (n if tau in p.inf_nodes else 1)
 
 
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """Run a test with the cyclic collector on or off, then restore it."""
+    was_on = gc.isenabled()
+    gc.enable() if request.param else gc.disable()
+    yield request.param
+    gc.enable() if was_on else gc.disable()
+
+
 class TestBuild:
     @pytest.mark.parametrize("name", sorted(PLANS))
     def test_matches_the_reference(self, name):
@@ -186,6 +196,41 @@ class TestBuild:
         e = expand(PLANS["B"], 199)
         assert_expansion_matches_reference(e)
         assert len(e) == 39801
+
+    @pytest.mark.parametrize("collector", [True], indirect=True)
+    def test_a_build_starts_at_most_one_collection(self, collector):
+        # A built tree holds no reference cycle, so the build pauses the
+        # cyclic collector; left running, it starts 58 collections here.
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.callbacks.append(count)
+        try:
+            assert len(expand(PLANS["B"], 199)) == 39801
+        finally:
+            gc.callbacks.remove(count)
+        assert len(starts) <= 1, starts
+
+    def test_a_build_leaves_the_collector_as_it_found_it(self, collector):
+        assert len(expand(PLANS["B"], 5)) == 31
+        assert gc.isenabled() is collector
+
+    def test_a_failed_build_leaves_the_collector_as_it_found_it(self, collector, monkeypatch):
+        def fail(children):
+            raise RuntimeError("no tree")
+
+        monkeypatch.setattr(FiniteTree, "_from_children", fail)
+        with pytest.raises(RuntimeError, match="no tree"):
+            len(expand(PLANS["B"], 5))
+        assert gc.isenabled() is collector
+
+    def test_a_build_over_budget_leaves_the_collector_as_it_found_it(self, collector):
+        with pytest.raises(BudgetError):
+            len(expand(PLANS["B"], 199, budget=100))
+        assert gc.isenabled() is collector
 
     def test_deep_chain(self):
         # The plan parser and the walk keep their own stacks, so a chain far

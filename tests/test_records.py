@@ -5,6 +5,7 @@ the package imports the standard library only."""
 
 import ast
 import copy
+import inspect
 import os
 import pickle
 import subprocess
@@ -22,6 +23,9 @@ from treeplan.efgame import GameState, Outcome
 from treeplan.logic import (
     AsymptoticReport,
     AsymptoticRow,
+    Eps,
+    Exists,
+    Pred,
     PrincipalFormula,
     ProbeReport,
     SolutionClass,
@@ -176,13 +180,26 @@ class TestEqualityRules:
 
 def test_import_leaves_out_dataclasses():
     # A fresh interpreter without site-packages imports the package and
-    # its command line, and no class is made through dataclasses.
+    # its command line, and no class is made through dataclasses; the
+    # field signatures import inspect only when they are asked for.
     src = os.path.dirname(os.path.dirname(treeplan.__file__))
     code = (f"import sys; sys.path.insert(0, {src!r}); import treeplan, treeplan.cli; "
-            "print('dataclasses' in sys.modules)")
+            "print('dataclasses' in sys.modules, 'inspect' in sys.modules)")
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "False\n"
+    assert out.stdout == "False False\n"
+
+
+def test_signatures_name_the_fields():
+    # A class that takes its fields through Frozen.__new__ shows them; Pred
+    # and TreePlan, which define their own __new__, show that.
+    assert str(inspect.signature(Exists)) == "(var, body)"
+    assert str(inspect.signature(Eps)) == "()"
+    assert str(inspect.signature(TupleType)) == "(code, generated)"
+    assert str(inspect.signature(PrincipalFormula)) == "(formula, params, case)"
+    assert list(inspect.signature(Pred).parameters) == ["arg", "power"]
+    assert inspect.signature(Pred).parameters["power"].default == 1
+    assert list(inspect.signature(TreePlan).parameters) == ["nodes", "inf_nodes"]
 
 
 def test_imports_are_standard_library_at_the_python_floor():
