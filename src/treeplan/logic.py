@@ -7,15 +7,15 @@ Quantifiers scope to the end of the enclosing formula (or closing paren).
 Formulas are interned, and each keeps its compiled programs: evaluation
 compiles a formula once, on first use, into generated Python source, laid
 out as the comment above :class:`_Source` states.  Plain evaluation, the
-brute-force path, ranges each quantifier over every node.  Fast
+brute-force path, ranges each quantifier over every node index.  Fast
 evaluation (``fast=True``) ranges it over one representative per orbit
 over the picks so far.  Members of one orbit are exchanged by an
 automorphism fixing the picks, so the truth value is unchanged, and the
 cost does not grow with the expansion size.  Definable sets are read off
 the same orbits: a formula is evaluated once per orbit over its
 parameters, and each orbit that satisfies it is listed from its anchor.
-Both modes are checked against a substitution-based reference evaluator
-in the test suite.
+Quantified plain code shares no term code with fast code; both modes are
+checked against each other and a reference evaluator in the test suite.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from .plan import (
     Expansion,
     TreePlan,
     _extensions,
-    _node_tuples,
+    _node_index,
+    _node_table,
     ell,
     expand,
     height,
@@ -69,7 +70,6 @@ class _Formula(Frozen):
             f = object.__new__(cls)
             for name, value in zip(cls.__match_args__, args):
                 object.__setattr__(f, name, value)
-            object.__setattr__(f, "_programs", {})
             live[args] = ref = _Entry(f, _Entry.forget)
             ref.live, ref.key = live, args
         return f
@@ -471,22 +471,22 @@ def free_vars(f: Formula) -> frozenset[str]:
 
 # A formula compiles once into the source of one Python function per
 # quantifier plus one for the formula, all nested in a ``bind`` function
-# that takes the expansion.  Terms are expressions over segment tuples: a
-# variable is a local slot holding its node, ``eps`` is ``()``, ``pred^k``
-# a slice, and ``meet`` is ``()`` when a side is the root or the sides
-# differ at the first segment, else a call of ``_meet``, the index walk of
-# ``trees._common_prefix``; ``s <= t`` holds at once when ``s`` is the
-# root.  A plain quantifier ranges over ``nodes``, every node as a plain
-# tuple, listed along the plan once per bind (``plan._node_tuples``); a
-# fast one over ``frame.reps()``, and it hands a nested one
-# ``frame.step(x)`` in the call; when two calls or more take it, each
-# passes ``t or (t := frame.step(x))``, with ``t`` reset for each pick.  So
-# a frame steps at most once per pick, and only when a call is reached.
-# Until a body is done its calls hold ``_STEPPED`` for that frame: a NUL,
-# which generated source never holds otherwise, since names from the
-# formula enter it as reprs.  The truth function takes the frame of its
-# bound nodes but the last.  A shadowed pick stays in the frame: finer
-# orbits, same truth.
+# that takes the expansion; a variable is a local slot.  Plain code with a
+# quantifier holds node indices, and ``bind`` lists the tables its atoms
+# read (``plan._node_table``): ``eps`` is 0, ``pred`` ``up[x]``, ``s <= t``
+# ``s <= t < end[s]``, and ``meet`` 0 unless the depth-1 prefixes ``top``
+# agree, else a walk up from one side.  Other code holds segment tuples:
+# ``eps`` is ``()``, ``pred^k`` a slice, ``meet`` ``()`` unless the first
+# segments agree, else ``trees._common_prefix``.  A plain quantifier
+# ranges over every index; a fast one over ``frame.reps()``, and it hands
+# a nested one ``frame.step(x)`` in the call; when two calls or more take
+# it, each passes ``t or (t := frame.step(x))``, with ``t`` reset for each
+# pick.  So a frame steps at most once per pick, and only when a call is
+# reached.  Until a body is done its calls hold ``_STEPPED`` for that
+# frame: a NUL, which generated source never holds otherwise, since names
+# from the formula enter it as reprs.  The truth function takes the frame
+# of its bound nodes but the last.  A shadowed pick stays in the frame:
+# finer orbits, same truth.
 # The source is flat: a quantifier is a call of its own function, whose
 # parameters are the variables visible where it stands, and a meet nested
 # in a meet goes to a walrus temporary, so its depth follows the
@@ -495,6 +495,12 @@ def free_vars(f: Formula) -> frozenset[str]:
 
 
 _STEPPED = "\0"
+
+# The walks up the node indices for meet and pred^k, defined where called.
+_INDEX_HELPERS = {
+    "_meet(": "def _meet(a, b):\n        while not a <= b < end[a]: a = up[a]\n        return a",
+    "_pred(": "def _pred(a, k):\n        while a and k: a, k = up[a], k - 1\n        return a",
+}
 
 
 def _unbound(name: str) -> bool:
@@ -536,7 +542,7 @@ def _operands(f: Formula, op: type) -> list[Formula]:
 
 
 class _Source:
-    """The generated source of one formula in one mode.
+    """The generated source of one formula: plain over node indices with ``index``.
 
     A scope maps each visible variable to its slot ``v<i>``, in the order
     of the evaluation scope: an inner quantifier takes over the place of
@@ -545,8 +551,8 @@ class _Source:
     bound, that label path ``i`` is not a node of its plan.
     """
 
-    def __init__(self, fast: bool):
-        self.fast = fast
+    def __init__(self, index: bool):
+        self.index = index
         self.slots = 0
         self.temps = 0
         self.labels: dict[PlanPath, str] = {}
@@ -558,8 +564,8 @@ class _Source:
 
     def bound(self, code: str) -> tuple[str, str]:
         """A name for the value of ``code``, and the expression that binds
-        it where it is first used: the name itself when it is a slot."""
-        if code.isidentifier():
+        it where it is first used: the code itself for a slot or a number."""
+        if code.isidentifier() or code.isdigit():
             return code, code
         self.temps += 1
         name = f"t{self.temps - 1}"
@@ -570,22 +576,26 @@ class _Source:
             if t.name not in scope:
                 raise _Unbound(t.name)
             return scope[t.name]
+        root = "0" if self.index else "()"
         if isinstance(t, Eps):
-            return "()"
+            return root
         if isinstance(t, Pred):
-            # pred^k drops the last k segments; a slice clamps at the root.
+            # pred^k drops the last k segments; a slice or walk clamps at the root.
             k = 0
             while isinstance(t, Pred):
                 k += t.power
                 t = t.arg
-            return f"{self.term(t, scope, pre)}[:-{k}]"
+            arg = self.term(t, scope, pre)
+            if self.index:
+                return "up[" * k + arg + "]" * k if k < 4 else f"_pred({arg}, {k})"
+            return f"{arg}[:-{k}]"
         if isinstance(t, MeetT):
             # The root, or sides that differ at the first segment, meet at
             # the root without a call.  A side holding a meet is bound
             # before the atom, any other side where it is first read.
             codes = [self.term(side, scope, pre) for side in (t.left, t.right)]
-            if "()" in codes:
-                return "()"
+            if root in codes:
+                return root
             sides = []
             for code in codes:
                 name, first = self.bound(code)
@@ -594,6 +604,8 @@ class _Source:
                     first = name
                 sides.append((name, first))
             (a, first_a), (b, first_b) = sides
+            if self.index:
+                return f"(_meet({a}, {b}) if top[{first_a}] == top[{first_b}] else 0)"
             return f"(_meet({a}, {b}) if {first_a} and {first_b} and {a}[0] == {b}[0] else ())"
         raise DomainError(f"not a term: {t!r}")
 
@@ -609,16 +621,18 @@ class _Source:
                 code = (f"{self.term(f.left, scope, pre)} == "
                         f"{self.term(f.right, scope, pre)}", _ATOM)
             elif isinstance(f, Leq):
-                # The root is below every node: no slice is taken.
                 low, first = self.bound(self.term(f.left, scope, pre))
                 high = self.term(f.right, scope, pre)
-                code = (f"not {first} or {low} == {high}[:len({low})]", _OR)
+                # A subtree is an index interval; the root, below all, takes no slice.
+                code = ((f"{first} <= {high} < end[{low}]", _ATOM) if self.index else
+                        (f"not {first} or {low} == {high}[:len({low})]", _OR))
             else:
                 arg, first = self.bound(self.term(f.arg, scope, pre))
                 # Only a plan node is ever a node's plan path, so a bad
                 # path fails the test and raises on the false branch.
-                tests = [f"len({first}) == {len(f.path)}"]
-                tests += [f"{arg}[{i}][0] == {b}" for i, b in enumerate(f.path)]
+                tests = [f"paths[{first}] == {f.path!r}"] if self.index else [
+                    f"len({first}) == {len(f.path)}",
+                    *(f"{arg}[{i}][0] == {b}" for i, b in enumerate(f.path))]
                 code = (" and ".join(tests) + " or " + raising, _OR)
         except _Unbound as err:
             text = f"_unbound({err.args[0]!r})"
@@ -650,8 +664,8 @@ class _Source:
         raise DomainError(f"not a formula: {f!r}")
 
     def quantifier(self, f: Union[Exists, Forall], scope: dict[str, str], frame: str) -> str:
-        """A call of the quantifier's function.  It ranges over every node,
-        or with ``fast`` over the representatives of the frame that the
+        """A call of the quantifier's function.  It ranges over every node
+        index, or in fast code over the representatives of the frame that the
         expression ``frame`` names, and stops at the first body that
         decides it."""
         params = list(scope.values())
@@ -661,7 +675,7 @@ class _Source:
         test, _ = self.formula(f.body if exists else Not(f.body), inner, _STEPPED)
         test, reset = self.stepped(test, var)
         head, args, over = params, params, f"{var} in nodes"
-        if self.fast:
+        if not self.index:
             head, args, over = ["frame", *params], [frame, *params], f"{var}, _ in frame.reps()"
         name = f"q{len(self.defs)}"
         self.defs.append(
@@ -687,26 +701,30 @@ def _generate(f: Formula, fast: bool, names: tuple[str, ...]):
     """``bind(e)`` for ``f``: it returns the truth function of ``f`` on
     ``e``, whose arguments are the nodes bound to ``names``, in fast mode
     after the :class:`~treeplan.closure.PickFrame` of all but the last."""
-    src = _Source(fast)
+    src = _Source(not fast and qrank(f) > 0)  # no quantifier: no node is listed
     scope = {name: src.slot() for name in names}
     slots = list(scope.values())
-    code, _ = src.formula(f, scope, _STEPPED if slots else "frame")
-    code, reset = src.stepped(code, slots[-1]) if slots else (code, "")
-    lines = ["def bind(e):"]
-    if src.defs and not fast:
-        # A plain quantifier ranges over every node, listed once per bind.
-        lines.append("    nodes = _node_tuples(e)")
-    lines += [f"    {bad} = {path!r} not in e.plan.nodes" for path, bad in src.labels.items()]
-    lines += src.defs
-    if fast:
-        slots.insert(0, "frame")
-    lines.append(f"    def holds({', '.join(slots)}):")
-    if reset:
-        lines.append(f"        {reset}")
-    lines += [f"        return {code}", "    return holds"]
-    namespace = {"_meet": _common_prefix, "_node_tuples": _node_tuples,
-                 "_unbound": _unbound, "_bad_label": _bad_label}
     try:
+        code, _ = src.formula(f, scope, _STEPPED if slots else "frame")
+        code, reset = src.stepped(code, slots[-1]) if slots else (code, "")
+        lines = ["def bind(e):"]
+        if src.index:  # the helpers and tables that the code reads, once per bind
+            body = "".join(src.defs) + code
+            helpers = [f"    {h}" for name, h in _INDEX_HELPERS.items() if name in body]
+            tables = [t for t in ("up", "end", "top", "paths") if f"{t}[" in body + "".join(helpers)]
+            lines += [f"    {', '.join(['size', *tables])}, = _node_table(e, {' '.join(tables)!r})",
+                      "    nodes = range(size)", *helpers]
+        lines += [f"    {bad} = {path!r} not in e.plan.nodes" for path, bad in src.labels.items()]
+        lines += src.defs
+        if fast:
+            slots.insert(0, "frame")
+        lines.append(f"    def holds({', '.join(slots)}):")
+        lines += [f"        {v} = _node_index(e, {v})" for v in slots if src.index]
+        if reset:
+            lines.append(f"        {reset}")
+        lines += [f"        return {code}", "    return holds"]
+        namespace = {"_meet": _common_prefix, "_node_table": _node_table,
+                     "_node_index": _node_index, "_unbound": _unbound, "_bad_label": _bad_label}
         exec(compile("\n".join(lines), "<formula>", "exec"), namespace)
     except (SyntaxError, RecursionError, MemoryError) as err:
         raise RecursionError("formula nested too deeply to compile") from err
@@ -718,6 +736,8 @@ def _program(f: Formula, fast: bool, names: tuple[str, ...]):
     kept in the node's slot, where an equal formula built again finds it."""
     if not isinstance(f, _Formula):
         raise DomainError(f"not a formula: {f!r}")
+    if not hasattr(f, "_programs"):  # made on the first compile, not per node
+        object.__setattr__(f, "_programs", {})
     key = (fast, names)
     if key not in f._programs:
         f._programs[key] = _generate(f, fast, names)
@@ -733,15 +753,15 @@ def evaluate(
     """Truth value of ``f`` in ``e`` under ``env``.
 
     ``f`` runs as generated Python, compiled on its first evaluation with
-    these mode and variable names and reused after.  Plain mode ranges
-    over every node, listed along the plan under the budget check of a
-    build but without building the tree.  ``fast`` restricts quantifier
-    ranges to one representative per orbit over the picks so far, read
-    off one :class:`~treeplan.closure.PickFrame` stepped by each pick;
-    sound because members of one orbit are automorphic over them.  A
-    quantifier restores the outer binding of its variable on exit, and an
-    atom raises its unbound-variable or bad-label error only when
-    evaluation reaches it.
+    these mode and variable names and reused after.  Plain mode ranges over
+    node indices and reads its atoms off index tables listed along the plan,
+    under the budget check of a build but with no tree built (a formula
+    without a quantifier lists nothing).  ``fast`` restricts quantifier ranges
+    to one representative per orbit over the picks so far, read off one
+    :class:`~treeplan.closure.PickFrame` stepped by each pick; sound because
+    members of one orbit are automorphic over them.  A quantifier restores the
+    outer binding of its variable on exit, and an atom raises its
+    unbound-variable or bad-label error only when evaluation reaches it.
     """
     scope = dict(env or {})
     values = tuple(scope.values())

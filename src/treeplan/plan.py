@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import gc
 import os
-from itertools import product, repeat
+from itertools import accumulate, product, repeat
+from operator import add, eq, mul, sub
 from typing import Container, Iterator, Mapping, Optional, Sequence
 
 from .errors import BudgetError, DomainError, PlanSyntaxError
@@ -313,8 +314,8 @@ class Expansion:
     the tree holds no reference cycle (58 collections to none for plan B at
     ``n`` = 199), and leaves it on or off as it found it.
     A fiber is listed along its plan path (:meth:`fiber`), and plain
-    evaluation's range along the whole plan, without the tree, under the
-    same budget check.
+    evaluation's per-index tables along the whole plan (parent, subtree end,
+    depth-1 prefix, plan path), without the tree, under the same budget check.
     """
 
     __slots__ = ("plan", "n", "_budget", "_tree", "_sizes")
@@ -490,36 +491,45 @@ def _extensions(
     yield from map(Node, product(*steps))
 
 
-def _node_tuples(e: Expansion) -> list[tuple[Segment, ...]]:
-    """Every node of ``e`` as a plain segment tuple, in node order, listed
-    along the plan: no tree is built and no :class:`Node` is made.  Raises
-    :class:`BudgetError` in the cases where a build would."""
-    p, n = e.plan, e.n
-    _within_budget(p, n, e._budget)
-    # Per plan node, its child runs, last first: the one-segment tails of
-    # the copies of a plan child, and that child's runs.
-    runs: dict[PlanPath, list] = {}
-    for sigma in sorted(p._children, key=len, reverse=True):
-        runs[sigma] = [
-            ([((tau[-1], t),) for t in (range(n) if tau in p.inf_nodes else (STAR,))], runs[tau])
-            for tau in reversed(p._children[sigma])
-        ]
-    # A preorder walk; the copies of a plan leaf are listed as one run.
-    out: list[tuple[Segment, ...]] = []
-    stack: list = [((), runs[()], None)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        v, below, tails = pop()
-        if below is None:
-            out += [v + t for t in tails]
-            continue
-        out.append(v)
-        for tails, sub in below:
-            if sub:
-                stack += [(v + t, sub, None) for t in reversed(tails)]
-            else:
-                push((v, None, tails))
-    return out
+def _node_table(e: Expansion, names: str = "up end top paths") -> list:
+    """The node count of ``e``, then per node index in node order each table
+    in ``names``: ``up`` and ``top``, the indices of the parent and depth-1
+    prefix (0 for the root), ``end``, the end of the subtree's index range,
+    ``paths``, the plan path; no tree is built.  Budget as for a build."""
+    p, n, names = e.plan, e.n, names.split()
+    size = _within_budget(p, n, e._budget)
+    # Each copy of a plan node spans one block of distances to the parent and plan
+    # paths: a child's copies repeat its block, a strided slice sets their roots'.
+    blocks: dict[PlanPath, tuple[list[int], list[PlanPath]]] = {}
+    for sigma in reversed(p._inf_counts):  # children first
+        dist, paths = [0], [sigma]
+        for tau in p._children[sigma]:
+            below, above = blocks[tau]
+            k, step, copies = len(dist), len(below), n if tau in p.inf_nodes else 1
+            dist += below * copies
+            dist[k::step] = range(k, len(dist), step)
+            paths += above * copies
+        blocks[sigma] = dist, paths
+    dist, paths = blocks[()]
+    index = range(size)  # top: the root and its children are as far from the parent as from 0
+    return [size, *(
+        list(map(sub, index, dist)) if name == "up"
+        else list(map(add, index, map(_subtree_sizes(p, n).get, paths))) if name == "end"
+        else list(accumulate(map(mul, index, map(eq, dist, index)), max)) if name == "top"
+        else paths for name in names)]
+
+
+def _node_index(e: Expansion, v: Node) -> int:
+    """The index of ``v`` in node order, the inverse of :meth:`Expansion.node_at`
+    in the same mixed radix, with no tree built and no node listed."""
+    p, n, i, sigma = e.plan, e.n, 0, ()
+    sizes = e._sizes = e._sizes or _subtree_sizes(p, n)
+    for branch, tag in v:
+        kids = p._children[sigma]
+        i += 1 + sum((n if tau in p.inf_nodes else 1) * sizes[tau] for tau in kids[:branch])
+        sigma = kids[branch]
+        i += tag * sizes[sigma] if sigma in p.inf_nodes else 0
+    return i
 
 
 def expand(p: TreePlan, n: int, budget: Optional[int] = None) -> Expansion:

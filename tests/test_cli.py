@@ -464,6 +464,14 @@ class TestMalformedInput:
         code, out, err = run(capsys, ["check", "--plan", str(plan), "--n", "2", "--formula", formula])
         assert (code, out, err) == (0, "true\n", "")
 
+    def test_too_many_quantifiers(self, tmp_path, capsys):
+        # The sentence parses, but compiling it recurses once per quantifier.
+        plan = tmp_path / "ok.plan"
+        plan.write_text("(1 (inf))")
+        formula = "".join(f"exists x{i}. " for i in range(600)) + "x0 = x599"
+        code, out, err = run(capsys, ["check", "--plan", str(plan), "--n", "2", "--formula", formula])
+        assert (code, out, err) == (2, "", "error: input nested too deeply\n")
+
     def test_long_conjunction_in_the_asymptotic_report(self, tmp_path, capsys):
         # The report renders the formula, with one loop per chain.
         plan = tmp_path / "ok.plan"

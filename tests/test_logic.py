@@ -19,6 +19,7 @@ from treeplan import (
     orbit,
     parse_formula,
     parse_node,
+    parse_plan,
     principal_formula,
     pseudofinite_probe,
     qftp,
@@ -46,7 +47,7 @@ from treeplan.logic import (
 )
 from treeplan.plan import Expansion
 
-from conftest import PLANS, classify_solutions_reference, evaluate_reference, random_subset
+from conftest import PLAN_TEXTS, PLANS, classify_solutions_reference, evaluate_reference, random_subset
 
 
 def node(text):
@@ -391,6 +392,42 @@ def test_deep_formulas_compile(name, fast):
     assert evaluate(expand(PLANS["B"], 2), parse_formula(text), fast=fast) is expected
 
 
+# Atoms over the free variables x and y; under a vacuous quantifier they
+# run as plain code over node indices on the bound nodes themselves.
+INDEX_ATOMS = [
+    "x <= y", "eps <= x", "x <= eps", "pred(x) <= y", "meet(x, y) = pred(y)",
+    "meet(meet(x, y), pred(x)) <= y", "meet(x, eps) = x", "pred^2(x) = pred^3(y)",
+    "pred^7(x) = eps", "pred^99999999999999999999(y) = x", "x = y",
+]
+
+
+@pytest.mark.parametrize(
+    "text", [PLAN_TEXTS[name] for name in ("single", "B", "D", "inf_mixed", "twin_ones")]
+    + ["(1 " * 8 + "(inf) (1)" + ")" * 8],  # deeper than the pred^7
+)
+def test_index_atoms_match_the_reference_on_every_pair(text):
+    e = expand(parse_plan(text), 2)
+    labels = [f"P[{'.'.join(map(str, sigma))}](pred(x))" for sigma in e.plan.sorted_nodes()]
+    for f in map(parse_formula, INDEX_ATOMS + labels):
+        for x in e.nodes():
+            for y in e.nodes():
+                env = {"x": x, "y": y}
+                assert evaluate(e, Exists("z", f), env) is evaluate_reference(e, f, env), (f, env)
+
+
+# A prenex sentence whose source generation recurses past the limit: it
+# parses, and evaluation refuses it with the documented error.
+DEEP_PRENEX = "".join(f"exists x{i}. " for i in range(600)) + "x0 = x599"
+
+
+@pytest.mark.parametrize("fast", [False, True])
+def test_too_many_quantifiers_raise_the_documented_error(fast):
+    f = parse_formula(DEEP_PRENEX)
+    assert qrank(f) == 600
+    with pytest.raises(RecursionError, match="^formula nested too deeply to compile$"):
+        evaluate(expand(PLANS["B"], 2), f, fast=fast)
+
+
 @pytest.mark.parametrize("fast", [False, True])
 @pytest.mark.parametrize("count", [5000, 5001])
 def test_negation_chain_without_recursion(count, fast):
@@ -469,6 +506,13 @@ class TestFormulaIdentity:
         assert evaluate(e, first, fast=fast) is True
         assert evaluate(e, parse_formula(text), fast=fast) is True
         assert calls == [first]
+
+    def test_programs_are_kept_from_the_first_compile(self):
+        f = parse_formula("exists x. x = fresh_program_var")
+        assert not hasattr(f, "_programs")  # a new node holds no program table
+        assert evaluate(expand(PLANS["B"], 2), f, {"fresh_program_var": ROOT}) is True
+        assert set(f._programs) == {(False, ("fresh_program_var",))}
+        assert parse_formula("exists x. x = fresh_program_var")._programs is f._programs
 
     def test_a_pred_power_below_one_is_refused(self):
         with pytest.raises(DomainError):

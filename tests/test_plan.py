@@ -23,7 +23,7 @@ from treeplan import (
     subplan,
 )
 from treeplan.analysis import check_embedding
-from treeplan.plan import Expansion, _node_tuples, predicted_size
+from treeplan.plan import Expansion, _node_index, _node_table, predicted_size
 from treeplan.trees import STAR, FiniteTree, Node
 
 from conftest import PLANS, assert_expansion_matches_reference
@@ -286,21 +286,45 @@ class TestLazyExpansion:
                     fresh.node_at(i)
 
     @pytest.mark.parametrize("name", sorted(PLANS))
-    def test_node_tuples_list_the_nodes_in_order(self, name):
+    def test_node_table_agrees_with_the_built_tree(self, name):
         for n in range(1, 5):
-            listed = _node_tuples(expand(PLANS[name], n))
-            assert listed == [tuple(v) for v in expand(PLANS[name], n).nodes()]
-            assert all(type(t) is tuple for t in listed)
+            nodes = expand(PLANS[name], n).nodes()
+            index = {v: i for i, v in enumerate(nodes)}
+            e = expand(PLANS[name], n, budget=len(nodes))
+            size, up, end, top, paths = _node_table(e)
+            assert size == len(nodes)
+            assert up == [0] + [index[v.parent()] for v in nodes[1:]]
+            assert end == [i + sum(map(v.is_prefix_of, nodes[i:])) for i, v in enumerate(nodes)]
+            assert top == [0] + [index[Node(v[:1])] for v in nodes[1:]]
+            assert paths == [v.plan_path for v in nodes]
+            # Only the tables asked for are listed, in the order asked.
+            assert _node_table(e, "paths up") == [size, paths, up]
+            assert _node_table(e, "") == [size]
 
-    def test_node_tuples_keep_the_budget_of_a_build(self):
+    def test_node_table_keeps_the_budget_of_a_build(self):
         size = predicted_size(PLANS["chain3_one"], 4)
         errors = []
-        for listing in (_node_tuples, Expansion.nodes):
+        for listing in (_node_table, Expansion.nodes, lambda e: _node_table(e, "")):
             with pytest.raises(BudgetError) as info:
                 listing(expand(PLANS["chain3_one"], 4, budget=size - 1))
             errors.append(str(info.value))
-        assert errors[0] == errors[1] == f"expansion would have {size} nodes; budget is {size - 1}"
-        assert len(_node_tuples(expand(PLANS["chain3_one"], 4, budget=size))) == size
+        assert set(errors) == {f"expansion would have {size} nodes; budget is {size - 1}"}
+        size_, up, *_ = _node_table(expand(PLANS["chain3_one"], 4, budget=size))
+        assert size_ == len(up) == size
+
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_node_index_inverts_node_at(self, name):
+        for n in range(1, 5):
+            e = expand(PLANS[name], n, budget=0)  # building would raise
+            for i in range(predicted_size(e.plan, n)):
+                assert _node_index(e, e.node_at(i)) == i
+
+    def test_node_index_builds_and_lists_nothing(self):
+        e = expand(PLANS["B"], 10**6)
+        deep = parse_node("0:999999/0:5")
+        assert _node_index(e, deep) == 1 + 999_999 * (10**6 + 1) + 1 + 5
+        assert e.node_at(_node_index(e, deep)) == deep
+        assert e._tree is None
 
     def test_plain_evaluation_builds_no_tree(self, monkeypatch):
         def no_build(e):

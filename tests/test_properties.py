@@ -40,7 +40,7 @@ from treeplan import (
 from treeplan.analysis import _assemble, _infer_known
 from treeplan.closure import PickFrame, orbit_key, orbit_reps
 from treeplan.counting import Polynomial, fiber_above
-from treeplan.logic import free_vars
+from treeplan.logic import Exists, free_vars
 from treeplan.plan import expansion_code
 from treeplan.trees import FiniteTree, Node, _common_prefix, meet_nodes, subtree_codes
 
@@ -542,12 +542,14 @@ def test_kept_embedding_answers_as_a_replay(rng):
 def shadowing_formulas(draw, p, quantifiers=2, bad_labels=False):
     """Formula texts over ``x`` and ``y`` only, so inner quantifiers often
     re-bind a variable that is bound outside; with ``bad_labels`` a label
-    may name a path that is not in the plan."""
+    may name a path that is not in the plan.  Terms nest two deep, so a
+    meet may hold a meet; a pred power may pass the plan height (7, or one
+    of 20 digits), and either side of ``<=`` may be ``eps``."""
     labels = [".".join(map(str, sigma)) for sigma in p.sorted_nodes()]
     if bad_labels:
         labels.append("9")
 
-    def term(depth=1):
+    def term(depth=2):
         kind = draw(st.integers(0, 4 if depth else 1))
         if kind == 0:
             return draw(st.sampled_from(["x", "y"]))
@@ -556,15 +558,20 @@ def shadowing_formulas(draw, p, quantifiers=2, bad_labels=False):
         if kind == 2:
             return f"pred({term(depth - 1)})"
         if kind == 3:
-            return f"pred^{draw(st.integers(2, 3))}({term(depth - 1)})"
+            power = draw(st.sampled_from([2, 3, 7, 10**20 - 1]))
+            return f"pred^{power}({term(depth - 1)})"
         return f"meet({term(depth - 1)}, {term(depth - 1)})"
 
     def formula(depth, left):
-        kind = draw(st.integers(0, 6 if depth else 2))
+        kind = draw(st.integers(0, 7 if depth else 2))  # 6 and 7: a quantifier
         if kind == 0:
             return f"{term()} = {term()}"
         if kind == 1:
-            return f"{term()} <= {term()}"
+            sides = [term(), term()]
+            side = draw(st.integers(0, 3))
+            if side < 2:
+                sides[side] = "eps"
+            return " <= ".join(sides)
         if kind == 2:
             return f"P[{draw(st.sampled_from(labels))}]({term()})"
         if kind == 3:
@@ -637,6 +644,9 @@ def test_evaluation_matches_the_reference(e, data):
     env = {v: data.draw(st.sampled_from(e.nodes())) for v in sorted(names)}
     expected = outcome(lambda: evaluate_reference(e, f, env))
     assert outcome(lambda: evaluate(e, f, env)) == expected
+    # A vacuous quantifier sends every atom through the plain code over
+    # node indices, on the bound nodes themselves.
+    assert outcome(lambda: evaluate(e, Exists("z", f), env)) == expected
     # Fast mode skips all but the least node of each orbit, so it can miss
     # an atom that raises; where the reference has a value, it has it too.
     if isinstance(expected, bool):
