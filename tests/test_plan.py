@@ -309,8 +309,8 @@ class TestLazyExpansion:
                 listing(expand(PLANS["chain3_one"], 4, budget=size - 1))
             errors.append(str(info.value))
         assert set(errors) == {f"expansion would have {size} nodes; budget is {size - 1}"}
-        size_, up, *_ = _node_table(expand(PLANS["chain3_one"], 4, budget=size))
-        assert size_ == len(up) == size
+        count, up, *_ = _node_table(expand(PLANS["chain3_one"], 4, budget=size))
+        assert count == len(up) == size
 
     @pytest.mark.parametrize("name", sorted(PLANS))
     def test_node_index_inverts_node_at(self, name):
@@ -320,7 +320,7 @@ class TestLazyExpansion:
                 assert _node_index(e, e.node_at(i)) == i
 
     def test_node_index_builds_and_lists_nothing(self):
-        e = expand(PLANS["B"], 10**6)
+        e = expand(PLANS["B"], 10**6)  # over the budget: a build or a listing would raise
         deep = parse_node("0:999999/0:5")
         assert _node_index(e, deep) == 1 + 999_999 * (10**6 + 1) + 1 + 5
         assert e.node_at(_node_index(e, deep)) == deep
