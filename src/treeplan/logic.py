@@ -475,7 +475,11 @@ def free_vars(f: Formula) -> frozenset[str]:
 # quantifier holds node indices, and ``bind`` lists the tables its atoms
 # read (``plan._node_table``): ``eps`` is 0, ``pred`` ``up[x]``, ``s <= t``
 # ``s <= t < end[s]``, and ``meet`` 0 unless the depth-1 prefixes ``top``
-# agree, else a walk up from one side.  Other code holds segment tuples:
+# agree, else a walk up from one side.  A meet side splits its atom on that
+# test, left first, into the atom on the walk and the atom on the root,
+# folded (``eps <= t`` is ``True``, ``s <= eps`` and ``s = eps`` are
+# ``s == 0``).  A quantifier reads its parameters' tables before its loop.
+# Other code holds segment tuples:
 # ``eps`` is ``()``, ``pred^k`` a slice, ``meet`` ``()`` unless the first
 # segments agree, else ``trees._common_prefix``.  A plain quantifier
 # ranges over every index; a fast one over ``frame.reps()``, and it hands
@@ -517,7 +521,7 @@ class _Unbound(Exception):
 
 # Precedence of a generated expression, loosest first; a part looser
 # than its place gets parentheses.
-_OR, _AND, _NOT, _ATOM = range(4)
+_IF, _OR, _AND, _NOT, _ATOM = range(5)
 
 
 def _wrap(code: tuple[str, int], level: int) -> str:
@@ -547,8 +551,8 @@ class _Source:
     A scope maps each visible variable to its slot ``v<i>``, in the order
     of the evaluation scope: an inner quantifier takes over the place of
     the variable it shadows.  Quantifier functions are ``q<i>``, walrus
-    temporaries ``t<i>``, and ``bad<i>`` says, once the expansion is
-    bound, that label path ``i`` is not a node of its plan.
+    temporaries ``t<i>``, index reads of their parameters ``o<i>``, and ``bad<i>``
+    says, once the expansion is bound, that label path ``i`` is not a node of its plan.
     """
 
     def __init__(self, index: bool):
@@ -557,6 +561,12 @@ class _Source:
         self.temps = 0
         self.labels: dict[PlanPath, str] = {}
         self.defs: list[str] = []
+        self.outer: tuple[frozenset[str], dict[str, str]] = (frozenset(), {})
+
+    def read(self, table: str, code: str) -> str:
+        """``table[code]``, by its ``o<i>`` name when ``code`` is a parameter."""
+        params, reads = self.outer
+        return reads.setdefault(f"{table}[{code}]", f"o{len(reads)}") if code in params else f"{table}[{code}]"
 
     def slot(self) -> str:
         self.slots += 1
@@ -586,53 +596,68 @@ class _Source:
                 k += t.power
                 t = t.arg
             arg = self.term(t, scope, pre)
-            if self.index:
-                return "up[" * k + arg + "]" * k if k < 4 else f"_pred({arg}, {k})"
+            if self.index:  # only the innermost read can be of a parameter
+                return f"_pred({arg}, {k})" if k > 3 else "up[" * (k - 1) + self.read("up", arg) + "]" * (k - 1)
             return f"{arg}[:-{k}]"
         if isinstance(t, MeetT):
-            # The root, or sides that differ at the first segment, meet at
-            # the root without a call.  A side holding a meet is bound
-            # before the atom, any other side where it is first read.
-            codes = [self.term(side, scope, pre) for side in (t.left, t.right)]
-            if root in codes:
-                return root
-            sides = []
-            for code in codes:
-                name, first = self.bound(code)
-                if "_meet" in code:
-                    pre.append(first)
-                    first = name
-                sides.append((name, first))
-            (a, first_a), (b, first_b) = sides
-            if self.index:
-                return f"(_meet({a}, {b}) if top[{first_a}] == top[{first_b}] else 0)"
-            return f"(_meet({a}, {b}) if {first_a} and {first_b} and {a}[0] == {b}[0] else ())"
+            meet = self.meet(t, scope, pre)
+            return f"({meet[0]} if {meet[1]} else {root})" if meet else root
         raise DomainError(f"not a term: {t!r}")
+
+    def meet(self, t: MeetT, scope: dict[str, str], pre: list[str]) -> Optional[tuple[str, str]]:
+        """The walk to a meet and the test that it is not the root, or ``None`` for
+        the root; a side holding a meet is bound before the atom, another where read."""
+        codes = [self.term(side, scope, pre) for side in (t.left, t.right)]
+        if ("0" if self.index else "()") in codes:
+            return None
+        bound = [(code, *self.bound(code)) for code in codes]
+        pre += [first for code, _, first in bound if "_meet" in code]
+        (a, first_a), (b, first_b) = [(name, name if "_meet" in code else first) for code, name, first in bound]
+        if self.index:
+            return f"_meet({a}, {b})", f"{self.read('top', first_a)} == {self.read('top', first_b)}"
+        return f"_meet({a}, {b})", f"{first_a} and {first_b} and {a}[0] == {b}[0]"
+
+    def split(self, f: Formula, codes: list, raising: str) -> tuple[str, int]:
+        """Index code of atom ``f`` on its side codes; a meet side (a pair from
+        :meth:`meet`) splits it on the test, on the walk if it holds, else on the root."""
+        if codes == ["0", "0"] or isinstance(f, Leq) and codes[0] == "0":
+            return "True", _ATOM
+        for i, code in enumerate(codes):
+            if isinstance(code, tuple):
+                walk, root = (codes[:i] + [side] + codes[i + 1:] for side in (code[0], "0"))
+                return (f"{_wrap(self.split(f, walk, raising), _OR)} if {code[1]} "
+                        f"else {_wrap(self.split(f, root, raising), _OR)}", _IF)
+        if isinstance(f, Label):  # only a plan node is a node's plan path; a bad path raises next
+            return f"{self.read('paths', codes[0])} == {f.path!r} or {raising}", _OR
+        if isinstance(f, Eq) or codes[1] == "0":  # only the root is below the root
+            return f"{codes[0]} == {codes[1]}", _ATOM
+        low, first = self.bound(codes[0])  # a subtree is an index interval
+        return f"{first} <= {codes[1]} < {self.read('end', low)}", _ATOM
 
     def atom(self, f: Formula, scope: dict[str, str]) -> tuple[str, int]:
         """An atom as one expression; it raises its unbound-variable or
         bad-label error only when evaluation reaches it."""
+        raising = ""
         if isinstance(f, Label):
             bad = self.labels.setdefault(f.path, f"bad{len(self.labels)}")
             raising = f"{bad} and _bad_label({f.path!r})"
         pre: list[str] = []
         try:
-            if isinstance(f, Eq):
+            if self.index:
+                sides = [f.arg] if isinstance(f, Label) else [f.left, f.right]
+                code = self.split(f, [self.meet(t, scope, pre) or "0" if isinstance(t, MeetT)
+                                      else self.term(t, scope, pre) for t in sides], raising)
+            elif isinstance(f, Eq):
                 code = (f"{self.term(f.left, scope, pre)} == "
                         f"{self.term(f.right, scope, pre)}", _ATOM)
             elif isinstance(f, Leq):
                 low, first = self.bound(self.term(f.left, scope, pre))
-                high = self.term(f.right, scope, pre)
-                # A subtree is an index interval; the root, below all, takes no slice.
-                code = ((f"{first} <= {high} < end[{low}]", _ATOM) if self.index else
-                        (f"not {first} or {low} == {high}[:len({low})]", _OR))
+                high = self.term(f.right, scope, pre)  # the root, below all, takes no slice
+                code = (f"not {first} or {low} == {high}[:len({low})]", _OR)
             else:
                 arg, first = self.bound(self.term(f.arg, scope, pre))
-                # Only a plan node is ever a node's plan path, so a bad
-                # path fails the test and raises on the false branch.
-                tests = [f"paths[{first}] == {f.path!r}"] if self.index else [
-                    f"len({first}) == {len(f.path)}",
-                    *(f"{arg}[{i}][0] == {b}" for i, b in enumerate(f.path))]
+                tests = [f"len({first}) == {len(f.path)}",  # a bad path raises on the false branch
+                         *(f"{arg}[{i}][0] == {b}" for i, b in enumerate(f.path))]
                 code = (" and ".join(tests) + " or " + raising, _OR)
         except _Unbound as err:
             text = f"_unbound({err.args[0]!r})"
@@ -672,15 +697,18 @@ class _Source:
         inner = dict(scope)
         inner[f.var] = var = self.slot()
         exists = isinstance(f, Exists)
+        outer, self.outer = self.outer, (frozenset(params if self.index else ()), {})
         test, _ = self.formula(f.body if exists else Not(f.body), inner, _STEPPED)
         test, reset = self.stepped(test, var)
+        reads, self.outer = self.outer[1], outer
         head, args, over = params, params, f"{var} in nodes"
         if not self.index:
             head, args, over = ["frame", *params], [frame, *params], f"{var}, _ in frame.reps()"
         name = f"q{len(self.defs)}"
         self.defs.append(
             f"    def {name}({', '.join(head)}):\n"
-            f"        for {over}:\n"
+            + "".join(f"        {o} = {read}\n" for read, o in reads.items())
+            + f"        for {over}:\n"
             + (f"            {reset}\n" if reset else "")
             + f"            if {test}:\n"
             f"                return {exists}\n"

@@ -498,6 +498,8 @@ def _node_table(e: Expansion, names: str = "up end top paths") -> list:
     ``paths``, the plan path; no tree is built.  Budget as for a build."""
     p, n, names = e.plan, e.n, names.split()
     size = _within_budget(p, n, e._budget)
+    if not names:  # the count alone: no block is listed
+        return [size]
     # Each copy of a plan node spans one block of distances to the parent and plan
     # paths: a child's copies repeat its block, a strided slice sets their roots'.
     blocks: dict[PlanPath, tuple[list[int], list[PlanPath]]] = {}

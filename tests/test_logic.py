@@ -326,6 +326,14 @@ class TestLazyErrors:
         with pytest.raises(DomainError, match="label path"):
             evaluate(e, parse_formula("eps = eps & P[9](eps)"), fast=fast)
 
+    def test_bad_label_of_a_meet_raises_at_and_off_the_root(self, fast):
+        e, f = expand(PLANS["A"], 2), parse_formula("exists z. P[9](meet(x, y))")
+        for y in (node("0:0"), node("0:1")):  # meets 0:0 and the root
+            with pytest.raises(DomainError, match="label path"):
+                evaluate(e, f, {"x": node("0:0"), "y": y}, fast=fast)
+        guarded = parse_formula("exists z. !(x = y) & P[9](meet(x, y))")
+        assert not evaluate(e, guarded, {"x": node("0:0"), "y": node("0:0")}, fast=fast)
+
     def test_env_node_outside_the_expansion(self, fast):
         e = expand(PLANS["A"], 2)
         with pytest.raises(DomainError, match="unknown node 0:2"):
@@ -382,6 +390,8 @@ DEEP_FORMULAS = {
     ),
     "100_meets_false": (f"forall x. forall y. {left_meets(100)} = x", False),
     "300_meets": (f"forall x. forall y. {right_meets(300)} = {left_meets(300)}", True),
+    # Plain code splits each atom on whether each meet is the root: 1,200 branches.
+    "300_meet_conjuncts": ("forall x. forall y. " + " & ".join(["meet(x, y) <= meet(y, x)"] * 300), True),
 }
 
 
@@ -393,11 +403,25 @@ def test_deep_formulas_compile(name, fast):
 
 
 # Atoms over the free variables x and y; under a vacuous quantifier they
-# run as plain code over node indices on the bound nodes themselves.
+# run as plain code over node indices on the bound nodes themselves, which
+# read their tables once before the loop.  A meet that is a side of an atom
+# splits the atom on whether it is the root, left side first.
 INDEX_ATOMS = [
     "x <= y", "eps <= x", "x <= eps", "pred(x) <= y", "meet(x, y) = pred(y)",
     "meet(meet(x, y), pred(x)) <= y", "meet(x, eps) = x", "pred^2(x) = pred^3(y)",
     "pred^7(x) = eps", "pred^99999999999999999999(y) = x", "x = y",
+    "meet(x, y) <= pred(x)", "pred(y) <= meet(x, y)", "meet(x, y) <= meet(y, pred(x))",
+    "meet(x, y) = x", "y = meet(pred(x), y)", "meet(x, pred(y)) = meet(y, x)",
+    "meet(pred(x), pred^2(y)) <= y", "meet(pred(x), y) = eps", "P[](meet(x, y))",
+]
+
+# Formulas over x and y whose quantifiers read tables of the bound nodes
+# and of the node they range over; the first re-binds x.
+INDEX_QUANTIFIED = [
+    "exists x. meet(x, y) <= x", "exists x. meet(x, y) = pred(x) & !(x <= y)",
+    "exists z. meet(x, z) <= y & !(z = x)",
+    "forall z. z <= x -> meet(z, y) <= meet(x, y)", "exists z. pred(z) = x & P[](meet(z, y))",
+    "exists z. meet(y, z) = pred(x) & !(z <= y)", "forall z. meet(x, z) = x | y <= pred(z)",
 ]
 
 
@@ -407,12 +431,18 @@ INDEX_ATOMS = [
 )
 def test_index_atoms_match_the_reference_on_every_pair(text):
     e = expand(parse_plan(text), 2)
-    labels = [f"P[{'.'.join(map(str, sigma))}](pred(x))" for sigma in e.plan.sorted_nodes()]
+    paths = [".".join(map(str, sigma)) for sigma in e.plan.sorted_nodes()]
+    labels = [f"P[{path}]({arg})" for path in paths for arg in ("pred(x)", "meet(x, y)")]
     for f in map(parse_formula, INDEX_ATOMS + labels):
         for x in e.nodes():
             for y in e.nodes():
                 env = {"x": x, "y": y}
                 assert evaluate(e, Exists("z", f), env) is evaluate_reference(e, f, env), (f, env)
+    for f in map(parse_formula, INDEX_QUANTIFIED):
+        for x in e.nodes():
+            for y in e.nodes():
+                env = {"x": x, "y": y}
+                assert evaluate(e, f, env) is evaluate_reference(e, f, env), (f, env)
 
 
 # A prenex sentence whose source generation recurses past the limit: it

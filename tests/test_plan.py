@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -311,6 +312,18 @@ class TestLazyExpansion:
         assert set(errors) == {f"expansion would have {size} nodes; budget is {size - 1}"}
         count, up, *_ = _node_table(expand(PLANS["chain3_one"], 4, budget=size))
         assert count == len(up) == size
+
+    def test_node_table_with_no_table_lists_no_block(self):
+        # The count alone allocates nothing per node: a block of distances
+        # and plan paths for 200,001 nodes would take megabytes.
+        e = expand(PLANS["A"], 200_000)
+        tracemalloc.start()
+        try:
+            assert _node_table(e, "") == [200_001]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     @pytest.mark.parametrize("name", sorted(PLANS))
     def test_node_index_inverts_node_at(self, name):
