@@ -707,7 +707,7 @@ class _Source:
         name = f"q{len(self.defs)}"
         self.defs.append(
             f"    def {name}({', '.join(head)}):\n"
-            + "".join(f"        {o} = {read}\n" for read, o in reads.items())
+            + "".join(f"        {o} = {read}\n" for read, o in reads.items() if o in test)
             + f"        for {over}:\n"
             + (f"            {reset}\n" if reset else "")
             + f"            if {test}:\n"

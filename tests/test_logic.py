@@ -445,6 +445,22 @@ def test_index_atoms_match_the_reference_on_every_pair(text):
                 assert evaluate(e, f, env) is evaluate_reference(e, f, env), (f, env)
 
 
+def test_a_folded_meet_reads_no_table(monkeypatch):
+    # eps <= t folds to True, so the reads of the meet test in t go unused:
+    # the quantifier binds none of them, and the bind lists no table.
+    listed = []
+
+    def listing(e, names):
+        listed.append(names)
+        return table(e, names)
+
+    table = logic._node_table
+    monkeypatch.setattr(logic, "_node_table", listing)
+    f = parse_formula("forall y. eps <= meet(x, pred(y)) & eps <= meet(y, y)")
+    assert evaluate(expand(PLANS["B"], 2), f, {"x": node("0:1")}) is True
+    assert listed == [""]
+
+
 # A prenex sentence whose source generation recurses past the limit: it
 # parses, and evaluation refuses it with the documented error.
 DEEP_PRENEX = "".join(f"exists x{i}. " for i in range(600)) + "x0 = x599"
