@@ -116,7 +116,7 @@ def cmd_check(args) -> int:
     f = logic.parse_formula(args.formula)
     free = sorted(logic.free_vars(f))
     if not free:
-        value = logic.evaluate(e, f, fast=True)
+        value = logic.evaluate(e, f)
         _emit(("true" if value else "false") + "\n", args.out)
         return EXIT_PASS if value else EXIT_FAIL
     if len(free) == 1:

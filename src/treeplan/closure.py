@@ -12,7 +12,7 @@ the games and the automorphisms share all three.  A :class:`PickFrame`
 holds the closure and the key of a pick tuple together, counts the orbits
 over the picks, lists their representatives with their keys, and steps by
 one more pick: the closure, the representatives, dividing, the game
-search, :func:`type_count` and fast evaluation all walk frames, built once
+search, :func:`type_count` and evaluation all walk frames, built once
 and stepped by each move or quantified representative.
 """
 

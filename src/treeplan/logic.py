@@ -6,16 +6,14 @@ Quantifiers scope to the end of the enclosing formula (or closing paren).
 
 Formulas are interned, and each keeps its compiled programs: evaluation
 compiles a formula once, on first use, into generated Python source, laid
-out as the comment above :class:`_Source` states.  Plain evaluation, the
-brute-force path, ranges each quantifier over every node index.  Fast
-evaluation (``fast=True``) ranges it over one representative per orbit
-over the picks so far.  Members of one orbit are exchanged by an
-automorphism fixing the picks, so the truth value is unchanged, and the
-cost does not grow with the expansion size.  Definable sets are read off
-the same orbits: a formula is evaluated once per orbit over its
-parameters, and each orbit that satisfies it is listed from its anchor.
-Quantified plain code shares no term code with fast code; both modes are
-checked against each other and a reference evaluator in the test suite.
+out as the comment above :class:`_Source` states.  Evaluation ranges
+each quantifier over one representative per orbit over the picks so
+far.  Members of one orbit are exchanged by an automorphism fixing the
+picks, so the truth value is unchanged, and the cost does not grow with
+the expansion size.  Definable sets are read off the same orbits: a
+formula is evaluated once per orbit over its parameters, and each orbit
+that satisfies it is listed from its anchor.  The test suite checks
+evaluation against a brute-force reference evaluator.
 """
 
 from __future__ import annotations
@@ -36,8 +34,6 @@ from .plan import (
     Expansion,
     TreePlan,
     _extensions,
-    _node_index,
-    _node_table,
     ell,
     expand,
     height,
@@ -471,26 +467,19 @@ def free_vars(f: Formula) -> frozenset[str]:
 
 # A formula compiles once into the source of one Python function per
 # quantifier plus one for the formula, all nested in a ``bind`` function
-# that takes the expansion; a variable is a local slot.  Plain code with a
-# quantifier holds node indices, and ``bind`` lists the tables its atoms
-# read (``plan._node_table``): ``eps`` is 0, ``pred`` ``up[x]``, ``s <= t``
-# ``s <= t < end[s]``, and ``meet`` 0 unless the depth-1 prefixes ``top``
-# agree, else a walk up from one side.  A meet side splits its atom on that
-# test, left first, into the atom on the walk and the atom on the root,
-# folded (``eps <= t`` is ``True``, ``s <= eps`` and ``s = eps`` are
-# ``s == 0``).  A quantifier reads its parameters' tables before its loop.
-# Other code holds segment tuples:
-# ``eps`` is ``()``, ``pred^k`` a slice, ``meet`` ``()`` unless the first
-# segments agree, else ``trees._common_prefix``.  A plain quantifier
-# ranges over every index; a fast one over ``frame.reps()``, and it hands
-# a nested one ``frame.step(x)`` in the call; when two calls or more take
-# it, each passes ``t or (t := frame.step(x))``, with ``t`` reset for each
-# pick.  So a frame steps at most once per pick, and only when a call is
+# that takes the expansion; a variable is a local slot, and a term a
+# segment tuple: ``eps`` is ``()``, ``pred^k`` a slice, ``meet`` ``()``
+# unless the first segments agree, else ``trees._common_prefix``.  A
+# quantifier ranges over ``frame.reps()``, and it hands a nested one
+# ``frame.step(x)`` in the call; when two calls or more take it, each
+# passes ``t or (t := frame.step(x))``, with ``t`` reset for each pick.
+# So a frame steps at most once per pick, and only when a call is
 # reached.  Until a body is done its calls hold ``_STEPPED`` for that
 # frame: a NUL, which generated source never holds otherwise, since names
 # from the formula enter it as reprs.  The truth function takes the frame
-# of its bound nodes but the last.  A shadowed pick stays in the frame:
-# finer orbits, same truth.
+# of its bound nodes but the last, which only a quantifier reads, so
+# ``evaluate`` builds none for a formula without one.  A shadowed pick
+# stays in the frame: finer orbits, same truth.
 # The source is flat: a quantifier is a call of its own function, whose
 # parameters are the variables visible where it stands, and a meet nested
 # in a meet goes to a walrus temporary, so its depth follows the
@@ -499,12 +488,6 @@ def free_vars(f: Formula) -> frozenset[str]:
 
 
 _STEPPED = "\0"
-
-# The walks up the node indices for meet and pred^k, defined where called.
-_INDEX_HELPERS = {
-    "_meet(": "def _meet(a, b):\n        while not a <= b < end[a]: a = up[a]\n        return a",
-    "_pred(": "def _pred(a, k):\n        while a and k: a, k = up[a], k - 1\n        return a",
-}
 
 
 def _unbound(name: str) -> bool:
@@ -521,7 +504,7 @@ class _Unbound(Exception):
 
 # Precedence of a generated expression, loosest first; a part looser
 # than its place gets parentheses.
-_IF, _OR, _AND, _NOT, _ATOM = range(5)
+_OR, _AND, _NOT, _ATOM = range(4)
 
 
 def _wrap(code: tuple[str, int], level: int) -> str:
@@ -546,27 +529,20 @@ def _operands(f: Formula, op: type) -> list[Formula]:
 
 
 class _Source:
-    """The generated source of one formula: plain over node indices with ``index``.
+    """The generated source of one formula.
 
     A scope maps each visible variable to its slot ``v<i>``, in the order
     of the evaluation scope: an inner quantifier takes over the place of
     the variable it shadows.  Quantifier functions are ``q<i>``, walrus
-    temporaries ``t<i>``, index reads of their parameters ``o<i>``, and ``bad<i>``
-    says, once the expansion is bound, that label path ``i`` is not a node of its plan.
+    temporaries ``t<i>``, and ``bad<i>`` says, once the expansion is
+    bound, that label path ``i`` is not a node of its plan.
     """
 
-    def __init__(self, index: bool):
-        self.index = index
+    def __init__(self):
         self.slots = 0
         self.temps = 0
         self.labels: dict[PlanPath, str] = {}
         self.defs: list[str] = []
-        self.outer: tuple[frozenset[str], dict[str, str]] = (frozenset(), {})
-
-    def read(self, table: str, code: str) -> str:
-        """``table[code]``, by its ``o<i>`` name when ``code`` is a parameter."""
-        params, reads = self.outer
-        return reads.setdefault(f"{table}[{code}]", f"o{len(reads)}") if code in params else f"{table}[{code}]"
 
     def slot(self) -> str:
         self.slots += 1
@@ -574,8 +550,8 @@ class _Source:
 
     def bound(self, code: str) -> tuple[str, str]:
         """A name for the value of ``code``, and the expression that binds
-        it where it is first used: the code itself for a slot or a number."""
-        if code.isidentifier() or code.isdigit():
+        it where it is first used: the code itself for a slot."""
+        if code.isidentifier():
             return code, code
         self.temps += 1
         name = f"t{self.temps - 1}"
@@ -586,68 +562,37 @@ class _Source:
             if t.name not in scope:
                 raise _Unbound(t.name)
             return scope[t.name]
-        root = "0" if self.index else "()"
         if isinstance(t, Eps):
-            return root
+            return "()"
         if isinstance(t, Pred):
-            # pred^k drops the last k segments; a slice or walk clamps at the root.
+            # pred^k drops the last k segments; a slice clamps at the root.
             k = 0
             while isinstance(t, Pred):
                 k += t.power
                 t = t.arg
-            arg = self.term(t, scope, pre)
-            if self.index:  # only the innermost read can be of a parameter
-                return f"_pred({arg}, {k})" if k > 3 else "up[" * (k - 1) + self.read("up", arg) + "]" * (k - 1)
-            return f"{arg}[:-{k}]"
+            return f"{self.term(t, scope, pre)}[:-{k}]"
         if isinstance(t, MeetT):
-            meet = self.meet(t, scope, pre)
-            return f"({meet[0]} if {meet[1]} else {root})" if meet else root
+            # The root, or sides that differ at the first segment, meet at
+            # the root without a call.  A side holding a meet is bound
+            # before the atom, any other side where it is first read.
+            codes = [self.term(side, scope, pre) for side in (t.left, t.right)]
+            if "()" in codes:
+                return "()"
+            bound = [(code, *self.bound(code)) for code in codes]
+            pre += [first for code, _, first in bound if "_meet" in code]
+            (a, first_a), (b, first_b) = [(name, name if "_meet" in code else first) for code, name, first in bound]
+            return f"(_meet({a}, {b}) if {first_a} and {first_b} and {a}[0] == {b}[0] else ())"
         raise DomainError(f"not a term: {t!r}")
-
-    def meet(self, t: MeetT, scope: dict[str, str], pre: list[str]) -> Optional[tuple[str, str]]:
-        """The walk to a meet and the test that it is not the root, or ``None`` for
-        the root; a side holding a meet is bound before the atom, another where read."""
-        codes = [self.term(side, scope, pre) for side in (t.left, t.right)]
-        if ("0" if self.index else "()") in codes:
-            return None
-        bound = [(code, *self.bound(code)) for code in codes]
-        pre += [first for code, _, first in bound if "_meet" in code]
-        (a, first_a), (b, first_b) = [(name, name if "_meet" in code else first) for code, name, first in bound]
-        if self.index:
-            return f"_meet({a}, {b})", f"{self.read('top', first_a)} == {self.read('top', first_b)}"
-        return f"_meet({a}, {b})", f"{first_a} and {first_b} and {a}[0] == {b}[0]"
-
-    def split(self, f: Formula, codes: list, raising: str) -> tuple[str, int]:
-        """Index code of atom ``f`` on its side codes; a meet side (a pair from
-        :meth:`meet`) splits it on the test, on the walk if it holds, else on the root."""
-        if codes == ["0", "0"] or isinstance(f, Leq) and codes[0] == "0":
-            return "True", _ATOM
-        for i, code in enumerate(codes):
-            if isinstance(code, tuple):
-                walk, root = (codes[:i] + [side] + codes[i + 1:] for side in (code[0], "0"))
-                return (f"{_wrap(self.split(f, walk, raising), _OR)} if {code[1]} "
-                        f"else {_wrap(self.split(f, root, raising), _OR)}", _IF)
-        if isinstance(f, Label):  # only a plan node is a node's plan path; a bad path raises next
-            return f"{self.read('paths', codes[0])} == {f.path!r} or {raising}", _OR
-        if isinstance(f, Eq) or codes[1] == "0":  # only the root is below the root
-            return f"{codes[0]} == {codes[1]}", _ATOM
-        low, first = self.bound(codes[0])  # a subtree is an index interval
-        return f"{first} <= {codes[1]} < {self.read('end', low)}", _ATOM
 
     def atom(self, f: Formula, scope: dict[str, str]) -> tuple[str, int]:
         """An atom as one expression; it raises its unbound-variable or
         bad-label error only when evaluation reaches it."""
-        raising = ""
         if isinstance(f, Label):
             bad = self.labels.setdefault(f.path, f"bad{len(self.labels)}")
             raising = f"{bad} and _bad_label({f.path!r})"
         pre: list[str] = []
         try:
-            if self.index:
-                sides = [f.arg] if isinstance(f, Label) else [f.left, f.right]
-                code = self.split(f, [self.meet(t, scope, pre) or "0" if isinstance(t, MeetT)
-                                      else self.term(t, scope, pre) for t in sides], raising)
-            elif isinstance(f, Eq):
+            if isinstance(f, Eq):
                 code = (f"{self.term(f.left, scope, pre)} == "
                         f"{self.term(f.right, scope, pre)}", _ATOM)
             elif isinstance(f, Leq):
@@ -689,32 +634,25 @@ class _Source:
         raise DomainError(f"not a formula: {f!r}")
 
     def quantifier(self, f: Union[Exists, Forall], scope: dict[str, str], frame: str) -> str:
-        """A call of the quantifier's function.  It ranges over every node
-        index, or in fast code over the representatives of the frame that the
-        expression ``frame`` names, and stops at the first body that
-        decides it."""
+        """A call of the quantifier's function.  It ranges over the
+        representatives of the frame that the expression ``frame`` names,
+        and stops at the first body that decides it."""
         params = list(scope.values())
         inner = dict(scope)
         inner[f.var] = var = self.slot()
         exists = isinstance(f, Exists)
-        outer, self.outer = self.outer, (frozenset(params if self.index else ()), {})
         test, _ = self.formula(f.body if exists else Not(f.body), inner, _STEPPED)
         test, reset = self.stepped(test, var)
-        reads, self.outer = self.outer[1], outer
-        head, args, over = params, params, f"{var} in nodes"
-        if not self.index:
-            head, args, over = ["frame", *params], [frame, *params], f"{var}, _ in frame.reps()"
         name = f"q{len(self.defs)}"
         self.defs.append(
-            f"    def {name}({', '.join(head)}):\n"
-            + "".join(f"        {o} = {read}\n" for read, o in reads.items() if o in test)
-            + f"        for {over}:\n"
+            f"    def {name}({', '.join(['frame', *params])}):\n"
+            f"        for {var}, _ in frame.reps():\n"
             + (f"            {reset}\n" if reset else "")
             + f"            if {test}:\n"
             f"                return {exists}\n"
             f"        return {not exists}\n"
         )
-        return f"{name}({', '.join(args)})"
+        return f"{name}({', '.join([frame, *params])})"
 
     def stepped(self, code: str, var: str) -> tuple[str, str]:
         """``code`` with the frame stepped by ``var`` for ``_STEPPED``,
@@ -725,51 +663,41 @@ class _Source:
         return code.replace(_STEPPED, f"{name} or {first}"), f"{name} = None"
 
 
-def _generate(f: Formula, fast: bool, names: tuple[str, ...]):
-    """``bind(e)`` for ``f``: it returns the truth function of ``f`` on
-    ``e``, whose arguments are the nodes bound to ``names``, in fast mode
-    after the :class:`~treeplan.closure.PickFrame` of all but the last."""
-    src = _Source(not fast and qrank(f) > 0)  # no quantifier: no node is listed
+def _generate(f: Formula, names: tuple[str, ...]):
+    """``bind(e)`` for ``f``, and whether ``f`` has a quantifier: ``bind``
+    returns the truth function of ``f`` on ``e``, whose arguments are the
+    :class:`~treeplan.closure.PickFrame` of all the nodes bound to
+    ``names`` but the last, which only a quantifier reads, then those nodes."""
+    src = _Source()
     scope = {name: src.slot() for name in names}
     slots = list(scope.values())
     try:
         code, _ = src.formula(f, scope, _STEPPED if slots else "frame")
         code, reset = src.stepped(code, slots[-1]) if slots else (code, "")
         lines = ["def bind(e):"]
-        if src.index:  # the helpers and tables that the code reads, once per bind
-            body = "".join(src.defs) + code
-            helpers = [f"    {h}" for name, h in _INDEX_HELPERS.items() if name in body]
-            tables = [t for t in ("up", "end", "top", "paths") if f"{t}[" in body + "".join(helpers)]
-            lines += [f"    {', '.join(['size', *tables])}, = _node_table(e, {' '.join(tables)!r})",
-                      "    nodes = range(size)", *helpers]
         lines += [f"    {bad} = {path!r} not in e.plan.nodes" for path, bad in src.labels.items()]
         lines += src.defs
-        if fast:
-            slots.insert(0, "frame")
-        lines.append(f"    def holds({', '.join(slots)}):")
-        lines += [f"        {v} = _node_index(e, {v})" for v in slots if src.index]
+        lines.append(f"    def holds({', '.join(['frame', *slots])}):")
         if reset:
             lines.append(f"        {reset}")
         lines += [f"        return {code}", "    return holds"]
-        namespace = {"_meet": _common_prefix, "_node_table": _node_table,
-                     "_node_index": _node_index, "_unbound": _unbound, "_bad_label": _bad_label}
+        namespace = {"_meet": _common_prefix, "_unbound": _unbound, "_bad_label": _bad_label}
         exec(compile("\n".join(lines), "<formula>", "exec"), namespace)
     except (SyntaxError, RecursionError, MemoryError) as err:
         raise RecursionError("formula nested too deeply to compile") from err
-    return namespace["bind"]
+    return namespace["bind"], bool(src.defs)
 
 
-def _program(f: Formula, fast: bool, names: tuple[str, ...]):
-    """The program of ``f`` for a mode and bound names, compiled once and
-    kept in the node's slot, where an equal formula built again finds it."""
+def _program(f: Formula, names: tuple[str, ...]):
+    """The program of ``f`` for its bound names, compiled once and kept in
+    the node's slot, where an equal formula built again finds it."""
     if not isinstance(f, _Formula):
         raise DomainError(f"not a formula: {f!r}")
     if not hasattr(f, "_programs"):  # made on the first compile, not per node
         object.__setattr__(f, "_programs", {})
-    key = (fast, names)
-    if key not in f._programs:
-        f._programs[key] = _generate(f, fast, names)
-    return f._programs[key]
+    if names not in f._programs:
+        f._programs[names] = _generate(f, names)
+    return f._programs[names]
 
 
 def evaluate(
@@ -781,21 +709,20 @@ def evaluate(
     """Truth value of ``f`` in ``e`` under ``env``.
 
     ``f`` runs as generated Python, compiled on its first evaluation with
-    these mode and variable names and reused after.  Plain mode ranges over
-    node indices and reads its atoms off index tables listed along the plan,
-    under the budget check of a build but with no tree built (a formula
-    without a quantifier lists nothing).  ``fast`` restricts quantifier ranges
-    to one representative per orbit over the picks so far, read off one
+    these variable names and reused after.  A quantifier ranges over one
+    representative per orbit over the picks so far, read off one
     :class:`~treeplan.closure.PickFrame` stepped by each pick; sound because
-    members of one orbit are automorphic over them.  A quantifier restores the
-    outer binding of its variable on exit, and an atom raises its
-    unbound-variable or bad-label error only when evaluation reaches it.
+    members of one orbit are automorphic over them, and the cost does not
+    grow with the expansion size.  A quantifier restores the outer binding
+    of its variable on exit, and an atom raises its unbound-variable or
+    bad-label error only when evaluation reaches it.
+    ``fast`` is accepted and ignored: every evaluation walks the frames.
     """
     scope = dict(env or {})
     values = tuple(scope.values())
     e.require(*values)
-    holds = _program(f, fast, tuple(scope))(e)
-    return holds(PickFrame(e, values[:-1]), *values) if fast else holds(*values)
+    bind, quantified = _program(f, tuple(scope))
+    return bind(e)(PickFrame(e, values[:-1]) if quantified else None, *values)
 
 
 def _satisfied(
@@ -803,13 +730,13 @@ def _satisfied(
 ) -> tuple[dict[Node, Node], list[Node]]:
     """The tree closure of the parameters other than ``free_var``, and the
     least member of each orbit over them that satisfies ``f`` for
-    ``free_var``; ``f`` runs in fast mode, from their frame, on those only."""
+    ``free_var``; ``f`` runs from their frame, on those only."""
     scope = {name: v for name, v in (params or {}).items() if name != free_var}
     missing = free_vars(f) - set(scope) - {free_var}
     if missing:
         raise UnboundVariableError(f"unbound variables {sorted(missing)}")
     frame = PickFrame(e, scope.values())
-    holds = _program(f, True, (*scope, free_var))(e)
+    holds = _program(f, (*scope, free_var))[0](e)
     return frame.closed, [a for a, _ in frame.reps() if holds(frame, *scope.values(), a)]
 
 
@@ -860,7 +787,7 @@ def pseudofinite_probe(
     values = []
     for n in range(n0, n0 + margin + 1):
         e = expand(p, n, budget=budget)
-        values.append((n, evaluate(e, sentence, fast=True)))
+        values.append((n, evaluate(e, sentence)))
     truths = {v for _, v in values}
     return ProbeReport(formula_text(sentence), k, n0, tuple(values), len(truths) == 1)
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import gc
 import os
-from itertools import accumulate, product, repeat
-from operator import add, eq, mul, sub
+from itertools import product, repeat
 from typing import Container, Iterator, Mapping, Optional, Sequence
 
 from .errors import BudgetError, DomainError, PlanSyntaxError
@@ -313,9 +312,8 @@ class Expansion:
     The build pauses the cyclic collector, which could free nothing since
     the tree holds no reference cycle (58 collections to none for plan B at
     ``n`` = 199), and leaves it on or off as it found it.
-    A fiber is listed along its plan path (:meth:`fiber`), and plain
-    evaluation's per-index tables along the whole plan (parent, subtree end,
-    depth-1 prefix, plan path), without the tree, under the same budget check.
+    A fiber is listed along its plan path (:meth:`fiber`), without the
+    tree, under the same budget check.
     """
 
     __slots__ = ("plan", "n", "_budget", "_tree", "_sizes")
@@ -489,49 +487,6 @@ def _extensions(
     if k < len(sigma):
         steps[k] = [seg for seg in steps[k] if v + (seg,) not in skip]
     yield from map(Node, product(*steps))
-
-
-def _node_table(e: Expansion, names: str = "up end top paths") -> list:
-    """The node count of ``e``, then per node index in node order each table
-    in ``names``: ``up`` and ``top``, the indices of the parent and depth-1
-    prefix (0 for the root), ``end``, the end of the subtree's index range,
-    ``paths``, the plan path; no tree is built.  Budget as for a build."""
-    p, n, names = e.plan, e.n, names.split()
-    size = _within_budget(p, n, e._budget)
-    if not names:  # the count alone: no block is listed
-        return [size]
-    # Each copy of a plan node spans one block of distances to the parent and plan
-    # paths: a child's copies repeat its block, a strided slice sets their roots'.
-    blocks: dict[PlanPath, tuple[list[int], list[PlanPath]]] = {}
-    for sigma in reversed(p._inf_counts):  # children first
-        dist, paths = [0], [sigma]
-        for tau in p._children[sigma]:
-            below, above = blocks[tau]
-            k, step, copies = len(dist), len(below), n if tau in p.inf_nodes else 1
-            dist += below * copies
-            dist[k::step] = range(k, len(dist), step)
-            paths += above * copies
-        blocks[sigma] = dist, paths
-    dist, paths = blocks[()]
-    index = range(size)  # top: the root and its children are as far from the parent as from 0
-    return [size, *(
-        list(map(sub, index, dist)) if name == "up"
-        else list(map(add, index, map(_subtree_sizes(p, n).get, paths))) if name == "end"
-        else list(accumulate(map(mul, index, map(eq, dist, index)), max)) if name == "top"
-        else paths for name in names)]
-
-
-def _node_index(e: Expansion, v: Node) -> int:
-    """The index of ``v`` in node order, the inverse of :meth:`Expansion.node_at`
-    in the same mixed radix, with no tree built and no node listed."""
-    p, n, i, sigma = e.plan, e.n, 0, ()
-    sizes = e._sizes = e._sizes or _subtree_sizes(p, n)
-    for branch, tag in v:
-        kids = p._children[sigma]
-        i += 1 + sum((n if tau in p.inf_nodes else 1) * sizes[tau] for tau in kids[:branch])
-        sigma = kids[branch]
-        i += tag * sizes[sigma] if sigma in p.inf_nodes else 0
-    return i
 
 
 def expand(p: TreePlan, n: int, budget: Optional[int] = None) -> Expansion:

@@ -233,7 +233,7 @@ def meet_nodes(a: Node, b: Node) -> Node:
 
 def _common_prefix(a: tuple, b: tuple) -> tuple:
     """The longest common prefix of two segment tuples, as a slice of
-    ``a``: the library's one common-prefix loop, also plain evaluation's
+    ``a``: the library's one common-prefix loop, also evaluation's
     ``meet``.  The walk stops at the first differing segment or, by
     ``IndexError``, at the end of the shorter tuple."""
     i = 0

@@ -721,7 +721,7 @@ class TestSoundnessLink:
                 left, right = expand(p, n1), expand(p, n2)
                 value = game_value(left, right, k)
                 separated = any(
-                    evaluate(left, f, fast=True) != evaluate(right, f, fast=True)
+                    evaluate(left, f) != evaluate(right, f)
                     for f in family
                 )
                 if value == "S":

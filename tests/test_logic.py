@@ -176,44 +176,60 @@ class TestEvaluate:
         assert evaluate(e, parse_formula("meet(u, v) = pred(u)"), env)
         assert evaluate(e, parse_formula("pred^2(u) = eps"), env)
 
-    @pytest.mark.parametrize("fast", [False, True])
-    def test_quantifier_free_formula_builds_no_tree(self, fast):
-        # Only a plain quantifier lists the nodes, so a formula without one
-        # is decided on an expansion far over the node budget.
+    def test_quantifier_free_formula_builds_no_tree(self):
+        # A formula without a quantifier is decided on the bound nodes, on
+        # an expansion far over the node budget.
         e = expand(PLANS["B"], 10**6)
-        assert evaluate(e, parse_formula("x = x"), {"x": ROOT}, fast=fast)
+        assert evaluate(e, parse_formula("x = x"), {"x": ROOT})
         env = {"x": ROOT, "y": node("0:999999/0:5")}
-        assert evaluate(e, parse_formula("pred^2(y) = x & P[0.0](y)"), env, fast=fast)
+        assert evaluate(e, parse_formula("pred^2(y) = x & P[0.0](y)"), env)
 
-    def test_plain_quantifier_keeps_the_build_budget(self):
-        # A plain quantifier lists every node, under the budget of a build.
-        e = expand(PLANS["B"], 10**6)
-        with pytest.raises(BudgetError):
-            evaluate(e, parse_formula("exists y. y = x"), {"x": ROOT})
+    def test_a_quantifier_is_decided_far_over_the_build_budget(self, monkeypatch):
+        # A quantifier ranges over orbits, not nodes: a rank-3 sentence takes
+        # the same value on 10^12 nodes as on 13, and no tree is built.
+        f = parse_formula(
+            "exists x. exists y. exists z. pred(x) = pred(y) & pred(y) = pred(z)"
+            " & !(x = y) & !(y = z) & !(x = z) & !(x = eps) & !(y = eps) & !(z = eps)"
+        )
+        assert qrank(f) == 3
+        small = evaluate(expand(PLANS["B"], 3), f)
+        assert small is evaluate_reference(expand(PLANS["B"], 3), f) is not evaluate(expand(PLANS["B"], 2), f)
 
-    @pytest.mark.parametrize("fast", [False, True])
-    def test_inner_quantifier_restores_outer_binding(self, fast):
+        def no_build(e):
+            raise AssertionError("the tree was built")
+
+        monkeypatch.setattr(Expansion, "_build", no_build)
+        assert evaluate(expand(PLANS["B"], 10**6), f) is small
+
+    def test_the_fast_keyword_is_accepted_and_ignored(self):
+        # The benchmark passes fast= in both of its modes.
+        e, env = expand(PLANS["B"], 3), {"b": node("0:1/0:2")}
+        for text in ("exists x. pred(x) = b", "forall x. meet(x, b) <= pred(b)", "b = b", "!(b = eps)"):
+            f = parse_formula(text)
+            expected = evaluate_reference(e, f, env)
+            assert evaluate(e, f, env, fast=False) is evaluate(e, f, env, fast=True) is evaluate(e, f, env) is expected
+
+    def test_inner_quantifier_restores_outer_binding(self):
         e = expand(PLANS["A"], 2)
         f = parse_formula("exists x. (exists x. P[0](x)) & x = eps")
-        assert evaluate(e, f, fast=fast)
+        assert evaluate(e, f)
 
-    @pytest.mark.parametrize("fast", [False, True])
-    def test_quantifier_over_env_variable(self, fast):
+    def test_quantifier_over_env_variable(self):
         e = expand(PLANS["A"], 2)
         env = {"x": ROOT}
-        assert evaluate(e, parse_formula("(exists x. P[0](x)) & x = eps"), env, fast=fast)
-        assert not evaluate(e, parse_formula("(forall x. P[0](x)) | !(x = eps)"), env, fast=fast)
+        assert evaluate(e, parse_formula("(exists x. P[0](x)) & x = eps"), env)
+        assert not evaluate(e, parse_formula("(forall x. P[0](x)) | !(x = eps)"), env)
         assert env == {"x": ROOT}
 
-    def test_fast_ranges_over_every_env_orbit(self):
+    def test_ranges_over_every_env_orbit(self):
         e = expand(PLANS["A"], 3)
         env = {"x": node("0:1"), "y": node("0:2")}
         f = parse_formula("exists x. x = y")
-        assert evaluate(e, f, env, fast=True)
-        assert evaluate(e, f, {"y": node("0:2")}, fast=True)
+        assert evaluate(e, f, env)
+        assert evaluate(e, f, {"y": node("0:2")})
 
     @pytest.mark.parametrize("name", ["A", "C", "D", "inf_one"])
-    def test_fast_matches_plain(self, name):
+    def test_sentences_match_the_reference(self, name):
         e = expand(PLANS[name], 3)
         sentences = [
             "forall x. x = x",
@@ -225,12 +241,13 @@ class TestEvaluate:
         ]
         for text in sentences:
             f = parse_formula(text)
-            assert evaluate(e, f) == evaluate(e, f, fast=True), text
+            assert evaluate(e, f) == evaluate_reference(e, f), text
 
 
 class TestFrameWalk:
-    """Fast evaluation walks one pick frame: built once per call, and
-    stepped by a pick only where a quantifier over it is reached."""
+    """Evaluation walks one pick frame: built once per call with a
+    quantifier, and stepped by a pick only where a quantifier over it is
+    reached."""
 
     @staticmethod
     def calls(monkeypatch, name):
@@ -244,7 +261,7 @@ class TestFrameWalk:
         monkeypatch.setattr(PickFrame, name, counted)
         return seen
 
-    def test_a_fast_evaluation_builds_one_frame(self, monkeypatch):
+    def test_an_evaluation_builds_one_frame(self, monkeypatch):
         e = expand(PLANS["B"], 3)
         f = parse_formula("forall x. exists y. forall z. meet(x, z) = x -> x <= y & !(y = z)")
         assert qrank(f) == 3
@@ -253,9 +270,20 @@ class TestFrameWalk:
         built = self.calls(monkeypatch, "__init__")
         steps = self.calls(monkeypatch, "step")
         for env, value in zip(envs, expected):
-            assert evaluate(e, f, env, fast=True) == value
+            assert evaluate(e, f, env) == value
             assert len(built) == 1 and steps
             built.clear()
+
+    def test_a_quantifier_free_evaluation_builds_no_frame(self, monkeypatch):
+        e = expand(PLANS["B"], 5)
+        f = parse_formula("pred^2(y) = x & P[0.0](y) & meet(y, z) = pred(y)")
+        envs = [{"x": ROOT, "y": node("0:1/0:2"), "z": node(z)} for z in ("0:1/0:4", "0:3")]
+        expected = [evaluate_reference(e, f, env) for env in envs]
+        assert expected == [True, False]
+        built = self.calls(monkeypatch, "__init__")
+        assert [evaluate(e, f, env) for env in envs] == expected
+        assert evaluate(e, parse_formula("eps = eps")) is True
+        assert built == []
 
     def test_a_one_quantifier_solution_set_builds_one_frame(self, monkeypatch):
         e = expand(PLANS["B"], 4)
@@ -299,59 +327,58 @@ class TestFrameWalk:
             return step(frame, a)
 
         monkeypatch.setattr(PickFrame, "step", counted)
-        assert evaluate(e, f, env, fast=True) == expected
+        assert evaluate(e, f, env) == expected
         (_, first), *rest = seen
         assert first == env["b"] and all(frame is rest[0][0] for frame, _ in rest)
         assert [a for _, a in rest] == (reps if calls else [])
 
 
-@pytest.mark.parametrize("fast", [False, True])
 class TestLazyErrors:
     """An atom raises only when evaluation reaches it, left to right."""
 
-    def test_unbound_variable_in_a_branch_never_reached(self, fast):
+    def test_unbound_variable_in_a_branch_never_reached(self):
         e = expand(PLANS["A"], 2)
-        assert evaluate(e, parse_formula("eps = eps | y = eps"), fast=fast)
+        assert evaluate(e, parse_formula("eps = eps | y = eps"))
 
-    def test_unbound_variable_reached_first(self, fast):
+    def test_unbound_variable_reached_first(self):
         e = expand(PLANS["A"], 2)
         with pytest.raises(UnboundVariableError, match="unbound variable 'y'"):
-            evaluate(e, parse_formula("y = eps | eps = eps"), fast=fast)
+            evaluate(e, parse_formula("y = eps | eps = eps"))
 
-    def test_bad_label_in_a_branch_never_reached(self, fast):
+    def test_bad_label_in_a_branch_never_reached(self):
         e = expand(PLANS["A"], 2)
         f = parse_formula("exists x. x = eps | P[9](x)")
-        assert evaluate(e, f, fast=fast)
-        assert not evaluate(e, parse_formula("!(eps = eps) & P[9](eps)"), fast=fast)
+        assert evaluate(e, f)
+        assert not evaluate(e, parse_formula("!(eps = eps) & P[9](eps)"))
         with pytest.raises(DomainError, match="label path"):
-            evaluate(e, parse_formula("eps = eps & P[9](eps)"), fast=fast)
+            evaluate(e, parse_formula("eps = eps & P[9](eps)"))
 
-    def test_bad_label_of_a_meet_raises_at_and_off_the_root(self, fast):
+    def test_bad_label_of_a_meet_raises_at_and_off_the_root(self):
         e, f = expand(PLANS["A"], 2), parse_formula("exists z. P[9](meet(x, y))")
         for y in (node("0:0"), node("0:1")):  # meets 0:0 and the root
             with pytest.raises(DomainError, match="label path"):
-                evaluate(e, f, {"x": node("0:0"), "y": y}, fast=fast)
+                evaluate(e, f, {"x": node("0:0"), "y": y})
         guarded = parse_formula("exists z. !(x = y) & P[9](meet(x, y))")
-        assert not evaluate(e, guarded, {"x": node("0:0"), "y": node("0:0")}, fast=fast)
+        assert not evaluate(e, guarded, {"x": node("0:0"), "y": node("0:0")})
 
-    def test_env_node_outside_the_expansion(self, fast):
+    def test_env_node_outside_the_expansion(self):
         e = expand(PLANS["A"], 2)
         with pytest.raises(DomainError, match="unknown node 0:2"):
-            evaluate(e, parse_formula("eps = eps"), {"y": node("0:2")}, fast=fast)
+            evaluate(e, parse_formula("eps = eps"), {"y": node("0:2")})
 
-    def test_solution_set_parameter_outside_the_expansion(self, fast):
+    def test_solution_set_parameter_outside_the_expansion(self):
         e = expand(PLANS["A"], 2)
         with pytest.raises(DomainError, match="unknown node 0:2"):
             solution_set(e, parse_formula("x = b"), "x", {"b": node("0:2")})
 
-    def test_non_member_refused_before_any_quantifier(self, fast):
+    def test_non_member_refused_before_any_quantifier(self):
         # Quantifiers list their range unchecked, so the entry check is the
         # one that refuses a bound node outside the expansion.
         e = expand(PLANS["B"], 2)
         f = parse_formula("exists z. pred(z) = y & x <= z")
         for bad in (node("0:2"), node("0:0/0:2"), node("0:*"), ((0, 0),)):
             with pytest.raises(DomainError, match="unknown node"):
-                evaluate(e, f, {"x": ROOT, "y": bad}, fast=fast)
+                evaluate(e, f, {"x": ROOT, "y": bad})
             with pytest.raises(DomainError, match="unknown node"):
                 solution_set(e, f, "x", {"y": bad})
 
@@ -390,23 +417,20 @@ DEEP_FORMULAS = {
     ),
     "100_meets_false": (f"forall x. forall y. {left_meets(100)} = x", False),
     "300_meets": (f"forall x. forall y. {right_meets(300)} = {left_meets(300)}", True),
-    # Plain code splits each atom on whether each meet is the root: 1,200 branches.
     "300_meet_conjuncts": ("forall x. forall y. " + " & ".join(["meet(x, y) <= meet(y, x)"] * 300), True),
 }
 
 
-@pytest.mark.parametrize("fast", [False, True])
 @pytest.mark.parametrize("name", sorted(DEEP_FORMULAS))
-def test_deep_formulas_compile(name, fast):
+def test_deep_formulas_compile(name):
     text, expected = DEEP_FORMULAS[name]
-    assert evaluate(expand(PLANS["B"], 2), parse_formula(text), fast=fast) is expected
+    assert evaluate(expand(PLANS["B"], 2), parse_formula(text)) is expected
 
 
-# Atoms over the free variables x and y; under a vacuous quantifier they
-# run as plain code over node indices on the bound nodes themselves, which
-# read their tables once before the loop.  A meet that is a side of an atom
-# splits the atom on whether it is the root, left side first.
-INDEX_ATOMS = [
+# Atoms over the free variables x and y, also run under a vacuous
+# quantifier.  A meet of sides that differ at the first segment, or with
+# the root as a side, is the root without a call.
+PAIR_ATOMS = [
     "x <= y", "eps <= x", "x <= eps", "pred(x) <= y", "meet(x, y) = pred(y)",
     "meet(meet(x, y), pred(x)) <= y", "meet(x, eps) = x", "pred^2(x) = pred^3(y)",
     "pred^7(x) = eps", "pred^99999999999999999999(y) = x", "x = y",
@@ -415,9 +439,9 @@ INDEX_ATOMS = [
     "meet(pred(x), pred^2(y)) <= y", "meet(pred(x), y) = eps", "P[](meet(x, y))",
 ]
 
-# Formulas over x and y whose quantifiers read tables of the bound nodes
-# and of the node they range over; the first re-binds x.
-INDEX_QUANTIFIED = [
+# Formulas over x and y whose quantifiers meet the node they range over
+# with the bound nodes; the first re-binds x.
+PAIR_QUANTIFIED = [
     "exists x. meet(x, y) <= x", "exists x. meet(x, y) = pred(x) & !(x <= y)",
     "exists z. meet(x, z) <= y & !(z = x)",
     "forall z. z <= x -> meet(z, y) <= meet(x, y)", "exists z. pred(z) = x & P[](meet(z, y))",
@@ -429,36 +453,20 @@ INDEX_QUANTIFIED = [
     "text", [PLAN_TEXTS[name] for name in ("single", "B", "D", "inf_mixed", "twin_ones")]
     + ["(1 " * 8 + "(inf) (1)" + ")" * 8],  # deeper than the pred^7
 )
-def test_index_atoms_match_the_reference_on_every_pair(text):
+def test_pair_atoms_match_the_reference_on_every_pair(text):
     e = expand(parse_plan(text), 2)
     paths = [".".join(map(str, sigma)) for sigma in e.plan.sorted_nodes()]
     labels = [f"P[{path}]({arg})" for path in paths for arg in ("pred(x)", "meet(x, y)")]
-    for f in map(parse_formula, INDEX_ATOMS + labels):
+    for f in map(parse_formula, PAIR_ATOMS + labels):
         for x in e.nodes():
             for y in e.nodes():
                 env = {"x": x, "y": y}
                 assert evaluate(e, Exists("z", f), env) is evaluate_reference(e, f, env), (f, env)
-    for f in map(parse_formula, INDEX_QUANTIFIED):
+    for f in map(parse_formula, PAIR_QUANTIFIED):
         for x in e.nodes():
             for y in e.nodes():
                 env = {"x": x, "y": y}
                 assert evaluate(e, f, env) is evaluate_reference(e, f, env), (f, env)
-
-
-def test_a_folded_meet_reads_no_table(monkeypatch):
-    # eps <= t folds to True, so the reads of the meet test in t go unused:
-    # the quantifier binds none of them, and the bind lists no table.
-    listed = []
-
-    def listing(e, names):
-        listed.append(names)
-        return table(e, names)
-
-    table = logic._node_table
-    monkeypatch.setattr(logic, "_node_table", listing)
-    f = parse_formula("forall y. eps <= meet(x, pred(y)) & eps <= meet(y, y)")
-    assert evaluate(expand(PLANS["B"], 2), f, {"x": node("0:1")}) is True
-    assert listed == [""]
 
 
 # A prenex sentence whose source generation recurses past the limit: it
@@ -466,17 +474,15 @@ def test_a_folded_meet_reads_no_table(monkeypatch):
 DEEP_PRENEX = "".join(f"exists x{i}. " for i in range(600)) + "x0 = x599"
 
 
-@pytest.mark.parametrize("fast", [False, True])
-def test_too_many_quantifiers_raise_the_documented_error(fast):
+def test_too_many_quantifiers_raise_the_documented_error():
     f = parse_formula(DEEP_PRENEX)
     assert qrank(f) == 600
     with pytest.raises(RecursionError, match="^formula nested too deeply to compile$"):
-        evaluate(expand(PLANS["B"], 2), f, fast=fast)
+        evaluate(expand(PLANS["B"], 2), f)
 
 
-@pytest.mark.parametrize("fast", [False, True])
 @pytest.mark.parametrize("count", [5000, 5001])
-def test_negation_chain_without_recursion(count, fast):
+def test_negation_chain_without_recursion(count):
     # The parser counts a run of "!"s and formula_text renders it in one
     # loop, so neither recurses once per negation.
     inner = "exists y. pred(y) = x"
@@ -484,8 +490,8 @@ def test_negation_chain_without_recursion(count, fast):
     f = parse_formula(text)
     assert formula_text(f) == text
     e, env = expand(PLANS["B"], 2), {"x": node("0:1")}
-    assert evaluate(e, parse_formula(inner), env, fast=fast) is True
-    assert evaluate(e, f, env, fast=fast) is (count % 2 == 0)
+    assert evaluate(e, parse_formula(inner), env) is True
+    assert evaluate(e, f, env) is (count % 2 == 0)
 
 
 def test_quantifier_run_without_recursion():
@@ -498,17 +504,16 @@ def test_quantifier_run_without_recursion():
     assert parse_formula(formula_text(f)) is f
 
 
-@pytest.mark.parametrize("fast", [False, True])
-def test_implication_chain_without_recursion(fast):
+def test_implication_chain_without_recursion():
     # The parser folds a chain of 5,000 "->"s from the right in one loop,
     # and formula_text renders it down its right spine in another.
     text = " -> ".join(["pred(x) = pred(x)"] * 5000 + ["x = eps"])
     f = parse_formula(text)
     assert formula_text(f) == text
     e = expand(PLANS["B"], 2)
-    assert evaluate(e, f, {"x": ROOT}, fast=fast) is True
-    assert evaluate(e, f, {"x": node("0:1")}, fast=fast) is False
-    assert evaluate(e, parse_formula(f"forall x. {text}"), fast=fast) is False
+    assert evaluate(e, f, {"x": ROOT}) is True
+    assert evaluate(e, f, {"x": node("0:1")}) is False
+    assert evaluate(e, parse_formula(f"forall x. {text}")) is False
 
 
 class TestFormulaIdentity:
@@ -536,28 +541,27 @@ class TestFormulaIdentity:
         assert first == second and hash(first) == hash(second)
         assert first != conj([Eq(Var("x"), Var(f"y{i}")) for i in range(4999)])
 
-    @pytest.mark.parametrize("fast", [False, True])
-    def test_a_reparsed_formula_reuses_its_program(self, monkeypatch, fast):
+    def test_a_reparsed_formula_reuses_its_program(self, monkeypatch):
         calls = []
         generate = logic._generate
 
-        def counted(f, fast, names):
+        def counted(f, names):
             calls.append(f)
-            return generate(f, fast, names)
+            return generate(f, names)
 
         monkeypatch.setattr(logic, "_generate", counted)
         text = "exists x. exists y. !(x = y) & pred(x) = pred(y)"
         first = parse_formula(text)
         e = expand(PLANS["B"], 2)
-        assert evaluate(e, first, fast=fast) is True
-        assert evaluate(e, parse_formula(text), fast=fast) is True
+        assert evaluate(e, first) is True
+        assert evaluate(e, parse_formula(text)) is True
         assert calls == [first]
 
     def test_programs_are_kept_from_the_first_compile(self):
         f = parse_formula("exists x. x = fresh_program_var")
         assert not hasattr(f, "_programs")  # a new node holds no program table
         assert evaluate(expand(PLANS["B"], 2), f, {"fresh_program_var": ROOT}) is True
-        assert set(f._programs) == {(False, ("fresh_program_var",))}
+        assert set(f._programs) == {("fresh_program_var",)}
         assert parse_formula("exists x. x = fresh_program_var")._programs is f._programs
 
     def test_a_pred_power_below_one_is_refused(self):
@@ -579,7 +583,6 @@ class TestFormulaIdentity:
             Label([0], Var("x"))
 
 
-@pytest.mark.parametrize("fast", [False, True])
 class TestVariableNames:
     """Python keywords and the names of the generated source are plain
     variable names, and the atoms decided without a call (meets at the
@@ -623,19 +626,19 @@ class TestVariableNames:
             ("!(u = eps) | eps <= meet(u, meet(x, eps))", {"u": "0:0"}),
         ],
     )
-    def test_evaluation_matches_the_reference(self, fast, text, env):
+    def test_evaluation_matches_the_reference(self, text, env):
         e = expand(PLANS["B"], 2)
         env = {name: node(value) for name, value in env.items()}
         f = parse_formula(text)
         outcomes = []
-        for run in (lambda: evaluate(e, f, env, fast=fast), lambda: evaluate_reference(e, f, env)):
+        for run in (lambda: evaluate(e, f, env), lambda: evaluate_reference(e, f, env)):
             try:
                 outcomes.append(run())
             except TreePlanError as err:
                 outcomes.append((type(err), str(err)))
         assert outcomes[0] == outcomes[1]
 
-    def test_keyword_free_variable(self, fast):
+    def test_keyword_free_variable(self):
         e = expand(PLANS["B"], 2)
         f = parse_formula("exists tree. pred(tree) = for & !(tree = bind)")
         params = {"bind": node("0:1/0:0")}
@@ -646,18 +649,17 @@ class TestVariableNames:
         assert solution_set(e, f, "for", params) == expected
 
 
-@pytest.mark.parametrize("fast", [False, True])
 @pytest.mark.parametrize("valid_first", [True, False])
-def test_label_validity_is_read_from_each_plan(valid_first, fast):
+def test_label_validity_is_read_from_each_plan(valid_first):
     # One formula object, so one generated program, on two plans.
     f = parse_formula("exists x. P[1](x)")
     valid, invalid = expand(PLANS["C"], 2), expand(PLANS["A"], 2)
     for e in [valid, invalid] if valid_first else [invalid, valid]:
         if e is valid:
-            assert evaluate(e, f, fast=fast) is True
+            assert evaluate(e, f) is True
         else:
             with pytest.raises(DomainError, match="label path"):
-                evaluate(e, f, fast=fast)
+                evaluate(e, f)
 
 
 class TestSolutionSet:

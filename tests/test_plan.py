@@ -1,7 +1,6 @@
 import gc
 import itertools
 import random
-import tracemalloc
 
 import pytest
 
@@ -24,7 +23,7 @@ from treeplan import (
     subplan,
 )
 from treeplan.analysis import check_embedding
-from treeplan.plan import Expansion, _node_index, _node_table, predicted_size
+from treeplan.plan import Expansion, predicted_size
 from treeplan.trees import STAR, FiniteTree, Node
 
 from conftest import PLANS, assert_expansion_matches_reference
@@ -145,6 +144,7 @@ class TestExpand:
         e = expand(PLANS["B"], 10**6)
         assert repr(e) == "Expansion('(1 (inf (inf)))', n=1000000, size=1000001000001)"
         assert parse_node("0:999999/0:999999") in e and parse_node("0:1000000") not in e
+        assert e.node_at(1 + 999_999 * (10**6 + 1) + 1 + 5) == parse_node("0:999999/0:5")
         for listing in (e.nodes, lambda: e.tree, lambda: e.fiber((0,)), lambda: len(e)):
             with pytest.raises(BudgetError):
                 listing()
@@ -242,7 +242,7 @@ class TestBuild:
         e = expand(p, 3)
         assert len(e) == predicted_size(p, 3) == depth
         assert e.fiber((0,) * (depth - 1)) == [Node(((0, STAR),) * (depth - 1))]
-        # Every node meets its parent: plain evaluation walks the common
+        # Every node meets its parent: evaluation walks the common
         # prefix over the whole parent, up to 4,999 segments.
         assert evaluate(e, parse_formula("forall x. meet(x, pred(x)) = pred(x)")) is True
 
@@ -286,60 +286,7 @@ class TestLazyExpansion:
                 with pytest.raises(DomainError):
                     fresh.node_at(i)
 
-    @pytest.mark.parametrize("name", sorted(PLANS))
-    def test_node_table_agrees_with_the_built_tree(self, name):
-        for n in range(1, 5):
-            nodes = expand(PLANS[name], n).nodes()
-            index = {v: i for i, v in enumerate(nodes)}
-            e = expand(PLANS[name], n, budget=len(nodes))
-            size, up, end, top, paths = _node_table(e)
-            assert size == len(nodes)
-            assert up == [0] + [index[v.parent()] for v in nodes[1:]]
-            assert end == [i + sum(map(v.is_prefix_of, nodes[i:])) for i, v in enumerate(nodes)]
-            assert top == [0] + [index[Node(v[:1])] for v in nodes[1:]]
-            assert paths == [v.plan_path for v in nodes]
-            # Only the tables asked for are listed, in the order asked.
-            assert _node_table(e, "paths up") == [size, paths, up]
-            assert _node_table(e, "") == [size]
-
-    def test_node_table_keeps_the_budget_of_a_build(self):
-        size = predicted_size(PLANS["chain3_one"], 4)
-        errors = []
-        for listing in (_node_table, Expansion.nodes, lambda e: _node_table(e, "")):
-            with pytest.raises(BudgetError) as info:
-                listing(expand(PLANS["chain3_one"], 4, budget=size - 1))
-            errors.append(str(info.value))
-        assert set(errors) == {f"expansion would have {size} nodes; budget is {size - 1}"}
-        count, up, *_ = _node_table(expand(PLANS["chain3_one"], 4, budget=size))
-        assert count == len(up) == size
-
-    def test_node_table_with_no_table_lists_no_block(self):
-        # The count alone allocates nothing per node: a block of distances
-        # and plan paths for 200,001 nodes would take megabytes.
-        e = expand(PLANS["A"], 200_000)
-        tracemalloc.start()
-        try:
-            assert _node_table(e, "") == [200_001]
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 1024
-
-    @pytest.mark.parametrize("name", sorted(PLANS))
-    def test_node_index_inverts_node_at(self, name):
-        for n in range(1, 5):
-            e = expand(PLANS[name], n, budget=0)  # building would raise
-            for i in range(predicted_size(e.plan, n)):
-                assert _node_index(e, e.node_at(i)) == i
-
-    def test_node_index_builds_and_lists_nothing(self):
-        e = expand(PLANS["B"], 10**6)  # over the budget: a build or a listing would raise
-        deep = parse_node("0:999999/0:5")
-        assert _node_index(e, deep) == 1 + 999_999 * (10**6 + 1) + 1 + 5
-        assert e.node_at(_node_index(e, deep)) == deep
-        assert e._tree is None
-
-    def test_plain_evaluation_builds_no_tree(self, monkeypatch):
+    def test_evaluation_builds_no_tree(self, monkeypatch):
         def no_build(e):
             raise AssertionError("the tree was built")
 
