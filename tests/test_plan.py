@@ -122,6 +122,10 @@ class TestExpand:
         e = expand(PLANS["B"], 10, budget=50)
         with pytest.raises(BudgetError):
             e.nodes()
+        size = predicted_size(PLANS["chain3_one"], 4)
+        with pytest.raises(BudgetError, match=f"^expansion would have {size} nodes; budget is {size - 1}$"):
+            expand(PLANS["chain3_one"], 4, budget=size - 1).nodes()
+        assert len(expand(PLANS["chain3_one"], 4, budget=size).nodes()) == size
 
     def test_budget_env(self, monkeypatch):
         monkeypatch.setenv("TREEPLAN_BUDGET", "3")
