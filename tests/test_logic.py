@@ -202,9 +202,35 @@ class TestEvaluate:
         monkeypatch.setattr(Expansion, "_build", no_build)
         assert evaluate(expand(PLANS["B"], 10**6), f) is small
 
-    def test_the_fast_keyword_is_accepted_and_ignored(self):
-        # The benchmark passes fast= in both of its modes.
-        e, env = expand(PLANS["B"], 3), {"b": node("0:1/0:2")}
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_sentences_keep_their_small_value_far_over_the_build_budget(self, name, monkeypatch):
+        # Every corpus plan: each rank-3 sentence takes at n = 4 and at
+        # n = 10^6 the value that the reference gives at n = 3.
+        sentences = [
+            parse_formula(text)
+            for text in (
+                "exists x. exists y. exists z. pred(x) = pred(y) & pred(y) = pred(z)"
+                " & !(x = y) & !(y = z) & !(x = z) & !(x = eps) & !(y = eps) & !(z = eps)",
+                "exists x. exists y. !(x = y) & pred(x) = pred(y) & forall z. !(pred(z) = x)",
+                "forall x. (exists y. pred(y) = x & !(y = x)) -> exists y. exists z."
+                " pred(y) = x & pred(z) = x & !(y = z) & !(y = x) & !(z = x)",
+            )
+        ]
+        assert {qrank(f) for f in sentences} == {3}
+        small = [evaluate_reference(expand(PLANS[name], 3), f) for f in sentences]
+
+        def no_build(e):
+            raise AssertionError("the tree was built")
+
+        monkeypatch.setattr(Expansion, "_build", no_build)
+        for n in (4, 10**6):
+            assert [evaluate(expand(PLANS[name], n), f) for f in sentences] == small, n
+
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_the_fast_keyword_is_accepted_and_ignored(self, name):
+        # The benchmark passes fast= in both of its modes, on every corpus plan.
+        e = expand(PLANS[name], 3)
+        env = {"b": e.nodes()[-1]}
         for text in ("exists x. pred(x) = b", "forall x. meet(x, b) <= pred(b)", "b = b", "!(b = eps)"):
             f = parse_formula(text)
             values = [evaluate(e, f, env, fast=False), evaluate(e, f, env, fast=True), evaluate(e, f, env)]
@@ -229,7 +255,7 @@ class TestEvaluate:
         assert evaluate(e, f, env)
         assert evaluate(e, f, {"y": node("0:2")})
 
-    @pytest.mark.parametrize("name", ["A", "C", "D", "inf_one"])
+    @pytest.mark.parametrize("name", sorted(PLANS))
     def test_sentences_match_the_reference(self, name):
         e = expand(PLANS[name], 3)
         sentences = [
@@ -284,6 +310,23 @@ class TestFrameWalk:
         built = self.calls(monkeypatch, "__init__")
         assert [evaluate(e, f, env) for env in envs] == expected
         assert evaluate(e, parse_formula("eps = eps")) is True
+        assert built == []
+
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_quantifier_free_formulas_build_no_frame_on_every_plan(self, name, monkeypatch):
+        e = expand(PLANS[name], 2)
+        formulas = [
+            parse_formula(text)
+            for text in (
+                "pred(y) = x & !(y = eps)",
+                "meet(x, y) = pred^2(y) | x <= pred(y)",
+                "!(meet(pred(x), y) = meet(x, pred(y))) -> x = y",
+            )
+        ]
+        envs = [{"x": x, "y": y} for x in e.nodes() for y in e.nodes()]
+        expected = [[evaluate_reference(e, f, env) for f in formulas] for env in envs]
+        built = self.calls(monkeypatch, "__init__")
+        assert [[evaluate(e, f, env) for f in formulas] for env in envs] == expected
         assert built == []
 
     def test_a_one_quantifier_solution_set_builds_one_frame(self, monkeypatch):

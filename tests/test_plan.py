@@ -26,7 +26,7 @@ from treeplan.analysis import check_embedding
 from treeplan.plan import Expansion, predicted_size
 from treeplan.trees import STAR, FiniteTree, Node
 
-from conftest import PLANS, assert_expansion_matches_reference
+from conftest import PLANS, assert_expansion_matches_reference, evaluate_reference
 
 
 class TestParsePlan:
@@ -290,15 +290,25 @@ class TestLazyExpansion:
                 with pytest.raises(DomainError):
                     fresh.node_at(i)
 
-    def test_evaluation_builds_no_tree(self, monkeypatch):
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_evaluation_builds_no_tree(self, name, monkeypatch):
+        sentences = [
+            parse_formula("forall x. forall y. meet(x, y) <= x"),
+            parse_formula("exists x. exists y. !(x = y) & pred(x) = pred(y)"),
+            parse_formula("exists x. forall y. !(pred(y) = x) | y = x"),
+        ]
+        expected = {
+            n: [evaluate_reference(expand(PLANS[name], n), f) for f in sentences] for n in range(1, 5)
+        }
+
         def no_build(e):
             raise AssertionError("the tree was built")
 
         monkeypatch.setattr(Expansion, "_build", no_build)
-        e = expand(PLANS["chain3_one"], 4)
-        assert evaluate(e, parse_formula("forall x. forall y. meet(x, y) <= x")) is True
-        assert evaluate(e, parse_formula("exists x. exists y. !(x = y) & pred(x) = pred(y)"))
-        assert e._tree is None
+        for n, values in expected.items():
+            e = expand(PLANS[name], n)
+            assert [evaluate(e, f) for f in sentences] == values, n
+            assert e._tree is None
 
     @pytest.mark.parametrize("name", sorted(PLANS))
     def test_membership_agrees_with_the_built_tree(self, name):
