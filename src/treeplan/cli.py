@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--spoiler", choices=("exhaustive", "random"), default="exhaustive")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--game-budget", type=int, default=100_000)
+    sp.add_argument("--game-budget", type=int, default=efgame.DEFAULT_GAME_BUDGET)
     sp.set_defaults(func=cmd_ef)
 
     sp = sub.add_parser("check", help="evaluate a sentence or count solutions")

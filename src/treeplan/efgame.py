@@ -36,6 +36,8 @@ from .errors import BudgetError, DomainError
 from .plan import Expansion, TreePlan, predicted_size
 from .trees import Node, ROOT, format_node
 
+DEFAULT_GAME_BUDGET = 100_000
+
 
 class GameState(NamedTuple):
     left: Expansion
@@ -255,7 +257,7 @@ class ExhaustiveSpoiler:
     once; a negative one raises :class:`DomainError`.
     """
 
-    def __init__(self, budget: int = 100_000, seed: int = 0):
+    def __init__(self, budget: int = DEFAULT_GAME_BUDGET, seed: int = 0):
         self.budget = budget
         self.seed = seed
         self.notes: list[str] = []
@@ -311,7 +313,7 @@ def _require_game(left: Expansion, right: Expansion, k: int) -> None:
 
 
 def game_value(
-    left: Expansion, right: Expansion, k: int, budget: int = 100_000
+    left: Expansion, right: Expansion, k: int, budget: int = DEFAULT_GAME_BUDGET
 ) -> str:
     """Theoretical winner under optimal play: "S" or "D".
 
@@ -339,9 +341,12 @@ class Outcome(NamedTuple):
 def play(left: Expansion, right: Expansion, k: int, spoiler, duplicator) -> Outcome:
     """Alternate spoiler picks and duplicator answers for ``k`` rounds.
 
-    An illegal move loses immediately for its side and is flagged in the
-    transcript.  Strategy notes are embedded as ``#`` comment lines.
-    Raises :class:`DomainError` for ``k < 0`` or boards of two plans.
+    A move is legal when it is a :class:`Node` of its board, as
+    :meth:`Expansion.require <treeplan.plan.Expansion.require>` asks; a
+    plain tuple spelling a node is not.  An illegal move loses immediately
+    for its side and is flagged in the transcript.  Strategy notes are
+    embedded as ``#`` comment lines.  Raises :class:`DomainError` for
+    ``k < 0`` or boards of two plans.
     """
     _require_game(left, right, k)
     state = GameState(left, right, (), (), k)
@@ -351,7 +356,7 @@ def play(left: Expansion, right: Expansion, k: int, spoiler, duplicator) -> Outc
     for r in range(1, k + 1):
         side, node = spoiler.pick(state)
         board = left if side == "L" else right
-        if side not in ("L", "R") or node not in board:
+        if side not in ("L", "R") or not isinstance(node, Node) or node not in board:
             illegal = f"spoiler played {format_node(node)} off the board"
             winner = "D"
             break
@@ -359,7 +364,7 @@ def play(left: Expansion, right: Expansion, k: int, spoiler, duplicator) -> Outc
         answer = duplicator.respond(state, side, node)
         other = right if side == "L" else left
         answer_side = "R" if side == "L" else "L"
-        if answer not in other:
+        if not isinstance(answer, Node) or answer not in other:
             illegal = f"duplicator played {format_node(answer)} off the board"
             winner = "S"
             lines.append(f"{r};{answer_side};<illegal {format_node(answer)}>")

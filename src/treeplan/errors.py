@@ -44,4 +44,4 @@ class InferenceError(TreePlanError):
 
 
 class UnboundVariableError(TreePlanError):
-    """A formula was evaluated with a free variable missing from the environment."""
+    """A formula was evaluated with a free variable that its ``env`` does not bind."""

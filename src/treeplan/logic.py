@@ -779,9 +779,12 @@ def pseudofinite_probe(
     """Evaluate a sentence along the ladder that starts at the rank threshold.
 
     Truth values should be constant there; the report says whether they are.
+    Raises :class:`DomainError` for a negative ``margin``.
     """
     if free_vars(sentence):
         raise DomainError("the probe needs a closed sentence")
+    if margin < 0:
+        raise DomainError(f"the margin must be non-negative, got {margin}")
     k = qrank(sentence)
     n0 = max(1, size_threshold(p, k))
     values = []

@@ -9,7 +9,6 @@ per parent and every mark-``1`` node by a single star-tagged copy.
 from __future__ import annotations
 
 import gc
-import os
 from itertools import product, repeat
 from typing import Container, Iterator, Mapping, Optional, Sequence
 
@@ -17,26 +16,6 @@ from .errors import BudgetError, DomainError, PlanSyntaxError
 from .trees import STAR, FiniteTree, Frozen, Node, PlanPath, ROOT, Segment, require_members
 
 DEFAULT_NODE_BUDGET = 2_000_000
-
-
-def node_budget(override: Optional[int] = None) -> int:
-    """``override``, else ``TREEPLAN_BUDGET``, else the default; a negative
-    override is a usage error (:class:`DomainError`), and a negative or
-    non-integer environment value a :class:`BudgetError`."""
-    if override is not None:
-        if override < 0:
-            raise DomainError(f"the node budget must be non-negative, got {override}")
-        return override
-    env = os.environ.get("TREEPLAN_BUDGET")
-    if env:
-        try:
-            limit = int(env)
-        except ValueError:
-            raise BudgetError(f"TREEPLAN_BUDGET is not an integer: {env!r}")
-        if limit < 0:
-            raise BudgetError(f"TREEPLAN_BUDGET is negative: {env!r}")
-        return limit
-    return DEFAULT_NODE_BUDGET
 
 
 class TreePlan(Frozen):
@@ -308,7 +287,7 @@ class Expansion:
     ``range(n)`` and its tags on singleton branches are ``STAR``.  The tree
     of tagged paths is built in one walk on the first use of :attr:`tree`,
     :meth:`nodes` or ``len``; that build raises :class:`BudgetError` when
-    :func:`predicted_size` exceeds the budget resolved by :func:`expand`.
+    :func:`predicted_size` exceeds the node budget given to :func:`expand`.
     The build pauses the cyclic collector, which could free nothing since
     the tree holds no reference cycle (58 collections to none for plan B at
     ``n`` = 199), and leaves it on or off as it found it.
@@ -493,13 +472,17 @@ def expand(p: TreePlan, n: int, budget: Optional[int] = None) -> Expansion:
     """The expansion of ``p`` at size ``n``, as a membership view whose
     tree is built on first use (:class:`Expansion`).
 
-    Rejects ``n < 1`` and a negative ``budget``.  The node budget
-    (``budget``, else ``TREEPLAN_BUDGET``, else :data:`DEFAULT_NODE_BUDGET`)
-    is resolved here and applies when the tree is built.
+    Rejects ``n < 1`` and a negative ``budget``.  The node budget,
+    ``budget`` or else :data:`DEFAULT_NODE_BUDGET`, applies when the tree
+    is built.
     """
     if n < 1:
         raise DomainError("expansion size must be at least 1")
-    return Expansion(p, n, node_budget(budget))
+    if budget is None:
+        budget = DEFAULT_NODE_BUDGET
+    elif budget < 0:
+        raise DomainError(f"the node budget must be non-negative, got {budget}")
+    return Expansion(p, n, budget)
 
 
 def expansion_code(p: TreePlan, n: int) -> str:
@@ -508,13 +491,12 @@ def expansion_code(p: TreePlan, n: int) -> str:
 
     Every copy of a plan node has the same subtree code, so a node's code
     joins each child's code once per copy, in sorted order.  The code
-    spells every expansion node with two characters, so the node budget
-    (``TREEPLAN_BUDGET`` or the default, as for :func:`expand`) applies as
-    to a build.
+    spells every expansion node with two characters, so
+    :data:`DEFAULT_NODE_BUDGET` applies as to a build.
     """
     if n < 1:
         raise DomainError("expansion size must be at least 1")
-    _within_budget(p, n, node_budget())
+    _within_budget(p, n, DEFAULT_NODE_BUDGET)
     codes: dict[PlanPath, str] = {}
     for sigma in sorted(p.nodes, key=len, reverse=True):
         copies: dict[str, int] = {}

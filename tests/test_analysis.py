@@ -35,7 +35,7 @@ from treeplan import (
 )
 from treeplan.counting import fiber_above
 from treeplan.plan import Expansion, plan_canonical
-from treeplan import analysis
+from treeplan import analysis, plan
 from treeplan.analysis import (
     check_embedding,
     inclusion_embedding,
@@ -298,7 +298,7 @@ class TestInferenceChecksThePlan:
     def test_node_budget_still_applies(self, monkeypatch):
         # B has 7 nodes at n = 2 and 13 at n = 3: the second check is over.
         t1, t2 = expand(PLANS["B"], 2).tree, expand(PLANS["B"], 3).tree
-        monkeypatch.setenv("TREEPLAN_BUDGET", "10")
+        monkeypatch.setattr(plan, "DEFAULT_NODE_BUDGET", 10)
         with pytest.raises(BudgetError, match="^expansion would have 13 nodes; budget is 10$"):
             infer_plan(t1, t2)
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,7 +26,7 @@ from treeplan import (
 )
 from treeplan import efgame
 from treeplan.closure import PickFrame, embed_pairs, orbit_key, orbit_reps, tuple_code
-from treeplan.trees import meet_nodes
+from treeplan.trees import format_node, meet_nodes
 
 from conftest import (
     PLANS,
@@ -356,6 +357,25 @@ class TestPlay:
             ClosureDuplicator(),
         )
         assert "budget" in out.transcript
+
+    # A move must be a Node of its board: a plain tuple spelling one is
+    # illegal too, and loses for its side.
+    @pytest.mark.parametrize("move", [node("0:5"), ((0, 1),)], ids=["off_board", "plain_tuple"])
+    def test_illegal_spoiler_move_loses(self, move):
+        spoiler = SimpleNamespace(pick=lambda state: ("L", move))
+        out = play(expand(PLANS["A"], 2), expand(PLANS["A"], 3), 2, spoiler, ClosureDuplicator())
+        illegal = f"spoiler played {format_node(move)} off the board"
+        assert out == ("D", f"# illegal: {illegal}\nwinner=D\n", illegal)
+
+    @pytest.mark.parametrize("answer", [node("0:7"), ((0, 1),)], ids=["off_board", "plain_tuple"])
+    def test_illegal_duplicator_answer_loses(self, answer):
+        spoiler = SimpleNamespace(pick=lambda state: ("L", node("0:1")))
+        duplicator = SimpleNamespace(respond=lambda state, side, picked: answer)
+        out = play(expand(PLANS["A"], 2), expand(PLANS["A"], 3), 2, spoiler, duplicator)
+        text = format_node(answer)
+        illegal = f"duplicator played {text} off the board"
+        transcript = f"1;L;0:1\n1;R;<illegal {text}>\n# illegal: {illegal}\nwinner=S\n"
+        assert out == ("S", transcript, illegal)
 
 
 # RandomSpoiler transcripts from before the spoiler drew node indices

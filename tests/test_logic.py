@@ -746,6 +746,12 @@ class TestPseudofiniteProbe:
         with pytest.raises(DomainError):
             pseudofinite_probe(PLANS["A"], parse_formula("x = x"))
 
+    def test_negative_margin_rejected(self):
+        with pytest.raises(DomainError, match="^the margin must be non-negative, got -1$"):
+            pseudofinite_probe(PLANS["A"], parse_formula("forall x. x = x"), margin=-1)
+        report = pseudofinite_probe(PLANS["A"], parse_formula("forall x. x = x"), margin=0)
+        assert report.values == ((report.start, True),) and report.constant
+
 
 class TestPrincipalFormula:
     def test_member_case(self):

@@ -23,6 +23,7 @@ from treeplan import (
     subplan,
 )
 from treeplan.analysis import check_embedding
+from treeplan.cli import main
 from treeplan.plan import Expansion, predicted_size
 from treeplan.trees import STAR, FiniteTree, Node
 
@@ -127,17 +128,14 @@ class TestExpand:
             expand(PLANS["chain3_one"], 4, budget=size - 1).nodes()
         assert len(expand(PLANS["chain3_one"], 4, budget=size).nodes()) == size
 
-    def test_budget_env(self, monkeypatch):
+    def test_the_environment_sets_no_budget(self, monkeypatch, tmp_path, capsys):
+        # The budget is the argument or the default; no variable lowers it.
         monkeypatch.setenv("TREEPLAN_BUDGET", "3")
-        e = expand(PLANS["B"], 2)
-        with pytest.raises(BudgetError):
-            e.nodes()
-
-    @pytest.mark.parametrize("value", ["-1", "abc"])
-    def test_bad_budget_env(self, monkeypatch, value):
-        monkeypatch.setenv("TREEPLAN_BUDGET", value)
-        with pytest.raises(BudgetError, match="TREEPLAN_BUDGET"):
-            expand(PLANS["B"], 2)
+        assert len(expand(PLANS["B"], 2).nodes()) == 7
+        path = tmp_path / "B.plan"
+        path.write_text(plan_text(PLANS["B"]))
+        assert main(["expand", "--plan", str(path), "--n", "2"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_negative_budget_is_a_usage_error(self):
         with pytest.raises(DomainError, match="non-negative"):
